@@ -24,7 +24,7 @@ from .estimators import (
     twfe_closed_form,
     twfe_regression,
 )
-from .inference import BootstrapConfig, bootstrap
+from .inference import BootstrapConfig, bootstrap, bootstrap_many
 from .montecarlo import McReport, run_mc
 from .oracle import (
     OmittedCategory,

@@ -15,12 +15,11 @@ from . import kernels
 from .dgp import GENERATOR_ID, DgpConfig, InvalidConfig, simulate
 from .estimators import (
     TAGS,
-    EventStudyEstimate,
     UnknownEstimator,
     bjs_closed_form,
     estimate,
 )
-from .inference import BootstrapConfig, bootstrap
+from .inference import BootstrapConfig, bootstrap_many
 from .montecarlo import run_mc
 from .oracle import population_curve
 from .panel import PanelError
@@ -54,23 +53,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_DGP_FIELDS = {f.name: f.type for f in fields(DgpConfig)}
-_INT_KEYS = {"t_min", "t_max", "n_treated", "n_control", "seed"}
+_DGP_KEYS = tuple(f.name for f in fields(DgpConfig))
+_MC_KEYS = _DGP_KEYS + ("draws", "master_seed")
+_INT_KEYS = {"t_min", "t_max", "n_treated", "n_control", "seed", "draws", "master_seed"}
 
 
-def _dgp_from_args(args) -> DgpConfig:
-    """Merge config-file values and flags; flags win."""
+def _config_values(args, keys) -> dict:
+    """Merge config-file values and flags for the known ``keys``; flags win."""
     values: dict = {}
     if args.config:
-        for key, raw in parse_config_file(args.config).items():
-            if key not in _DGP_FIELDS:
-                continue  # montecarlo keys like draws handled by callers
-            values[key] = int(raw) if key in _INT_KEYS else float(raw)
-    for name in _DGP_FIELDS:
+        for key, (raw, lineno) in parse_config_file(args.config).items():
+            where = f"{args.config}:{lineno}"
+            if key not in keys:
+                raise InvalidConfig(f"{where}: unknown key {key!r}")
+            parse, kind = (int, "an integer") if key in _INT_KEYS else (float, "a number")
+            try:
+                values[key] = parse(raw)
+            except ValueError:
+                raise InvalidConfig(f"{where}: {key}: {raw!r} is not {kind}") from None
+    for name in keys:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    return DgpConfig(**values)
+    return values
 
 
 def _add_dgp_flags(p: argparse.ArgumentParser) -> None:
@@ -135,14 +140,14 @@ def build_parser() -> _Parser:
     p_mc = sub.add_parser("montecarlo", help="average estimators over repeated draws vs the population oracle")
     _add_dgp_flags(p_mc)
     p_mc.add_argument("--estimator", action="append", default=[])
-    p_mc.add_argument("--draws", type=int, default=2000)
-    p_mc.add_argument("--master-seed", dest="master_seed", type=int, default=0)
+    p_mc.add_argument("--draws", type=int, help="number of draws (default 2000)")
+    p_mc.add_argument("--master-seed", dest="master_seed", type=int, help="default 0")
     p_mc.add_argument("--out", type=Path, required=True, help="report table output path")
     return parser
 
 
 def _cmd_simulate(args) -> int:
-    config = _dgp_from_args(args)
+    config = DgpConfig(**_config_values(args, _DGP_KEYS))
     panel = simulate(config)
     write_panel_csv(panel, args.out)
     print(f"generator: {GENERATOR_ID}")
@@ -160,17 +165,15 @@ def _cmd_estimate(args) -> int:
     panel = read_panel_csv(args.input)
     if args.bjs_pre is not None and not (1 <= args.bjs_pre <= -panel.t_min):
         raise UsageError(f"--bjs-pre must be in [1, {-panel.t_min}] for this panel")
-    results: list[EventStudyEstimate] = []
-    for tag in tags:
-        if args.bootstrap:
-            config = BootstrapConfig(replications=args.replications, seed=args.boot_seed,
-                                     level=args.level, method=args.method)
-            n_pre = args.bjs_pre if tag == "bjs" else None
-            results.append(bootstrap(panel, tag, config, n_pre=n_pre))
-        elif tag == "bjs" and args.bjs_pre is not None:
-            results.append(bjs_closed_form(panel, n_pre=args.bjs_pre))
-        else:
-            results.append(estimate(panel, tag))
+    if args.bootstrap:
+        config = BootstrapConfig(replications=args.replications, seed=args.boot_seed,
+                                 level=args.level, method=args.method)
+        n_pre = args.bjs_pre if "bjs" in tags else None
+        results = bootstrap_many(panel, tags, config, n_pre=n_pre)
+    else:
+        results = [bjs_closed_form(panel, n_pre=args.bjs_pre)
+                   if tag == "bjs" and args.bjs_pre is not None else estimate(panel, tag)
+                   for tag in tags]
     write_estimate_table(results, args.out)
     print(f"wrote estimates for {', '.join(tags)} to {args.out}")
     return EXIT_OK
@@ -241,14 +244,9 @@ def _cmd_plot(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     tags = _parse_tags(args.estimator)
-    config = _dgp_from_args(args)
-    draws, master_seed = args.draws, args.master_seed
-    if args.config:
-        file_values = parse_config_file(args.config)
-        if "draws" in file_values and "--draws" not in sys.argv:
-            draws = int(file_values["draws"])
-        if "master_seed" in file_values and "--master-seed" not in sys.argv:
-            master_seed = int(file_values["master_seed"])
+    values = _config_values(args, _MC_KEYS)
+    draws, master_seed = values.pop("draws", 2000), values.pop("master_seed", 0)
+    config = DgpConfig(**values)
     report = run_mc(config, tags, draws, master_seed)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

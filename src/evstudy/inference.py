@@ -2,9 +2,12 @@
 
 Units are resampled with replacement within their treatment group, so every
 replicate keeps the original group sizes and no replicate can lose a group.
-Replicate k's resample indices derive deterministically from the bootstrap
-seed via SeedSequence([seed, k]); results are therefore reproducible and
-independent of any execution schedule.
+Replicate k's treated and control resample indices derive deterministically
+from the bootstrap seed via derive_seed(seed, 2k) and derive_seed(seed,
+2k + 1); results are therefore reproducible and independent of any
+execution schedule. A replicate enters the reduction as per-unit draw counts
+(the multinomial-weights form of the same resample), and one set of
+replicates serves every estimator of a call.
 """
 
 from __future__ import annotations
@@ -42,23 +45,16 @@ class BootstrapConfig:
             raise ValueError(f"method must be 'normal' or 'percentile', got {self.method!r}")
 
 
-def _resample_indices(n: int, B: int, seed: int, stream: int) -> np.ndarray:
-    """(B, n) matrix of with-replacement row indices, one row per replicate."""
-    out = np.empty((B, n), dtype=np.int64)
+def _resample_counts(n: int, B: int, seed: int, stream: int) -> np.ndarray:
+    """(B, n) matrix of how often each row is drawn, one row per replicate.
+
+    Row k counts the with-replacement indices of replicate k's own stream;
+    the indices themselves are never held for all replicates at once.
+    """
+    out = np.empty((B, n))
     for k in range(B):
         rng = np.random.default_rng(derive_seed(seed, 2 * k + stream))
-        out[k] = rng.integers(0, n, size=n)
-    return out
-
-
-def _bjs_pooled_reps(y1, y0, idx1, idx0, j0, n_pre):
-    """Replicate coefficients for BJS with pooled omitted pre periods."""
-    g = y1[idx1].mean(axis=1) - y0[idx0].mean(axis=1)
-    pool_hi = j0 - n_pre
-    out = np.full_like(g, np.nan)
-    base_pre = g[:, : pool_hi + 1].mean(axis=1, keepdims=True)
-    out[:, pool_hi + 1 : j0 + 1] = g[:, pool_hi + 1 : j0 + 1] - base_pre
-    out[:, j0 + 1 :] = g[:, j0 + 1 :] - g[:, : j0 + 1].mean(axis=1, keepdims=True)
+        out[k] = np.bincount(rng.integers(0, n, size=n), minlength=n)
     return out
 
 
@@ -75,25 +71,44 @@ def bootstrap(
     the bootstrap only fills the se and ci fields. ``n_pre`` applies to the
     bjs estimator only and pools earlier pre periods into the baseline.
     """
-    if estimator not in TAG_CODES:
-        raise UnknownEstimator(f"unknown estimator {estimator!r}")
-    if n_pre is not None and estimator != "bjs":
+    return bootstrap_many(panel, [estimator], config, n_pre=n_pre)[0]
+
+
+def bootstrap_many(
+    panel: PanelDataset,
+    tags: list[str],
+    config: BootstrapConfig,
+    *,
+    n_pre: int | None = None,
+) -> list[EventStudyEstimate]:
+    """``bootstrap`` for each named estimator, from one shared set of resamples.
+
+    Replicate k is the same resample for every estimator, so each result is
+    identical to a separate ``bootstrap`` call; the resamples are drawn once.
+    """
+    for tag in tags:
+        if tag not in TAG_CODES:
+            raise UnknownEstimator(f"unknown estimator {tag!r}")
+    if n_pre is not None and "bjs" not in tags:
         raise ValueError("n_pre applies to the bjs estimator only")
-    if estimator == "bjs" and n_pre is not None:
-        point = bjs_closed_form(panel, n_pre=n_pre)
-    else:
-        point = estimate(panel, estimator)
+    points = [
+        bjs_closed_form(panel, n_pre=n_pre) if tag == "bjs" and n_pre is not None
+        else estimate(panel, tag)
+        for tag in tags
+    ]
 
     y1 = panel.outcomes[panel.treated]
     y0 = panel.outcomes[~panel.treated]
     B = config.replications
-    idx1 = _resample_indices(y1.shape[0], B, config.seed, stream=0)
-    idx0 = _resample_indices(y0.shape[0], B, config.seed, stream=1)
-    if estimator == "bjs" and n_pre is not None and n_pre != -panel.t_min:
-        reps = _bjs_pooled_reps(y1, y0, idx1, idx0, -panel.t_min, n_pre)
-    else:
-        reps = kernels.bootstrap_coefs(y1, y0, idx1, idx0, panel.t_min, TAG_CODES[estimator])
+    c1 = _resample_counts(y1.shape[0], B, config.seed, stream=0)
+    c0 = _resample_counts(y0.shape[0], B, config.seed, stream=1)
+    reps = kernels.bootstrap_coefs(y1, y0, c1, c0, panel.t_min, n_pre)
+    return [_with_intervals(point, reps[TAG_CODES[point.estimator]], panel, config)
+            for point in points]
 
+
+def _with_intervals(point, reps, panel, config) -> EventStudyEstimate:
+    """``point`` with se/ci filled from its (B, T) replicate coefficients."""
     rel_times = list(range(panel.t_min - 1, panel.t_max))
     se: dict[int, float] = {}
     ci: dict[int, tuple[float, float]] = {}

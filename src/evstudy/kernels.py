@@ -1,13 +1,16 @@
-"""Hot numeric kernels: per-panel coefficient evaluation and bootstrap loops.
+"""Hot numeric kernels: the baseline transform, per-panel coefficients, bootstrap.
 
-Two interchangeable backends compute identical quantities:
+``baseline_coefs`` is the numpy form of the four baseline rules, applied at
+once to group gaps of any leading shape. ``coef_matrix`` has two interchangeable
+backends computing identical quantities:
 
   * ``numba`` -- ``@njit``-compiled loops, used by default when numba imports;
-  * ``numpy`` -- vectorized fallback, always available.
+  * ``numpy`` -- ``baseline_coefs``, always available.
 
 Selection is via the ``EVSTUDY_BACKEND`` environment variable (``auto``,
-``numba`` or ``numpy``; default ``auto``). ``benchmarks/bench_kernels.py``
-times the two against each other.
+``numba`` or ``numpy``; default ``auto``). ``bootstrap_coefs`` is numpy on
+every backend: one count-weighted matrix product per group, then
+``baseline_coefs``.
 
 Coefficient layout: for a panel over periods [t_min, t_max] with
 T = t_max - t_min + 1 periods, kernels return length-T vectors indexed by
@@ -66,47 +69,27 @@ def _group_gap_np(y: np.ndarray, treated: np.ndarray) -> np.ndarray:
     return y[treated].mean(axis=0) - y[~treated].mean(axis=0)
 
 
-def _coefs_from_gap_np(g: np.ndarray, j0: int, code: int) -> np.ndarray:
-    out = np.empty_like(g)
-    if code == TWFE or code == CS_UNIVERSAL:
-        out[:] = g - g[j0]
-        out[j0] = np.nan
-    elif code == CS_DEFAULT:
-        out[0] = np.nan
-        out[1 : j0 + 1] = g[1 : j0 + 1] - g[0:j0]
-        out[j0 + 1 :] = g[j0 + 1 :] - g[j0]
-    elif code == BJS:
-        out[0] = np.nan
-        out[1 : j0 + 1] = g[1 : j0 + 1] - g[0]
-        out[j0 + 1 :] = g[j0 + 1 :] - g[: j0 + 1].mean()
-    else:
-        raise ValueError(f"unknown estimator code {code}")
-    return out
+def baseline_coefs(g: np.ndarray, j0: int, n_pre: int | None = None) -> np.ndarray:
+    """All four estimators' coefficients from group gaps ``g`` of shape (..., T).
 
-
-def _coef_matrix_np(y, treated, j0):
-    g = _group_gap_np(y, treated)
-    return np.stack([_coefs_from_gap_np(g, j0, c) for c in (TWFE, CS_DEFAULT, CS_UNIVERSAL, BJS)])
-
-
-def _bootstrap_np(y1, y0, idx1, idx0, j0, code):
-    m1 = y1[idx1].mean(axis=1)  # (B, T)
-    m0 = y0[idx0].mean(axis=1)
-    g = m1 - m0
-    out = np.empty_like(g)
-    if code == TWFE or code == CS_UNIVERSAL:
-        out[:] = g - g[:, j0 : j0 + 1]
-        out[:, j0] = np.nan
-    elif code == CS_DEFAULT:
-        out[:, 0] = np.nan
-        out[:, 1 : j0 + 1] = g[:, 1 : j0 + 1] - g[:, 0:j0]
-        out[:, j0 + 1 :] = g[:, j0 + 1 :] - g[:, j0 : j0 + 1]
-    elif code == BJS:
-        out[:, 0] = np.nan
-        out[:, 1 : j0 + 1] = g[:, 1 : j0 + 1] - g[:, 0:1]
-        out[:, j0 + 1 :] = g[:, j0 + 1 :] - g[:, : j0 + 1].mean(axis=1, keepdims=True)
-    else:
-        raise ValueError(f"unknown estimator code {code}")
+    Returns shape (4, ..., T), rows ordered (TWFE, CS_DEFAULT, CS_UNIVERSAL,
+    BJS). ``n_pre`` (default ``j0``) is the number of BJS pre coefficients;
+    the earlier periods pool into the BJS pre baseline.
+    """
+    n_pool = 1 if n_pre is None else j0 - n_pre + 1
+    out = np.empty((4,) + g.shape)
+    out[TWFE] = g - g[..., j0, None]
+    out[TWFE, ..., j0] = np.nan
+    out[CS_UNIVERSAL] = out[TWFE]
+    out[CS_DEFAULT, ..., 0] = np.nan
+    out[CS_DEFAULT, ..., 1 : j0 + 1] = g[..., 1 : j0 + 1] - g[..., :j0]
+    out[CS_DEFAULT, ..., j0 + 1 :] = out[TWFE, ..., j0 + 1 :]
+    # sum / n is mean's own reduction and division, with less call overhead.
+    pre_base = g[..., :n_pool].sum(axis=-1, keepdims=True) / n_pool
+    post_base = g[..., : j0 + 1].sum(axis=-1, keepdims=True) / (j0 + 1)
+    out[BJS, ..., :n_pool] = np.nan
+    out[BJS, ..., n_pool : j0 + 1] = g[..., n_pool : j0 + 1] - pre_base
+    out[BJS, ..., j0 + 1 :] = g[..., j0 + 1 :] - post_base
     return out
 
 
@@ -167,31 +150,6 @@ def _coef_matrix_nb(y, treated, j0):
     return out
 
 
-@njit(cache=True)
-def _bootstrap_nb(y1, y0, idx1, idx0, j0, code):
-    B = idx1.shape[0]
-    n1 = idx1.shape[1]
-    n0 = idx0.shape[1]
-    T = y1.shape[1]
-    out = np.empty((B, T))
-    g = np.empty(T)
-    for b in range(B):
-        for j in range(T):
-            g[j] = 0.0
-        for k in range(n1):
-            row = idx1[b, k]
-            for j in range(T):
-                g[j] += y1[row, j]
-        for j in range(T):
-            g[j] /= n1
-        for k in range(n0):
-            row = idx0[b, k]
-            for j in range(T):
-                g[j] -= y0[row, j] / n0
-        _coefs_from_gap_nb(g, j0, code, out[b])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dispatchers
 
@@ -211,7 +169,7 @@ def coef_matrix(y: np.ndarray, treated: np.ndarray, t_min: int) -> np.ndarray:
     j0 = -t_min
     if active_backend() == "numba":
         return _coef_matrix_nb(y, treated, j0)
-    return _coef_matrix_np(y, treated, j0)
+    return baseline_coefs(_group_gap_np(y, treated), j0)
 
 
 def estimator_coefs(y: np.ndarray, treated: np.ndarray, t_min: int, code: int) -> np.ndarray:
@@ -219,17 +177,14 @@ def estimator_coefs(y: np.ndarray, treated: np.ndarray, t_min: int, code: int) -
     return coef_matrix(y, treated, t_min)[code]
 
 
-def bootstrap_coefs(y1, y0, idx1, idx0, t_min: int, code: int) -> np.ndarray:
-    """Coefficient vectors for B stratified resamples, shape (B, T).
+def bootstrap_coefs(y1, y0, c1, c0, t_min: int, n_pre: int | None = None) -> np.ndarray:
+    """All four estimators' coefficients for B stratified resamples, shape (4, B, T).
 
-    ``idx1``/``idx0`` hold per-replicate row indices into the treated and
-    control outcome blocks ``y1``/``y0``.
+    ``c1``/``c0`` of shape (B, n1)/(B, n0) count how often each treated and
+    control unit is drawn in each replicate, so a replicate's group mean is a
+    count-weighted sum. ``n_pre`` is as in ``baseline_coefs``.
     """
-    y1 = np.ascontiguousarray(y1, dtype=np.float64)
-    y0 = np.ascontiguousarray(y0, dtype=np.float64)
-    idx1 = np.ascontiguousarray(idx1, dtype=np.int64)
-    idx0 = np.ascontiguousarray(idx0, dtype=np.int64)
-    j0 = -t_min
-    if active_backend() == "numba":
-        return _bootstrap_nb(y1, y0, idx1, idx0, j0, code)
-    return _bootstrap_np(y1, y0, idx1, idx0, j0, code)
+    y1 = np.asarray(y1, dtype=np.float64)
+    y0 = np.asarray(y0, dtype=np.float64)
+    g = c1 @ y1 / y1.shape[0] - c0 @ y0 / y0.shape[0]
+    return baseline_coefs(g, -t_min, n_pre)

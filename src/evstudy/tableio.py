@@ -130,9 +130,13 @@ def read_estimate_table(path) -> list[TableRow]:
     return out
 
 
-def parse_config_file(path) -> dict[str, str]:
-    """Flat key=value config; '#' starts a comment, blank lines ignored."""
-    values: dict[str, str] = {}
+def parse_config_file(path) -> dict[str, tuple[str, int]]:
+    """Flat key=value config as key -> (raw value, line number).
+
+    '#' starts a comment, blank lines are ignored, and a repeated key keeps
+    its last value.
+    """
+    values: dict[str, tuple[str, int]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -141,5 +145,5 @@ def parse_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise CsvFormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            values[key.strip()] = (value.strip(), lineno)
     return values

@@ -58,6 +58,46 @@ def test_simulate_config_file_and_override(tmp_path):
     assert panel.n_units == 8 and panel.t_min == -3
 
 
+def test_montecarlo_flags_override_config_file(tmp_path, capsys):
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text("t_min=-3\nt_max=2\nn_treated=4\nn_control=4\ndraws=3\nmaster_seed=1\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["montecarlo", "--config", str(cfg), "--out", str(a)]) == 0
+    assert "(3 draws" in capsys.readouterr().out
+    assert main(["montecarlo", "--config", str(cfg), "--draws", "5", "--master-seed", "2",
+                 "--out", str(a)]) == 0
+    assert "(5 draws" in capsys.readouterr().out
+    assert main(["montecarlo", "--t-min", "-3", "--t-max", "2", "--n-treated", "4",
+                 "--n-control", "4", "--draws", "5", "--master-seed", "2", "--out", str(b)]) == 0
+    assert filecmp.cmp(a, b, shallow=False)
+
+
+@pytest.mark.parametrize("command, body, line, key", [
+    ("simulate", "gamma=0.25\ngama=0.9\n", 2, "gama"),
+    ("simulate", "draws=3\n", 1, "draws"),
+    ("montecarlo", "# design\nseed=3\n\nmaster_sed=4\n", 4, "master_sed"),
+])
+def test_config_unknown_key_exit_2(tmp_path, capsys, command, body, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(body)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}:{line}: unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, body, message", [
+    ("simulate", "gamma=0.5\nn_treated=abc\n", "2: n_treated: 'abc' is not an integer"),
+    ("simulate", "gamma=steep\n", "1: gamma: 'steep' is not a number"),
+    ("montecarlo", "draws=2.5\n", "1: draws: '2.5' is not an integer"),
+])
+def test_config_bad_value_names_file_line_key(tmp_path, capsys, command, body, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(body)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"{cfg}:{message}" in capsys.readouterr().err
+
+
 def test_roundtrip_estimates_bit_identical(tmp_path):
     panel_csv = tmp_path / "panel.csv"
     est_csv = tmp_path / "est.csv"

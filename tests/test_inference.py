@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evstudy import (
     BootstrapConfig,
     DgpConfig,
+    PanelDataset,
     UnknownEstimator,
     bootstrap,
+    bootstrap_many,
     estimate,
     simulate,
 )
+from evstudy import inference, kernels
+from evstudy.cli import main
+from evstudy.dgp import derive_seed
+from evstudy.estimators import TAG_CODES, TAGS
 
 
 def small_panel(seed=4, sd=1.0):
@@ -84,3 +92,121 @@ def test_bjs_pooled_bootstrap():
     assert set(boot.se) == set(boot.coefficients)
     with pytest.raises(ValueError):
         bootstrap(panel, "twfe", BootstrapConfig(seed=1), n_pre=2)
+
+
+# --- count-weight bootstrap against an explicit gather ------------------------
+
+
+def _gather_reps(panel, B, seed, n_pre=None):
+    """Per-tag (B, T) replicate coefficients by the definition: gather the
+    resampled rows of each group, average, then apply each baseline rule."""
+    y1 = panel.outcomes[panel.treated]
+    y0 = panel.outcomes[~panel.treated]
+    gaps = []
+    for k in range(B):
+        means = []
+        for stream, y in ((0, y1), (1, y0)):
+            rng = np.random.default_rng(derive_seed(seed, 2 * k + stream))
+            idx = rng.integers(0, y.shape[0], size=y.shape[0])
+            means.append(y[idx].mean(axis=0))
+        gaps.append(means[0] - means[1])
+    j0 = -panel.t_min
+    pool_hi = 0 if n_pre is None else j0 - n_pre
+    reps = {tag: np.full((B, len(gaps[0])), np.nan) for tag in TAGS}
+    for k, g in enumerate(gaps):
+        for j in range(len(g)):
+            if j != j0:
+                reps["twfe"][k, j] = reps["cs_dcdh_universal"][k, j] = g[j] - g[j0]
+            if 1 <= j <= j0:
+                reps["cs_dcdh_default"][k, j] = g[j] - g[j - 1]
+            elif j > j0:
+                reps["cs_dcdh_default"][k, j] = g[j] - g[j0]
+            if pool_hi < j <= j0:
+                reps["bjs"][k, j] = g[j] - np.mean(g[: pool_hi + 1])
+            elif j > j0:
+                reps["bjs"][k, j] = g[j] - np.mean(g[: j0 + 1])
+    return reps
+
+
+def _check_against_gather(panel, B, seed, n_pre=None):
+    reps = _gather_reps(panel, B, seed, n_pre)
+    # The kernel on counts of the same indices gives the same replicates.
+    counts = []
+    for stream, n in ((0, int(panel.treated.sum())), (1, int((~panel.treated).sum()))):
+        counts.append(np.stack([
+            np.bincount(np.random.default_rng(derive_seed(seed, 2 * k + stream))
+                        .integers(0, n, size=n), minlength=n)
+            for k in range(B)
+        ]))
+    got = kernels.bootstrap_coefs(panel.outcomes[panel.treated], panel.outcomes[~panel.treated],
+                                  counts[0], counts[1], panel.t_min, n_pre)
+    for tag in TAGS:
+        row = got[TAG_CODES[tag]]
+        assert np.array_equal(np.isnan(row), np.isnan(reps[tag]))
+        assert np.nanmax(np.abs(row - reps[tag]), initial=0.0) <= 1e-12
+    # And the public path's se / percentile ci are those of the gathered replicates.
+    config = BootstrapConfig(replications=B, seed=seed, method="percentile")
+    for boot in bootstrap_many(panel, list(TAGS), config, n_pre=n_pre):
+        offset = panel.t_min - 1
+        for r, se in boot.se.items():
+            draws = reps[boot.estimator][:, r - offset]
+            assert abs(se - draws.std(ddof=1)) <= 1e-12
+            lo, hi = boot.ci[r]
+            assert abs(lo - np.quantile(draws, 0.025)) <= 1e-12
+            assert abs(hi - np.quantile(draws, 0.975)) <= 1e-12
+
+
+def _panel(n1, n0, t_min, t_max, data_seed):
+    rng = np.random.default_rng(data_seed)
+    n, T = n1 + n0, t_max - t_min + 1
+    treated = np.zeros(n, dtype=bool)
+    treated[:n1] = True
+    return PanelDataset(unit_ids=tuple(f"u{i}" for i in range(n)), treated=treated,
+                        t_min=t_min, t_max=t_max, outcomes=3 * rng.standard_normal((n, T)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(1, 6), n0=st.integers(1, 6), t_min=st.integers(-5, -1),
+       t_max=st.integers(1, 4), B=st.integers(2, 12), seed=st.integers(0, 2**32),
+       data_seed=st.integers(0, 2**32), n_pre=st.integers(1, 4))
+@example(n1=1, n0=1, t_min=-1, t_max=1, B=2, seed=0, data_seed=0, n_pre=1)
+@example(n1=1, n0=1, t_min=-3, t_max=2, B=2, seed=7, data_seed=1, n_pre=1)
+def test_count_weights_match_explicit_gather(n1, n0, t_min, t_max, B, seed, data_seed, n_pre):
+    panel = _panel(n1, n0, t_min, t_max, data_seed)
+    _check_against_gather(panel, B, seed)
+    if t_min <= -2:
+        # Pooled BJS: fewer pre coefficients than the panel allows.
+        _check_against_gather(panel, B, seed, n_pre=min(n_pre, -t_min - 1))
+
+
+def test_count_weights_match_explicit_gather_10k_units():
+    panel = _panel(5000, 5000, -3, 2, data_seed=3)
+    _check_against_gather(panel, B=4, seed=12)
+    _check_against_gather(panel, B=4, seed=12, n_pre=1)
+
+
+@pytest.mark.parametrize("n_pre", [None, 2])
+def test_bootstrap_many_equals_bootstrap_per_tag(n_pre):
+    panel = small_panel()
+    cfg = BootstrapConfig(replications=49, seed=8)
+    many = bootstrap_many(panel, list(TAGS), cfg, n_pre=n_pre)
+    for tag, got in zip(TAGS, many):
+        one = bootstrap(panel, tag, cfg, n_pre=n_pre if tag == "bjs" else None)
+        assert got == one
+
+
+def test_estimate_all_draws_resamples_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(master_seed, index):
+        calls.append(index)
+        return derive_seed(master_seed, index)
+
+    monkeypatch.setattr(inference, "derive_seed", counting)
+    panel_csv = tmp_path / "panel.csv"
+    assert main(["simulate", "--n-treated", "4", "--n-control", "3", "--t-min", "-3",
+                 "--t-max", "2", "--out", str(panel_csv)]) == 0
+    B = 7
+    assert main(["estimate", str(panel_csv), "--estimator", "all", "--bootstrap",
+                 "--replications", str(B), "--out", str(tmp_path / "est.csv")]) == 0
+    assert sorted(calls) == list(range(2 * B))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evstudy import DgpConfig, estimate, simulate
+from evstudy import estimate
 from evstudy import kernels
 
 from helpers import make_fuzz_panel
@@ -48,32 +48,15 @@ def test_backend_parity(monkeypatch):
         assert np.array_equal(np.isnan(a), np.isnan(b))
 
 
-def test_bootstrap_backend_parity(monkeypatch):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    panel = simulate(DgpConfig(t_min=-4, t_max=3, n_treated=6, n_control=5, seed=8))
-    y1 = panel.outcomes[panel.treated]
-    y0 = panel.outcomes[~panel.treated]
-    rng = np.random.default_rng(0)
-    idx1 = rng.integers(0, 6, size=(50, 6))
-    idx0 = rng.integers(0, 5, size=(50, 5))
-    for code in range(4):
-        monkeypatch.setenv("EVSTUDY_BACKEND", "numpy")
-        a = kernels.bootstrap_coefs(y1, y0, idx1, idx0, panel.t_min, code)
-        monkeypatch.setenv("EVSTUDY_BACKEND", "numba")
-        b = kernels.bootstrap_coefs(y1, y0, idx1, idx0, panel.t_min, code)
-        assert np.nanmax(np.abs(a - b)) < 1e-12
-
-
 def test_bootstrap_identity_indices(backend, default_panel):
-    # Resampling every unit once reproduces the point estimates.
+    # Resampling every unit once (all-ones counts) reproduces the point estimates.
     y1 = default_panel.outcomes[default_panel.treated]
     y0 = default_panel.outcomes[~default_panel.treated]
-    idx1 = np.arange(y1.shape[0])[None, :]
-    idx0 = np.arange(y0.shape[0])[None, :]
+    c1 = np.ones((1, y1.shape[0]))
+    c0 = np.ones((1, y0.shape[0]))
+    reps = kernels.bootstrap_coefs(y1, y0, c1, c0, default_panel.t_min)
     offset = default_panel.t_min - 1
     for tag, code in TAG_ROWS:
-        reps = kernels.bootstrap_coefs(y1, y0, idx1, idx0, default_panel.t_min, code)
         est = estimate(default_panel, tag)
         for r, value in est.coefficients.items():
-            assert reps[0, r - offset] == pytest.approx(value, abs=1e-10)
+            assert reps[code, 0, r - offset] == pytest.approx(value, abs=1e-10)
