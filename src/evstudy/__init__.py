@@ -19,6 +19,7 @@ from .estimators import (
     cs_dcdh_default,
     cs_dcdh_universal,
     estimate,
+    estimate_many,
     fit_twfe_on_untreated,
     impute_treatment_effects,
     twfe_closed_form,

@@ -11,14 +11,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import kernels
 from .dgp import GENERATOR_ID, DgpConfig, InvalidConfig, simulate
-from .estimators import (
-    TAGS,
-    UnknownEstimator,
-    bjs_closed_form,
-    estimate,
-)
+from .estimators import TAGS, UnknownEstimator, estimate_many
 from .inference import BootstrapConfig, bootstrap_many
 from .montecarlo import run_mc
 from .oracle import population_curve
@@ -56,6 +50,9 @@ class _Parser(argparse.ArgumentParser):
 _DGP_KEYS = tuple(f.name for f in fields(DgpConfig))
 _MC_KEYS = _DGP_KEYS + ("draws", "master_seed")
 _INT_KEYS = {"t_min", "t_max", "n_treated", "n_control", "seed", "draws", "master_seed"}
+# BootstrapConfig field -> the estimate flag that sets it.
+_BOOT_FLAGS = {"replications": "--replications", "seed": "--boot-seed",
+               "level": "--level", "method": "--method"}
 
 
 def _config_values(args, keys) -> dict:
@@ -120,10 +117,14 @@ def build_parser() -> _Parser:
                        help="tag, comma list, or 'all' (default all); repeatable")
     p_est.add_argument("--bootstrap", action="store_true",
                        help="add stratified unit-bootstrap se/ci columns")
-    p_est.add_argument("--replications", type=int, default=999)
-    p_est.add_argument("--boot-seed", type=int, default=0)
-    p_est.add_argument("--level", type=float, default=0.95)
-    p_est.add_argument("--method", choices=["normal", "percentile"], default="normal")
+    p_est.add_argument("--replications", type=int,
+                       help=f"with --bootstrap (default {BootstrapConfig.replications})")
+    p_est.add_argument("--boot-seed", dest="seed", type=int, metavar="BOOT_SEED",
+                       help=f"with --bootstrap (default {BootstrapConfig.seed})")
+    p_est.add_argument("--level", type=float,
+                       help=f"with --bootstrap (default {BootstrapConfig.level})")
+    p_est.add_argument("--method", choices=["normal", "percentile"],
+                       help=f"with --bootstrap (default {BootstrapConfig.method})")
     p_est.add_argument("--bjs-pre", type=int, default=None,
                        help="number of BJS pre coefficients; earlier periods pool into the baseline")
     p_est.add_argument("--out", type=Path, required=True, help="estimate table output path")
@@ -162,18 +163,18 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     tags = _parse_tags(args.estimator)
+    if args.bjs_pre is not None and "bjs" not in tags:
+        raise UsageError("--bjs-pre needs the bjs estimator")
+    boot = {key: getattr(args, key) for key in _BOOT_FLAGS if getattr(args, key) is not None}
+    if boot and not args.bootstrap:
+        raise UsageError(f"{', '.join(_BOOT_FLAGS[key] for key in boot)} given without --bootstrap")
     panel = read_panel_csv(args.input)
     if args.bjs_pre is not None and not (1 <= args.bjs_pre <= -panel.t_min):
         raise UsageError(f"--bjs-pre must be in [1, {-panel.t_min}] for this panel")
     if args.bootstrap:
-        config = BootstrapConfig(replications=args.replications, seed=args.boot_seed,
-                                 level=args.level, method=args.method)
-        n_pre = args.bjs_pre if "bjs" in tags else None
-        results = bootstrap_many(panel, tags, config, n_pre=n_pre)
+        results = bootstrap_many(panel, tags, BootstrapConfig(**boot), n_pre=args.bjs_pre)
     else:
-        results = [bjs_closed_form(panel, n_pre=args.bjs_pre)
-                   if tag == "bjs" and args.bjs_pre is not None else estimate(panel, tag)
-                   for tag in tags]
+        results = estimate_many(panel, tags, args.bjs_pre)
     write_estimate_table(results, args.out)
     print(f"wrote estimates for {', '.join(tags)} to {args.out}")
     return EXIT_OK
@@ -258,7 +259,7 @@ def _cmd_montecarlo(args) -> int:
                 pop = report.population[tag][r]
                 w.writerow([tag, r, repr(mean), repr(pop), repr(abs(mean - pop)),
                             repr(report.mc_se[tag][r])])
-    print(f"wrote Monte Carlo report ({report.draws} draws, backend={kernels.active_backend()}) to {args.out}")
+    print(f"wrote Monte Carlo report ({report.draws} draws) to {args.out}")
     return EXIT_OK
 
 

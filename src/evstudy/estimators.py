@@ -10,9 +10,11 @@ in the baseline used for each relative time r (period t = r + 1):
   * ``bjs``              -- pre periods compared to the earliest period, post
     periods to the unit-level pre-treatment mean; earliest r omitted.
 
-``twfe_regression`` and ``bjs_imputation`` run the genuine least-squares /
-imputation algorithms and must agree with the closed forms; the tests use
-that agreement as a cross-check.
+The closed forms are rows of ``kernels.coef_matrix``; the rules themselves
+are written once, in ``kernels.baseline_coefs``. ``twfe_regression`` and
+``bjs_imputation`` run the genuine least-squares / imputation algorithms and
+must agree with the closed forms; the tests use that agreement as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -86,42 +88,51 @@ class ImputationResult:
     fit: FixedEffectsFit
 
 
-def _group_gap(panel: PanelDataset) -> np.ndarray:
-    """Treated-minus-control mean outcome per period."""
-    y = panel.outcomes
-    return y[panel.treated].mean(axis=0) - y[~panel.treated].mean(axis=0)
+def estimate_many(panel: PanelDataset, tags: list[str], n_pre: int | None = None) -> list[EventStudyEstimate]:
+    """Closed-form estimates for each named estimator, all from one ``coef_matrix``.
+
+    Each estimate is its estimator's row; the row's NaN positions are the
+    omitted categories. ``n_pre`` (default: all available) is the number of
+    BJS pre coefficients, the earlier periods pooling into the BJS pre
+    baseline; it needs ``bjs`` among ``tags`` and leaves the others as they are.
+    """
+    for tag in tags:
+        if tag not in TAG_CODES:
+            raise UnknownEstimator(f"unknown estimator {tag!r}; choose from {TAGS}")
+    if n_pre is not None:
+        if "bjs" not in tags:
+            raise ValueError("n_pre applies to the bjs estimator only")
+        if not (1 <= n_pre <= -panel.t_min):
+            raise ValueError(f"n_pre must be in [1, {-panel.t_min}], got {n_pre}")
+    mat = kernels.coef_matrix(panel.outcomes, panel.treated, panel.t_min, n_pre)
+    rel_times = range(panel.t_min - 1, panel.t_max)
+    out = []
+    for tag in tags:
+        row = mat[TAG_CODES[tag]]
+        coefs = {r: float(v) for r, v in zip(rel_times, row) if not np.isnan(v)}
+        omitted = frozenset(r for r, v in zip(rel_times, row) if np.isnan(v))
+        out.append(EventStudyEstimate(tag, coefs, omitted))
+    return out
 
 
-def _to_estimate(tag: str, panel: PanelDataset, values: np.ndarray, omitted: set[int]) -> EventStudyEstimate:
-    coefs = {}
-    for j, r in enumerate(range(panel.t_min - 1, panel.t_max)):
-        if r not in omitted:
-            coefs[r] = float(values[j])
-    return EventStudyEstimate(tag, coefs, frozenset(omitted))
+def estimate(panel: PanelDataset, tag: str) -> EventStudyEstimate:
+    """Run the estimator named by ``tag`` (closed-form route)."""
+    return estimate_many(panel, [tag])[0]
 
 
 def twfe_closed_form(panel: PanelDataset) -> EventStudyEstimate:
     """Dynamic TWFE coefficients via the difference-of-means identity."""
-    g = _group_gap(panel)
-    j0 = -panel.t_min
-    return _to_estimate("twfe", panel, g - g[j0], {-1})
+    return estimate(panel, "twfe")
 
 
 def cs_dcdh_default(panel: PanelDataset) -> EventStudyEstimate:
     """Default CS / dCDH plot: short differences pre, long differences post."""
-    g = _group_gap(panel)
-    j0 = -panel.t_min
-    out = np.empty_like(g)
-    out[1 : j0 + 1] = g[1 : j0 + 1] - g[0:j0]
-    out[j0 + 1 :] = g[j0 + 1 :] - g[j0]
-    return _to_estimate("cs_dcdh_default", panel, out, {panel.t_min - 1})
+    return estimate(panel, "cs_dcdh_default")
 
 
 def cs_dcdh_universal(panel: PanelDataset) -> EventStudyEstimate:
     """CS / dCDH with the universal period-0 baseline; equals TWFE exactly."""
-    g = _group_gap(panel)
-    j0 = -panel.t_min
-    return _to_estimate("cs_dcdh_universal", panel, g - g[j0], {-1})
+    return estimate(panel, "cs_dcdh_universal")
 
 
 def bjs_closed_form(panel: PanelDataset, n_pre: int | None = None) -> EventStudyEstimate:
@@ -132,23 +143,7 @@ def bjs_closed_form(panel: PanelDataset, n_pre: int | None = None) -> EventStudy
     of the pooled omitted periods); post coefficients compare to the
     unit-level mean outcome over t <= 0.
     """
-    t_low = -panel.t_min  # number of pre coefficients available
-    if n_pre is None:
-        n_pre = t_low
-    if not (1 <= n_pre <= t_low):
-        raise ValueError(f"n_pre must be in [1, {t_low}], got {n_pre}")
-    g = _group_gap(panel)
-    j0 = -panel.t_min
-    # Pooled baseline periods: t in [t_min, -n_pre]; default n_pre leaves
-    # only the earliest period in the pool.
-    pool_hi = j0 - n_pre
-    base_pre = g[: pool_hi + 1].mean()
-    out = np.empty_like(g)
-    out[: pool_hi + 1] = np.nan
-    out[pool_hi + 1 : j0 + 1] = g[pool_hi + 1 : j0 + 1] - base_pre
-    out[j0 + 1 :] = g[j0 + 1 :] - g[: j0 + 1].mean()
-    omitted = set(range(panel.t_min - 1, -n_pre))
-    return _to_estimate("bjs", panel, out, omitted)
+    return estimate_many(panel, ["bjs"], n_pre)[0]
 
 
 def _double_demean(v: np.ndarray) -> np.ndarray:
@@ -278,22 +273,3 @@ def bjs_imputation(panel: PanelDataset) -> EventStudyEstimate:
     return EventStudyEstimate(
         "bjs", dict(sorted(coefs.items())), frozenset({panel.t_min - 1})
     )
-
-
-# Closed-form route per tag; the regression/imputation routes are the
-# cross-checked twins for twfe and bjs.
-ESTIMATOR_FUNCS = {
-    "twfe": twfe_closed_form,
-    "cs_dcdh_default": cs_dcdh_default,
-    "cs_dcdh_universal": cs_dcdh_universal,
-    "bjs": bjs_closed_form,
-}
-
-
-def estimate(panel: PanelDataset, tag: str) -> EventStudyEstimate:
-    """Run the estimator named by ``tag`` (closed-form route)."""
-    try:
-        fn = ESTIMATOR_FUNCS[tag]
-    except KeyError:
-        raise UnknownEstimator(f"unknown estimator {tag!r}; choose from {TAGS}") from None
-    return fn(panel)

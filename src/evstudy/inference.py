@@ -19,13 +19,7 @@ import numpy as np
 
 from . import kernels
 from .dgp import derive_seed
-from .estimators import (
-    TAG_CODES,
-    EventStudyEstimate,
-    UnknownEstimator,
-    bjs_closed_form,
-    estimate,
-)
+from .estimators import TAG_CODES, EventStudyEstimate, estimate_many
 from .panel import PanelDataset
 
 
@@ -86,16 +80,7 @@ def bootstrap_many(
     Replicate k is the same resample for every estimator, so each result is
     identical to a separate ``bootstrap`` call; the resamples are drawn once.
     """
-    for tag in tags:
-        if tag not in TAG_CODES:
-            raise UnknownEstimator(f"unknown estimator {tag!r}")
-    if n_pre is not None and "bjs" not in tags:
-        raise ValueError("n_pre applies to the bjs estimator only")
-    points = [
-        bjs_closed_form(panel, n_pre=n_pre) if tag == "bjs" and n_pre is not None
-        else estimate(panel, tag)
-        for tag in tags
-    ]
+    points = estimate_many(panel, tags, n_pre)
 
     y1 = panel.outcomes[panel.treated]
     y0 = panel.outcomes[~panel.treated]

@@ -1,16 +1,9 @@
-"""Hot numeric kernels: the baseline transform, per-panel coefficients, bootstrap.
+"""The baseline transform, per-panel coefficients and the bootstrap reduction.
 
-``baseline_coefs`` is the numpy form of the four baseline rules, applied at
-once to group gaps of any leading shape. ``coef_matrix`` has two interchangeable
-backends computing identical quantities:
-
-  * ``numba`` -- ``@njit``-compiled loops, used by default when numba imports;
-  * ``numpy`` -- ``baseline_coefs``, always available.
-
-Selection is via the ``EVSTUDY_BACKEND`` environment variable (``auto``,
-``numba`` or ``numpy``; default ``auto``). ``bootstrap_coefs`` is numpy on
-every backend: one count-weighted matrix product per group, then
-``baseline_coefs``.
+``baseline_coefs`` is the one place the four baseline rules are written: it
+maps group gaps of any leading shape to every estimator's coefficients.
+``coef_matrix`` applies it to one panel's gap, ``bootstrap_coefs`` to B
+count-weighted replicate gaps (one matrix product per group).
 
 Coefficient layout: for a panel over periods [t_min, t_max] with
 T = t_max - t_min + 1 periods, kernels return length-T vectors indexed by
@@ -20,53 +13,13 @@ r = t_min - 1 + j (period t = r + 1 = t_min + j). Omitted categories are NaN.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba present in the test env
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
 
 # Estimator codes shared with the estimators module.
 TWFE = 0
 CS_DEFAULT = 1
 CS_UNIVERSAL = 2
 BJS = 3
-
-_ENV = "EVSTUDY_BACKEND"
-
-
-def active_backend() -> str:
-    """Resolve the backend in effect: 'numba' or 'numpy'."""
-    choice = os.environ.get(_ENV, "auto").lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_ENV} must be auto, numba or numpy, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("EVSTUDY_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-
-
-def _group_gap_np(y: np.ndarray, treated: np.ndarray) -> np.ndarray:
-    return y[treated].mean(axis=0) - y[~treated].mean(axis=0)
 
 
 def baseline_coefs(g: np.ndarray, j0: int, n_pre: int | None = None) -> np.ndarray:
@@ -93,88 +46,14 @@ def baseline_coefs(g: np.ndarray, j0: int, n_pre: int | None = None) -> np.ndarr
     return out
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-
-
-@njit(cache=True)
-def _group_gap_nb(y, treated):
-    n, T = y.shape
-    s1 = np.zeros(T)
-    s0 = np.zeros(T)
-    n1 = 0
-    for i in range(n):
-        if treated[i]:
-            n1 += 1
-            for j in range(T):
-                s1[j] += y[i, j]
-        else:
-            for j in range(T):
-                s0[j] += y[i, j]
-    n0 = n - n1
-    return s1 / n1 - s0 / n0
-
-
-@njit(cache=True)
-def _coefs_from_gap_nb(g, j0, code, out):
-    T = g.shape[0]
-    if code == 0 or code == 2:  # TWFE / CS universal
-        for j in range(T):
-            out[j] = g[j] - g[j0]
-        out[j0] = np.nan
-    elif code == 1:  # CS default
-        out[0] = np.nan
-        for j in range(1, j0 + 1):
-            out[j] = g[j] - g[j - 1]
-        for j in range(j0 + 1, T):
-            out[j] = g[j] - g[j0]
-    else:  # BJS
-        out[0] = np.nan
-        for j in range(1, j0 + 1):
-            out[j] = g[j] - g[0]
-        pre = 0.0
-        for j in range(j0 + 1):
-            pre += g[j]
-        pre /= j0 + 1
-        for j in range(j0 + 1, T):
-            out[j] = g[j] - pre
-
-
-@njit(cache=True)
-def _coef_matrix_nb(y, treated, j0):
-    T = y.shape[1]
-    g = _group_gap_nb(y, treated)
-    out = np.empty((4, T))
-    for code in range(4):
-        _coefs_from_gap_nb(g, j0, code, out[code])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-
-
-def _prep(y, treated):
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    treated = np.ascontiguousarray(treated, dtype=np.bool_)
-    return y, treated
-
-
-def coef_matrix(y: np.ndarray, treated: np.ndarray, t_min: int) -> np.ndarray:
+def coef_matrix(y: np.ndarray, treated: np.ndarray, t_min: int, n_pre: int | None = None) -> np.ndarray:
     """All four estimators' coefficient vectors for one panel, shape (4, T).
 
-    Rows are ordered (TWFE, CS_DEFAULT, CS_UNIVERSAL, BJS).
+    Rows are ordered (TWFE, CS_DEFAULT, CS_UNIVERSAL, BJS); ``n_pre`` is as
+    in ``baseline_coefs``.
     """
-    y, treated = _prep(y, treated)
-    j0 = -t_min
-    if active_backend() == "numba":
-        return _coef_matrix_nb(y, treated, j0)
-    return baseline_coefs(_group_gap_np(y, treated), j0)
-
-
-def estimator_coefs(y: np.ndarray, treated: np.ndarray, t_min: int, code: int) -> np.ndarray:
-    """One estimator's coefficient vector for one panel, shape (T,)."""
-    return coef_matrix(y, treated, t_min)[code]
+    g = y[treated].mean(axis=0) - y[~treated].mean(axis=0)
+    return baseline_coefs(g, -t_min, n_pre)
 
 
 def bootstrap_coefs(y1, y0, c1, c0, t_min: int, n_pre: int | None = None) -> np.ndarray:

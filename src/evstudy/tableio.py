@@ -133,8 +133,8 @@ def read_estimate_table(path) -> list[TableRow]:
 def parse_config_file(path) -> dict[str, tuple[str, int]]:
     """Flat key=value config as key -> (raw value, line number).
 
-    '#' starts a comment, blank lines are ignored, and a repeated key keeps
-    its last value.
+    '#' starts a comment, blank lines are ignored, and a repeated key is an
+    error naming both lines.
     """
     values: dict[str, tuple[str, int]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -144,6 +144,10 @@ def parse_config_file(path) -> dict[str, tuple[str, int]]:
                 continue
             if "=" not in line:
                 raise CsvFormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = (value.strip(), lineno)
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in values:
+                raise CsvFormatError(
+                    f"{path}:{lineno}: duplicate key {key!r} (first on line {values[key][1]})"
+                )
+            values[key] = (value, lineno)
     return values

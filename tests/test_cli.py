@@ -90,6 +90,7 @@ def test_config_unknown_key_exit_2(tmp_path, capsys, command, body, line, key):
     ("simulate", "gamma=0.5\nn_treated=abc\n", "2: n_treated: 'abc' is not an integer"),
     ("simulate", "gamma=steep\n", "1: gamma: 'steep' is not a number"),
     ("montecarlo", "draws=2.5\n", "1: draws: '2.5' is not an integer"),
+    ("simulate", "seed=3\nseed=4\n", "2: duplicate key 'seed' (first on line 1)"),
 ])
 def test_config_bad_value_names_file_line_key(tmp_path, capsys, command, body, message):
     cfg = tmp_path / "bad.cfg"
@@ -174,6 +175,27 @@ def test_unknown_estimator_exit_3(tmp_path):
     write_four_cell(panel_csv)
     assert main(["estimate", str(panel_csv), "--estimator", "sdid",
                  "--out", str(tmp_path / "o.csv")]) == 3
+
+
+def test_bjs_pre_without_bjs_exit_3(tmp_path, capsys):
+    panel_csv, out = tmp_path / "four.csv", tmp_path / "o.csv"
+    write_four_cell(panel_csv)
+    assert main(["estimate", str(panel_csv), "--estimator", "twfe", "--bjs-pre", "2",
+                 "--out", str(out)]) == 3
+    assert "--bjs-pre" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--replications", "5"), ("--boot-seed", "1"), ("--level", "0.9"), ("--method", "percentile"),
+])
+def test_bootstrap_flag_without_bootstrap_exit_3(tmp_path, capsys, flag, value):
+    panel_csv, out = tmp_path / "four.csv", tmp_path / "o.csv"
+    write_four_cell(panel_csv)
+    assert main(["estimate", str(panel_csv), "--estimator", "twfe", flag, value,
+                 "--out", str(out)]) == 3
+    assert f"{flag} given without --bootstrap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exit_3(tmp_path):

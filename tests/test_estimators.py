@@ -11,6 +11,7 @@ from evstudy import (
     cs_dcdh_default,
     cs_dcdh_universal,
     estimate,
+    estimate_many,
     fit_twfe_on_untreated,
     impute_treatment_effects,
     simulate,
@@ -153,6 +154,17 @@ def test_bjs_pooled_bounds(four_cell):
         bjs_closed_form(four_cell, n_pre=0)
     with pytest.raises(ValueError):
         bjs_closed_form(four_cell, n_pre=3)
+
+
+def test_estimate_many_matches_single_calls(default_panel):
+    tags = ["twfe", "cs_dcdh_default", "cs_dcdh_universal", "bjs"]
+    for est in estimate_many(default_panel, tags, n_pre=5):
+        if est.estimator == "bjs":
+            assert est == bjs_closed_form(default_panel, n_pre=5)
+        else:
+            assert est == estimate(default_panel, est.estimator)
+    with pytest.raises(ValueError):
+        estimate_many(default_panel, ["twfe"], n_pre=5)
 
 
 def test_unknown_estimator(four_cell):
