@@ -146,57 +146,69 @@ def bjs_closed_form(panel: PanelDataset, n_pre: int | None = None) -> EventStudy
     return estimate_many(panel, ["bjs"], n_pre)[0]
 
 
-def _double_demean(v: np.ndarray) -> np.ndarray:
-    """Within transformation for a balanced (units x periods) matrix."""
-    return v - v.mean(axis=1, keepdims=True) - v.mean(axis=0, keepdims=True) + v.mean()
+def _fe_solve(z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares unit and period effects of each (n, T) layer of ``z`` over ``mask``.
+
+    Fits z_it = alpha_i + lambda_t on the cells where ``mask`` is true and
+    returns ``alpha`` of shape (..., n) and ``lam`` of shape (..., T), the
+    earliest period's effect pinned to 0. The unit block of the normal
+    equations is diagonal, so the unit effects are eliminated exactly; what
+    is left is the (T-1) x (T-1) system in the period effects with matrix
+    S = diag(c_T) - W' diag(1/c_n) W, where W is the 0/1 cell matrix and
+    c_n, c_T count its cells per unit and per period.
+    """
+    w = mask.astype(float)
+    c_n = w.sum(axis=1)
+    if not c_n.all():
+        raise SingularDesign("a unit has no cell in the fixed-effects fit")
+    zw = z * w
+    unit_sums = zw.sum(axis=-1)
+    rhs = zw.sum(axis=-2) - (unit_sums / c_n) @ w
+    S = (np.diag(w.sum(axis=0)) - w.T @ (w / c_n[:, None]))[1:, 1:]
+    if np.linalg.matrix_rank(S) < S.shape[0]:
+        raise SingularDesign("fixed-effects normal equations are rank deficient")
+    lam = np.zeros(rhs.shape)
+    lam[..., 1:] = np.linalg.solve(S, rhs[..., 1:].T).T
+    alpha = (unit_sums - lam @ w.T) / c_n
+    return alpha, lam
+
+
+def _fwl(panel: PanelDataset, periods, mask: np.ndarray) -> dict[int, float]:
+    """Event-time coefficients of a least-squares fit over the cells in ``mask``.
+
+    Y_it is regressed on unit effects, period effects and a treated x period
+    indicator for each t in ``periods``; the result maps r = t - 1 to the
+    indicator's coefficient. Frisch-Waugh-Lovell: the effects are partialled
+    out of the outcome and of every indicator, and the residual outcome is
+    regressed on the residual indicators.
+    """
+    cols = [panel.period_index(t) for t in periods]
+    z = np.concatenate([panel.outcomes[None],
+                        panel.treated[None, :, None] * np.eye(panel.n_periods)[cols][:, None, :]])
+    alpha, lam = _fe_solve(z, mask)
+    resid = (z - alpha[..., None] - lam[:, None, :])[:, mask]
+    beta, _, rank, _ = np.linalg.lstsq(resid[1:].T, resid[0], rcond=None)
+    if rank < len(cols):
+        raise SingularDesign("event-time design is rank deficient given the fixed effects")
+    return {t - 1: float(b) for t, b in zip(periods, beta)}
 
 
 def twfe_regression(panel: PanelDataset) -> EventStudyEstimate:
-    """Dynamic TWFE via genuine least squares (within/demeaning route).
+    """Dynamic TWFE via genuine least squares.
 
-    Unit and period effects are absorbed by double demeaning, exact on a
-    balanced panel; the event-time coefficients then come from OLS on the
-    demeaned interactions.
+    Y_it is regressed on unit effects, period effects and treated x period
+    indicators for every period but t = 0; the effects are partialled out
+    exactly (``_fwl``) and the event-time coefficients are the OLS
+    coefficients on the indicators.
     """
-    n, T = panel.outcomes.shape
-    d = panel.treated.astype(float)[:, None]
-    y_dm = _double_demean(panel.outcomes).ravel()
     periods = [t for t in range(panel.t_min, panel.t_max + 1) if t != 0]
-    cols = []
-    for t in periods:
-        x = np.zeros((n, T))
-        x[:, panel.period_index(t)] = d[:, 0]
-        cols.append(_double_demean(x).ravel())
-    X = np.column_stack(cols)
-    beta, _, rank, _ = np.linalg.lstsq(X, y_dm, rcond=None)
-    if rank < X.shape[1]:
-        raise SingularDesign("demeaned event-time design is rank deficient")
-    coefs = {t - 1: float(b) for t, b in zip(periods, beta)}
-    return EventStudyEstimate("twfe", dict(sorted(coefs.items())), frozenset({-1}))
+    coefs = _fwl(panel, periods, np.ones(panel.outcomes.shape, dtype=bool))
+    return EventStudyEstimate("twfe", coefs, frozenset({-1}))
 
 
 def _untreated_mask(panel: PanelDataset) -> np.ndarray:
     """Boolean (units x periods) mask of cells that are untreated."""
-    mask = np.ones_like(panel.outcomes, dtype=bool)
-    post = panel.times >= panel.treatment_date
-    mask[np.ix_(panel.treated, post)] = False
-    return mask
-
-
-def _fe_design(panel: PanelDataset, mask: np.ndarray):
-    """Intercept + unit/period dummy design over the masked cells."""
-    rows, cols = np.nonzero(mask)
-    n, T = panel.outcomes.shape
-    n_obs = rows.size
-    X = np.zeros((n_obs, 1 + (n - 1) + (T - 1)))
-    X[:, 0] = 1.0
-    for k in range(n_obs):
-        if rows[k] > 0:
-            X[k, rows[k]] = 1.0
-        if cols[k] > 0:
-            X[k, n + cols[k] - 1] = 1.0
-    y = panel.outcomes[rows, cols]
-    return X, y, rows, cols
+    return ~(panel.treated[:, None] & (panel.times >= panel.treatment_date))
 
 
 def fit_twfe_on_untreated(panel: PanelDataset) -> FixedEffectsFit:
@@ -206,23 +218,10 @@ def fit_twfe_on_untreated(panel: PanelDataset) -> FixedEffectsFit:
     t <= 0. Normalization: the first unit absorbs the intercept and the
     earliest period's effect is zero; predictions do not depend on it.
     """
-    mask = _untreated_mask(panel)
-    if not mask.any(axis=1).all() or not mask.any(axis=0).all():
-        raise SingularDesign("a unit or period has no untreated cell")
-    X, y, _, _ = _fe_design(panel, mask)
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
-        raise SingularDesign("fixed-effects design on untreated cells is rank deficient")
-    n, T = panel.outcomes.shape
-    alpha = {panel.unit_ids[0]: float(beta[0])}
-    for i in range(1, n):
-        alpha[panel.unit_ids[i]] = float(beta[0] + beta[i])
-    lam = {panel.t_min: 0.0}
-    for j in range(1, T):
-        lam[panel.t_min + j] = float(beta[n + j - 1])
+    alpha, lam = _fe_solve(panel.outcomes, _untreated_mask(panel))
     return FixedEffectsFit(
-        alpha=alpha,
-        lam=lam,
+        alpha=dict(zip(panel.unit_ids, alpha.tolist())),
+        lam=dict(zip(range(panel.t_min, panel.t_max + 1), lam.tolist())),
         normalization=f"unit {panel.unit_ids[0]!r} absorbs the intercept; period {panel.t_min} effect pinned to 0",
     )
 
@@ -246,30 +245,14 @@ def bjs_imputation(panel: PanelDataset) -> EventStudyEstimate:
     indicators for periods until treatment, earliest pre period normalized
     to zero.
     """
-    imp = impute_treatment_effects(panel)
-    treated_ids = [panel.unit_ids[i] for i in np.nonzero(panel.treated)[0]]
-    coefs: dict[int, float] = {}
-    for r in range(0, panel.t_max):
-        t = r + 1
-        coefs[r] = float(np.mean([imp.tau[(uid, t)] for uid in treated_ids]))
+    mask = _untreated_mask(panel)
+    alpha, lam = _fe_solve(panel.outcomes, mask)
+    post = range(panel.treatment_date, panel.t_max + 1)
+    j = panel.period_index(panel.treatment_date)
+    tau = panel.outcomes[panel.treated, j:] - alpha[panel.treated, None] - lam[j:]
+    coefs = {t - 1: float(v) for t, v in zip(post, tau.mean(axis=0))}
 
     # Pre side: untreated-cell regression with treated x period indicators
     # for t in [t_min + 1, 0] (relative times t_min .. -1).
-    mask = _untreated_mask(panel)
-    X_fe, y, rows, cols = _fe_design(panel, mask)
-    d = panel.treated[rows].astype(float)
-    pre_periods = list(range(panel.t_min + 1, panel.treatment_date))
-    dyn = np.zeros((rows.size, len(pre_periods)))
-    for k, t in enumerate(pre_periods):
-        dyn[:, k] = d * (cols == panel.period_index(t))
-    X = np.hstack([X_fe, dyn])
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
-        raise SingularDesign("pre-period dynamic design is rank deficient")
-    n_fe = X_fe.shape[1]
-    for k, t in enumerate(pre_periods):
-        coefs[t - 1] = float(beta[n_fe + k])
-
-    return EventStudyEstimate(
-        "bjs", dict(sorted(coefs.items())), frozenset({panel.t_min - 1})
-    )
+    coefs.update(_fwl(panel, range(panel.t_min + 1, panel.treatment_date), mask))
+    return EventStudyEstimate("bjs", dict(sorted(coefs.items())), frozenset({panel.t_min - 1}))

@@ -34,7 +34,7 @@ class NonIntegerTime(PanelError):
 
 
 class NonFiniteOutcome(PanelError):
-    """An outcome is NaN or infinite."""
+    """An outcome is NaN or infinite, or a period's group-mean gap overflows."""
 
 
 class InsufficientPeriods(PanelError):
@@ -182,6 +182,12 @@ def validate_panel(rows) -> PanelDataset:
     for i, uid in enumerate(order):
         for j, t in enumerate(times):
             outcomes[i, j] = cells[(uid, t)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = outcomes[treated].mean(axis=0) - outcomes[~treated].mean(axis=0)
+    overflow = np.flatnonzero(~np.isfinite(gap))
+    if overflow.size:
+        t = t_min + int(overflow[0])
+        raise NonFiniteOutcome(f"period {t}: the treated-minus-control mean gap is not finite")
 
     return PanelDataset(
         unit_ids=tuple(order),

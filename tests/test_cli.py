@@ -1,4 +1,5 @@
 import filecmp
+import warnings
 
 import pytest
 
@@ -168,6 +169,23 @@ def test_estimate_invalid_panel_exit_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("unit,time,treated,outcome\na,0,1,1.0\na,1,1,1.0\nb,0,1,1.0\nb,1,1,1.0\n")
     assert main(["estimate", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+
+
+def test_estimate_overflowing_group_mean_exit_2(tmp_path, capsys):
+    # Every outcome is finite, but the treated mean at t = -1 overflows.
+    rows = [(u, t, d, 1e308 if d and t == -1 else 0.0)
+            for u, d in (("a", 1), ("b", 1), ("c", 0)) for t in range(-2, 2)]
+    bad = tmp_path / "big.csv"
+    bad.write_text("unit,time,treated,outcome\n"
+                   + "".join(f"{u},{t},{d},{y!r}\n" for u, t, d, y in rows))
+    out = tmp_path / "est.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", str(bad), "--estimator", "twfe", "--out", str(out)])
+    assert code == 2
+    assert "period -1" in capsys.readouterr().err
+    assert not caught
+    assert not out.exists()
 
 
 def test_unknown_estimator_exit_3(tmp_path):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evstudy import (
     DgpConfig,
@@ -170,6 +174,46 @@ def test_estimate_many_matches_single_calls(default_panel):
 def test_unknown_estimator(four_cell):
     with pytest.raises(UnknownEstimator):
         estimate(four_cell, "sdid")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(1, 6), n0=st.integers(1, 6), t_min=st.integers(-5, -1),
+       t_max=st.integers(1, 5), data_seed=st.integers(0, 2**32))
+@example(n1=1, n0=1, t_min=-3, t_max=2, data_seed=0)
+@example(n1=4, n0=3, t_min=-1, t_max=3, data_seed=1)
+@example(n1=1, n0=1, t_min=-1, t_max=1, data_seed=2)
+def test_twins_match_closed_forms(n1, n0, t_min, t_max, data_seed):
+    rng = np.random.default_rng(data_seed)
+    treated = np.arange(n1 + n0) < n1
+    panel = PanelDataset(tuple(f"u{i}" for i in range(n1 + n0)), treated, t_min, t_max,
+                         3 * rng.standard_normal((n1 + n0, t_max - t_min + 1)))
+    assert max_coef_diff(twfe_regression(panel), twfe_closed_form(panel)) < 1e-8
+    imputed, closed = bjs_imputation(panel), bjs_closed_form(panel)
+    assert max_coef_diff(imputed, closed) < 1e-8
+    assert imputed.omitted == closed.omitted
+
+
+def test_untreated_fit_singular_when_every_unit_treated():
+    # No untreated cell in a post period, so its effect is not identified.
+    panel = PanelDataset(("a", "b"), np.array([True, True]), -2, 1, np.zeros((2, 4)))
+    with pytest.raises(SingularDesign):
+        fit_twfe_on_untreated(panel)
+    with pytest.raises(SingularDesign):
+        bjs_imputation(panel)
+
+
+@pytest.mark.parametrize("twin, closed_form", [(twfe_regression, twfe_closed_form),
+                                               (bjs_imputation, bjs_closed_form)])
+def test_twins_10k_units_bounded_memory(twin, closed_form):
+    panel = simulate(DgpConfig(n_treated=5000, n_control=5000, seed=4))
+    tracemalloc.start()
+    try:
+        est = twin(panel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max_coef_diff(est, closed_form(panel)) < 1e-8
+    assert peak < 512 * 2**20
 
 
 # --- cross-estimator properties ------------------------------------------
