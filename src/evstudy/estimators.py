@@ -59,10 +59,6 @@ class EventStudyEstimate:
     ci: dict[int, tuple[float, float]] | None = None
     level: float | None = None
 
-    @property
-    def rel_times(self) -> list[int]:
-        return sorted(self.coefficients)
-
 
 @dataclass(frozen=True)
 class FixedEffectsFit:

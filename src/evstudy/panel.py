@@ -34,7 +34,7 @@ class NonIntegerTime(PanelError):
 
 
 class NonFiniteOutcome(PanelError):
-    """An outcome is NaN or infinite, or a period's group-mean gap overflows."""
+    """An outcome is NaN or infinite, or a sum over one period's outcomes overflows."""
 
 
 class InsufficientPeriods(PanelError):
@@ -80,18 +80,10 @@ class PanelDataset:
     def times(self) -> np.ndarray:
         return np.arange(self.t_min, self.t_max + 1)
 
-    @property
-    def rel_times(self) -> np.ndarray:
-        """All relative times r = t - 1 represented in the panel."""
-        return np.arange(self.t_min - 1, self.t_max)
-
     def period_index(self, t: int) -> int:
         if not (self.t_min <= t <= self.t_max):
             raise TimeOutOfRange(f"period {t} outside [{self.t_min}, {self.t_max}]")
         return t - self.t_min
-
-    def unit_index(self, unit_id: str) -> int:
-        return self.unit_ids.index(unit_id)
 
     def to_rows(self) -> list[tuple[str, int, int, float]]:
         """Emit (unit_id, time, treated, outcome) rows in unit-major order."""
@@ -132,66 +124,73 @@ def validate_panel(rows) -> PanelDataset:
     time; any gap or duplicate is an error. Idempotent: validating the rows
     of an emitted dataset reproduces it exactly.
     """
-    rows = list(rows)
-    if not rows:
+    units, times, treated, outcomes = [], [], [], []
+    for unit_id, time, d, y in rows:
+        units.append(str(unit_id))
+        times.append(_as_int_time(time))
+        if int(d) not in (0, 1):
+            raise InconsistentTreatment(f"unit {units[-1]}: treated={d!r} not 0/1")
+        treated.append(int(d))
+        outcomes.append(float(y))
+    return panel_from_columns(units, times, treated, outcomes)
+
+
+def panel_from_columns(units, times, treated, outcomes) -> PanelDataset:
+    """Check row-aligned columns (str ids, int times, 0/1 flags, floats) by index
+    arithmetic and gather them into a PanelDataset, units in first-seen order;
+    nothing sized by the time range is allocated before the grid is complete."""
+    if not units:
         raise UnbalancedPanel("no rows")
-
-    cells: dict[tuple[str, int], float] = {}
-    group: dict[str, int] = {}
-    order: list[str] = []
-    for unit_id, time, treated, outcome in rows:
-        uid = str(unit_id)
-        t = _as_int_time(time)
-        d = int(treated)
-        if d not in (0, 1):
-            raise InconsistentTreatment(f"unit {uid}: treated={treated!r} not 0/1")
-        y = float(outcome)
-        if not np.isfinite(y):
-            raise NonFiniteOutcome(f"unit {uid}, t={t}: outcome {outcome!r}")
-        if uid in group:
-            if group[uid] != d:
-                raise InconsistentTreatment(f"unit {uid} switches treatment group")
-        else:
-            group[uid] = d
-            order.append(uid)
-        key = (uid, t)
-        if key in cells:
-            raise UnbalancedPanel(f"duplicate cell {key}")
-        cells[key] = y
-
-    t_min = min(t for _, t in cells)
-    t_max = max(t for _, t in cells)
-    times = range(t_min, t_max + 1)
-    for uid in order:
-        for t in times:
-            if (uid, t) not in cells:
-                raise UnbalancedPanel(f"missing cell ({uid}, {t})")
+    y = np.asarray(outcomes, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        r = bad[0]
+        raise NonFiniteOutcome(f"unit {units[r]}, t={times[r]}: outcome {outcomes[r]!r}")
+    # u[r] is row r's unit in first-seen order; first[i] is unit i's first row.
+    _, first, code = np.unique(np.array(units, dtype=object), return_index=True, return_inverse=True)
+    u = np.argsort(np.argsort(first))[code]
+    first = np.sort(first)
+    n = len(first)
+    d = np.asarray(treated, dtype=bool)
+    bad = np.flatnonzero(d != d[first][u])
+    if bad.size:
+        raise InconsistentTreatment(f"unit {units[bad[0]]} switches treatment group")
+    t_min, t_max = min(times), max(times)
     n_periods = t_max - t_min + 1
-    if len(cells) != len(order) * n_periods:
-        raise UnbalancedPanel("extra cells outside the unit grid")
+    t = np.array(times, dtype=np.int64 if -(2**63) <= t_min and t_max < 2**63 else object)
+    # Rows by (unit, time), ties in row order: a repeat follows its first copy.
+    order = np.lexsort((t, u))
+    u_s, t_s = u[order], t[order]
+    bad = order[1:][(u_s[1:] == u_s[:-1]) & (t_s[1:] == t_s[:-1])]
+    if bad.size:
+        r = bad.min()
+        raise UnbalancedPanel(f"duplicate cell {(units[r], times[r])}")
+    # A unit's k-th row is in place if its time is t_min + k; those rows are a prefix.
+    k = np.arange(len(order)) - np.searchsorted(u_s, u_s)
+    filled = np.bincount(u_s[t_s - t_min == k], minlength=n)
+    bad = np.flatnonzero(filled < n_periods)
+    if bad.size:
+        i = bad[0]
+        raise UnbalancedPanel(f"missing cell ({units[first[i]]}, {t_min + int(filled[i])})")
 
-    treated = np.array([bool(group[uid]) for uid in order])
-    if treated.all() or not treated.any():
+    is_treated = d[first]
+    if is_treated.all() or not is_treated.any():
         raise DegenerateGroups("need at least one treated and one untreated unit")
     if t_min > -1 or t_max < 1:
         raise InsufficientPeriods(
             f"time range [{t_min}, {t_max}] must cover t <= -1 and t >= 1"
         )
-
-    outcomes = np.empty((len(order), n_periods))
-    for i, uid in enumerate(order):
-        for j, t in enumerate(times):
-            outcomes[i, j] = cells[(uid, t)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = outcomes[treated].mean(axis=0) - outcomes[~treated].mean(axis=0)
-    overflow = np.flatnonzero(~np.isfinite(gap))
-    if overflow.size:
-        t = t_min + int(overflow[0])
-        raise NonFiniteOutcome(f"period {t}: the treated-minus-control mean gap is not finite")
+    outcomes = y[order].reshape(n, n_periods)
+    # n * max|y_t| bounds every group sum and every count-weighted bootstrap sum.
+    with np.errstate(over="ignore"):
+        bound = n * np.abs(outcomes).max(axis=0)
+    bad = np.flatnonzero(np.isinf(bound))
+    if bad.size:
+        raise NonFiniteOutcome(f"period {t_min + int(bad[0])}: a sum over {n} units overflows")
 
     return PanelDataset(
-        unit_ids=tuple(order),
-        treated=treated,
+        unit_ids=tuple(units[r] for r in first.tolist()),
+        treated=is_treated,
         t_min=t_min,
         t_max=t_max,
         outcomes=outcomes,

@@ -10,10 +10,12 @@ targets.
 from __future__ import annotations
 
 import csv
+import operator
+import sys
 from dataclasses import dataclass
 
 from .estimators import EventStudyEstimate
-from .panel import NonIntegerTime, PanelDataset, validate_panel
+from .panel import NonIntegerTime, PanelDataset, panel_from_columns
 
 PANEL_COLUMNS = ["unit", "time", "treated", "outcome"]
 ESTIMATE_COLUMNS = [
@@ -38,28 +40,31 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
 
 
 def read_panel_csv(path) -> PanelDataset:
+    """Columns in any order, blank lines skipped; errors name the physical line."""
+    units, times, treated, outcomes = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or sorted(reader.fieldnames) != sorted(PANEL_COLUMNS):
-            raise CsvFormatError(
-                f"expected columns {PANEL_COLUMNS}, got {reader.fieldnames}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if None in row or any(v is None for v in row.values()):
-                raise CsvFormatError(f"line {lineno}: wrong number of fields")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or sorted(header) != sorted(PANEL_COLUMNS):
+            raise CsvFormatError(f"expected columns {PANEL_COLUMNS}, got {header}")
+        pick = operator.itemgetter(*map(header.index, PANEL_COLUMNS))
+        for row in filter(None, reader):  # skips blank lines
+            if len(row) != len(PANEL_COLUMNS):
+                raise CsvFormatError(f"line {reader.line_num}: wrong number of fields")
+            unit, time, d, y = pick(row)
             try:
-                t = int(row["time"])
+                times.append(int(time))
             except ValueError:
-                raise NonIntegerTime(f"line {lineno}: time {row['time']!r}") from None
-            if row["treated"] not in ("0", "1"):
-                raise CsvFormatError(f"line {lineno}: treated must be 0 or 1")
+                raise NonIntegerTime(f"line {reader.line_num}: time {time!r}") from None
+            if d not in ("0", "1"):
+                raise CsvFormatError(f"line {reader.line_num}: treated must be 0 or 1")
             try:
-                y = float(row["outcome"])
+                outcomes.append(float(y))
             except ValueError:
-                raise CsvFormatError(f"line {lineno}: bad outcome {row['outcome']!r}") from None
-            rows.append((row["unit"], t, int(row["treated"]), y))
-    return validate_panel(rows)
+                raise CsvFormatError(f"line {reader.line_num}: bad outcome {y!r}") from None
+            units.append(sys.intern(unit))  # one str object per unit, not per row
+            treated.append(d == "1")
+    return panel_from_columns(units, times, treated, outcomes)
 
 
 def estimate_table_rows(estimates: list[EventStudyEstimate]) -> list[dict[str, str]]:
@@ -109,24 +114,23 @@ class TableRow:
 
 def read_estimate_table(path) -> list[TableRow]:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ESTIMATE_COLUMNS:
-            raise CsvFormatError(
-                f"expected columns {ESTIMATE_COLUMNS}, got {reader.fieldnames}"
-            )
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ESTIMATE_COLUMNS:
+            raise CsvFormatError(f"expected columns {ESTIMATE_COLUMNS}, got {header}")
         out = []
-        for row in reader:
-            def opt(key):
-                return float(row[key]) if row[key] != "" else None
-            out.append(TableRow(
-                estimator=row["estimator"],
-                relative_time=int(row["relative_time"]),
-                coefficient=opt("coefficient"),
-                std_error=opt("std_error"),
-                ci_low=opt("ci_low"),
-                ci_high=opt("ci_high"),
-                omitted=row["omitted"] == "1",
-            ))
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(ESTIMATE_COLUMNS):
+                    raise ValueError(f"expected {len(ESTIMATE_COLUMNS)} fields, got {len(row)}")
+                estimator, rel, *numbers, omitted = row
+                if omitted not in ("0", "1"):
+                    raise ValueError(f"omitted must be 0 or 1, got {omitted!r}")
+                out.append(TableRow(estimator, int(rel),
+                                    *(float(v) if v != "" else None for v in numbers),
+                                    omitted == "1"))
+            except ValueError as exc:
+                raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
     return out
 
 

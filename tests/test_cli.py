@@ -188,6 +188,39 @@ def test_estimate_overflowing_group_mean_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_bootstrap_overflow_exit_2(tmp_path, capsys):
+    # The mean gap at t = -1 is finite, but a replicate that draws one of the
+    # two treated units twice sums to 2e308.
+    rows = [(u, t, d, y if t == -1 else 0.0)
+            for u, d, y in (("a", 1, 1e308), ("b", 1, -1e308), ("c", 0, 0.0))
+            for t in range(-2, 2)]
+    bad = tmp_path / "big.csv"
+    bad.write_text("unit,time,treated,outcome\n"
+                   + "".join(f"{u},{t},{d},{y!r}\n" for u, t, d, y in rows))
+    out = tmp_path / "est.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", str(bad), "--estimator", "twfe", "--bootstrap",
+                     "--replications", "20", "--out", str(out)])
+    assert code == 2
+    assert "period -1" in capsys.readouterr().err
+    assert not caught
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body", [
+    # a blank line 3 before the bad outcome on line 5
+    "unit,time,treated,outcome\na,-1,1,0.0\n\na,0,1,0.0\na,1,1,abc\n",
+    # a unit id holding a newline spans lines 2-3
+    'unit,time,treated,outcome\n"a\nb",-1,1,0.0\na,0,1,0.0\na,1,1,abc\n',
+], ids=["blank-line", "quoted-newline"])
+def test_panel_csv_error_names_physical_line(tmp_path, capsys, body):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(body)
+    assert main(["estimate", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "line 5: bad outcome 'abc'" in capsys.readouterr().err
+
+
 def test_unknown_estimator_exit_3(tmp_path):
     panel_csv = tmp_path / "four.csv"
     write_four_cell(panel_csv)
@@ -253,6 +286,20 @@ def test_plot_empty_table_exit_2(tmp_path):
     empty = tmp_path / "e.csv"
     empty.write_text("estimator,relative_time,coefficient,std_error,ci_low,ci_high,omitted\n")
     assert main(["plot", str(empty), "--out", str(tmp_path / "f.svg")]) == 2
+
+
+@pytest.mark.parametrize("row, message", [
+    ("twfe,0,1.5\n", "line 3: expected 7 fields, got 3"),
+    ("twfe,0,abc,,,,0\n", "line 3: could not convert string to float: 'abc'"),
+    ("twfe,x,1.5,,,,0\n", "line 3: invalid literal for int() with base 10: 'x'"),
+    ("twfe,0,1.5,,,,yes\n", "line 3: omitted must be 0 or 1, got 'yes'"),
+], ids=["short-row", "bad-coefficient", "bad-relative-time", "bad-omitted"])
+def test_plot_malformed_table_names_line(tmp_path, capsys, row, message):
+    table = tmp_path / "e.csv"
+    table.write_text("estimator,relative_time,coefficient,std_error,ci_low,ci_high,omitted\n"
+                     "twfe,-1,,,,,1\n" + row)
+    assert main(["plot", str(table), "--out", str(tmp_path / "f.svg")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_plot_deterministic(tmp_path):
