@@ -7,45 +7,45 @@ stratified unit bootstrap, and a Monte Carlo driver. The CLI
 (``evstudy simulate|estimate|plot|montecarlo``) wraps the pipeline.
 """
 
-from .dgp import DgpConfig, InvalidConfig, expected_outcome, simulate
-from .estimators import (
-    EventStudyEstimate,
-    FixedEffectsFit,
-    ImputationResult,
-    SingularDesign,
-    UnknownEstimator,
-    bjs_closed_form,
-    bjs_imputation,
-    cs_dcdh_default,
-    cs_dcdh_universal,
-    estimate,
-    estimate_many,
-    fit_twfe_on_untreated,
-    impute_treatment_effects,
-    twfe_closed_form,
-    twfe_regression,
-)
-from .inference import BootstrapConfig, bootstrap, bootstrap_many
-from .montecarlo import McReport, run_mc
-from .oracle import (
-    OmittedCategory,
-    PopulationCurve,
-    brute_force_did,
-    population_bjs,
-    population_cs_dcdh,
-    population_curve,
-    population_twfe,
-)
-from .panel import (
-    DegenerateGroups,
-    InconsistentTreatment,
-    NonIntegerTime,
-    PanelDataset,
-    PanelError,
-    TimeOutOfRange,
-    UnbalancedPanel,
-    group_mean,
-    validate_panel,
-)
+import importlib
+
+# Exported name -> the module that provides it. Modules load on first
+# access (PEP 562), so ``import evstudy`` itself loads no numpy.
+_EXPORTS = {
+    **dict.fromkeys((
+        "BootstrapConfig", "DegenerateGroups", "DgpConfig", "InconsistentTreatment",
+        "InvalidConfig", "NonIntegerTime", "PanelError", "TimeOutOfRange",
+        "UnbalancedPanel", "UnknownEstimator",
+    ), "spec"),
+    **dict.fromkeys(("expected_outcome", "simulate"), "dgp"),
+    **dict.fromkeys((
+        "EventStudyEstimate", "FixedEffectsFit", "ImputationResult", "SingularDesign",
+        "bjs_closed_form", "bjs_imputation", "cs_dcdh_default", "cs_dcdh_universal",
+        "estimate", "estimate_many", "fit_twfe_on_untreated", "impute_treatment_effects",
+        "twfe_closed_form", "twfe_regression",
+    ), "estimators"),
+    **dict.fromkeys(("bootstrap", "bootstrap_many"), "inference"),
+    **dict.fromkeys(("McReport", "run_mc"), "montecarlo"),
+    **dict.fromkeys((
+        "OmittedCategory", "PopulationCurve", "brute_force_did", "population_bjs",
+        "population_cs_dcdh", "population_curve", "population_twfe",
+    ), "oracle"),
+    **dict.fromkeys(("PanelDataset", "group_mean", "validate_panel"), "panel"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"

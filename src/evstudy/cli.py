@@ -11,15 +11,20 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .dgp import GENERATOR_ID, DgpConfig, InvalidConfig, simulate
-from .estimators import TAGS, UnknownEstimator, estimate_many
-from .inference import BootstrapConfig, bootstrap_many
-from .montecarlo import run_mc
+# Only numpy-free modules at the top: each command imports the numeric
+# modules it needs, so start-up is cheap and ``plot`` never loads numpy.
 from .oracle import population_curve
-from .panel import PanelError
+from .spec import (
+    TAGS,
+    BootstrapConfig,
+    CsvFormatError,
+    DgpConfig,
+    InvalidConfig,
+    PanelError,
+    UnknownEstimator,
+)
 from .svgplot import event_study_svg
 from .tableio import (
-    CsvFormatError,
     TableRow,
     parse_config_file,
     read_estimate_table,
@@ -148,6 +153,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> int:
+    from .dgp import GENERATOR_ID, simulate
+
     config = DgpConfig(**_config_values(args, _DGP_KEYS))
     panel = simulate(config)
     write_panel_csv(panel, args.out)
@@ -172,8 +179,12 @@ def _cmd_estimate(args) -> int:
     if args.bjs_pre is not None and not (1 <= args.bjs_pre <= -panel.t_min):
         raise UsageError(f"--bjs-pre must be in [1, {-panel.t_min}] for this panel")
     if args.bootstrap:
+        from .inference import bootstrap_many
+
         results = bootstrap_many(panel, tags, BootstrapConfig(**boot), n_pre=args.bjs_pre)
     else:
+        from .estimators import estimate_many
+
         results = estimate_many(panel, tags, args.bjs_pre)
     write_estimate_table(results, args.out)
     print(f"wrote estimates for {', '.join(tags)} to {args.out}")
@@ -206,6 +217,8 @@ def _cmd_plot(args) -> int:
         by_tag.setdefault(row.estimator, []).append(row)
     if not by_tag:
         raise EmptyTable(f"no rows in {args.input}")
+    if args.split_bjs and "bjs" not in by_tag:
+        raise UsageError(f"--split-bjs needs bjs rows in {args.input}")
     multi = len(by_tag) > 1
     written = []
     for tag, tag_rows in by_tag.items():
@@ -244,6 +257,8 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
+    from .montecarlo import run_mc
+
     tags = _parse_tags(args.estimator)
     values = _config_values(args, _MC_KEYS)
     draws, master_seed = values.pop("draws", 2000), values.pop("master_seed", 0)

@@ -9,11 +9,10 @@ baseline construction, not of the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .panel import PanelDataset
+from .spec import DgpConfig, InvalidConfig, TimeOutOfRange
 
 # Identity of the deterministic noise transform, echoed in CLI output so a
 # simulated panel can be reproduced exactly from (generator, config, seed).
@@ -21,37 +20,6 @@ GENERATOR_ID = (
     "numpy Philox(4x64, key=seed) standard_normal; "
     "draw order: treated units then control units, times ascending"
 )
-
-
-class InvalidConfig(ValueError):
-    """DGP configuration violates its invariants."""
-
-
-@dataclass(frozen=True)
-class DgpConfig:
-    """Parameters of the simulation design.
-
-    Defaults reproduce the illustrative design: gamma=0.5, periods -15..10,
-    100 units with half treated, unit-variance noise.
-    """
-
-    gamma: float = 0.5
-    t_min: int = -15
-    t_max: int = 10
-    n_treated: int = 50
-    n_control: int = 50
-    error_sd: float = 1.0
-    seed: int = 1
-
-    def __post_init__(self):
-        if self.t_min > -1 or self.t_max < 1:
-            raise InvalidConfig(f"need t_min <= -1 and t_max >= 1, got [{self.t_min}, {self.t_max}]")
-        if self.n_treated < 1 or self.n_control < 1:
-            raise InvalidConfig("need at least one treated and one control unit")
-        if not self.error_sd > 0:
-            raise InvalidConfig(f"error_sd must be positive, got {self.error_sd}")
-        if not (0 <= self.seed < 2**64):
-            raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
 def simulate(config: DgpConfig) -> PanelDataset:
@@ -85,8 +53,6 @@ def simulate(config: DgpConfig) -> PanelDataset:
 
 def expected_outcome(config: DgpConfig, t: int, d: int) -> float:
     """Population mean outcome at period t for group d: gamma*t if treated, else 0."""
-    from .panel import TimeOutOfRange
-
     if not (config.t_min <= t <= config.t_max):
         raise TimeOutOfRange(f"period {t} outside [{config.t_min}, {config.t_max}]")
     return config.gamma * t if d else 0.0

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import kernels
 from .panel import PanelDataset
-
-TAGS = ("twfe", "cs_dcdh_default", "cs_dcdh_universal", "bjs")
+from .spec import TAGS, UnknownEstimator
 
 TAG_CODES = {
     "twfe": kernels.TWFE,
@@ -34,10 +33,6 @@ TAG_CODES = {
     "cs_dcdh_universal": kernels.CS_UNIVERSAL,
     "bjs": kernels.BJS,
 }
-
-
-class UnknownEstimator(ValueError):
-    """Estimator tag not recognized."""
 
 
 class SingularDesign(RuntimeError):

@@ -12,7 +12,8 @@ replicates serves every estimator of a call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -21,22 +22,7 @@ from . import kernels
 from .dgp import derive_seed
 from .estimators import TAG_CODES, EventStudyEstimate, estimate_many
 from .panel import PanelDataset
-
-
-@dataclass(frozen=True)
-class BootstrapConfig:
-    replications: int = 999
-    seed: int = 0
-    level: float = 0.95
-    method: str = "normal"  # "normal" | "percentile"
-
-    def __post_init__(self):
-        if self.replications < 2:
-            raise ValueError("need at least 2 bootstrap replications")
-        if not (0.0 < self.level < 1.0):
-            raise ValueError(f"confidence level must be in (0, 1), got {self.level}")
-        if self.method not in ("normal", "percentile"):
-            raise ValueError(f"method must be 'normal' or 'percentile', got {self.method!r}")
+from .spec import BootstrapConfig
 
 
 def _resample_counts(n: int, B: int, seed: int, stream: int) -> np.ndarray:
@@ -102,12 +88,16 @@ def _with_intervals(point, reps, panel, config) -> EventStudyEstimate:
     for j, r in enumerate(rel_times):
         if r not in point.coefficients:
             continue
-        draws = reps[:, j]
-        s = float(draws.std(ddof=1))
+        # Scaling by a power of two is exact, so se and the quantiles keep
+        # every digit, and the squares cannot overflow near the float range.
+        e = int(np.frexp(np.abs(reps[:, j]).max())[1])
+        draws = np.ldexp(reps[:, j], -e)
+        s = math.ldexp(float(draws.std(ddof=1)), e)
         se[r] = s
         if config.method == "normal":
             c = point.coefficients[r]
             ci[r] = (c - z * s, c + z * s)
         else:
-            ci[r] = (float(np.quantile(draws, lo_q)), float(np.quantile(draws, hi_q)))
+            ci[r] = (math.ldexp(float(np.quantile(draws, lo_q)), e),
+                     math.ldexp(float(np.quantile(draws, hi_q)), e))
     return replace(point, se=se, ci=ci, level=config.level)

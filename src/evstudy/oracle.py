@@ -10,8 +10,12 @@ falsify each other in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .panel import PanelDataset, TimeOutOfRange
+from .spec import TimeOutOfRange
+
+if TYPE_CHECKING:
+    from .panel import PanelDataset
 
 
 class OmittedCategory(ValueError):

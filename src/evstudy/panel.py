@@ -12,38 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class PanelError(Exception):
-    """Base class for panel validation failures."""
-
-
-class UnbalancedPanel(PanelError):
-    """A (unit, time) cell is missing or duplicated."""
-
-
-class InconsistentTreatment(PanelError):
-    """Treatment indicator varies within a unit, or is not 0/1."""
-
-
-class DegenerateGroups(PanelError):
-    """All units treated, or all units untreated."""
-
-
-class NonIntegerTime(PanelError):
-    """A time value is not an integer."""
-
-
-class NonFiniteOutcome(PanelError):
-    """An outcome is NaN or infinite, or a sum over one period's outcomes overflows."""
-
-
-class InsufficientPeriods(PanelError):
-    """Fewer than two pre-treatment periods or no post-treatment period."""
-
-
-class TimeOutOfRange(PanelError):
-    """Requested period lies outside the panel's time range."""
-
+# The error family lives in spec, which the CLI imports without numpy.
+from .spec import (
+    DegenerateGroups,
+    InconsistentTreatment,
+    InsufficientPeriods,
+    NonFiniteOutcome,
+    NonIntegerTime,
+    PanelError,
+    TimeOutOfRange,
+    UnbalancedPanel,
+)
 
 TREATMENT_DATE = 1
 
@@ -181,12 +160,17 @@ def panel_from_columns(units, times, treated, outcomes) -> PanelDataset:
             f"time range [{t_min}, {t_max}] must cover t <= -1 and t >= 1"
         )
     outcomes = y[order].reshape(n, n_periods)
-    # n * max|y_t| bounds every group sum and every count-weighted bootstrap sum.
+    # With M = max|y|: a group sum or a count-weighted bootstrap sum is at most
+    # n * M, a gap difference across periods 4 * M, a BJS base sum 2 * T * M.
+    factor = max(n, 2 * n_periods, 4)
     with np.errstate(over="ignore"):
-        bound = n * np.abs(outcomes).max(axis=0)
+        bound = factor * np.abs(outcomes).max(axis=0)
     bad = np.flatnonzero(np.isinf(bound))
     if bad.size:
-        raise NonFiniteOutcome(f"period {t_min + int(bad[0])}: a sum over {n} units overflows")
+        raise NonFiniteOutcome(
+            f"period {t_min + int(bad[0])}: {factor} * max|outcome| overflows"
+            f" (the factor is max(units, 2 * periods, 4))"
+        )
 
     return PanelDataset(
         unit_ids=tuple(units[r] for r in first.tolist()),

@@ -13,18 +13,18 @@ import csv
 import operator
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .estimators import EventStudyEstimate
-from .panel import NonIntegerTime, PanelDataset, panel_from_columns
+from .spec import CsvFormatError, NonIntegerTime
+
+if TYPE_CHECKING:
+    from .estimators import EventStudyEstimate
+    from .panel import PanelDataset
 
 PANEL_COLUMNS = ["unit", "time", "treated", "outcome"]
 ESTIMATE_COLUMNS = [
     "estimator", "relative_time", "coefficient", "std_error", "ci_low", "ci_high", "omitted",
 ]
-
-
-class CsvFormatError(ValueError):
-    """Input file does not match the expected schema."""
 
 
 def _num(x: float) -> str:
@@ -41,6 +41,8 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
 
 def read_panel_csv(path) -> PanelDataset:
     """Columns in any order, blank lines skipped; errors name the physical line."""
+    from .panel import panel_from_columns  # numpy; estimate tables and configs need none
+
     units, times, treated, outcomes = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

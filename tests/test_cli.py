@@ -208,6 +208,24 @@ def test_estimate_bootstrap_overflow_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_cross_period_overflow_exit_2(tmp_path, capsys):
+    # Each period's gap (+-1.6e308) is finite, but the TWFE difference of the
+    # gaps at t = 1 and t = 0 is not.
+    rows = [("a", -1, 1, 0.0), ("a", 0, 1, -8e307), ("a", 1, 1, 8e307),
+            ("b", -1, 0, 0.0), ("b", 0, 0, 8e307), ("b", 1, 0, -8e307)]
+    bad = tmp_path / "big.csv"
+    bad.write_text("unit,time,treated,outcome\n"
+                   + "".join(f"{u},{t},{d},{y!r}\n" for u, t, d, y in rows))
+    out = tmp_path / "est.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", str(bad), "--estimator", "twfe", "--out", str(out)])
+    assert code == 2
+    assert "period 0" in capsys.readouterr().err
+    assert not caught
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body", [
     # a blank line 3 before the bad outcome on line 5
     "unit,time,treated,outcome\na,-1,1,0.0\n\na,0,1,0.0\na,1,1,abc\n",
@@ -270,6 +288,16 @@ def test_plot_files_and_split(tmp_path):
                      "fig_cs_dcdh_default.svg", "fig_cs_dcdh_universal.svg",
                      "fig_twfe.svg"]
     assert "<polyline" in (tmp_path / "fig_twfe.svg").read_text()
+
+
+def test_plot_split_bjs_without_bjs_rows_exit_3(tmp_path, capsys):
+    panel_csv, est_csv = tmp_path / "p.csv", tmp_path / "e.csv"
+    write_four_cell(panel_csv)
+    main(["estimate", str(panel_csv), "--estimator", "twfe", "--out", str(est_csv)])
+    out = tmp_path / "fig.svg"
+    assert main(["plot", str(est_csv), "--split-bjs", "--out", str(out)]) == 3
+    assert f"--split-bjs needs bjs rows in {est_csv}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("fig*.svg"))
 
 
 def test_plot_single_estimator_single_file(tmp_path):

@@ -11,12 +11,14 @@ from evstudy import (
     bootstrap,
     bootstrap_many,
     estimate,
+    estimate_many,
     simulate,
 )
 from evstudy import inference, kernels
 from evstudy.cli import main
 from evstudy.dgp import derive_seed
 from evstudy.estimators import TAG_CODES, TAGS
+from evstudy.panel import NonFiniteOutcome, panel_from_columns
 
 
 def small_panel(seed=4, sd=1.0):
@@ -177,6 +179,43 @@ def test_count_weights_match_explicit_gather(n1, n0, t_min, t_max, B, seed, data
     if t_min <= -2:
         # Pooled BJS: fewer pre coefficients than the panel allows.
         _check_against_gather(panel, B, seed, n_pre=min(n_pre, -t_min - 1))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(n1=st.integers(1, 6), n0=st.integers(1, 6), t_min=st.integers(-5, -1),
+       t_max=st.integers(1, 4), data_seed=st.integers(0, 2**32),
+       shape=st.sampled_from(["normal", "alternating", "constant"]),
+       closeness=st.one_of(st.floats(0.5, 1.0), st.floats(1.0, 4.0)),
+       method=st.sampled_from(["normal", "percentile"]))
+@example(n1=1, n0=1, t_min=-1, t_max=1, data_seed=0, shape="alternating", closeness=0.999,
+         method="normal")
+@example(n1=1, n0=1, t_min=-1, t_max=1, data_seed=0, shape="alternating", closeness=2.0,
+         method="percentile")
+def test_panels_near_the_overflow_bound_give_finite_results(n1, n0, t_min, t_max, data_seed,
+                                                            shape, closeness, method):
+    n, T = n1 + n0, t_max - t_min + 1
+    # Every outcome at +-max|y|: the group gap flips sign each period (the
+    # largest gap differences) or keeps it (the largest BJS base sums).
+    sign = np.where(np.arange(n) < n1, 1.0, -1.0)[:, None]
+    y = {"normal": np.random.default_rng(data_seed).standard_normal((n, T)),
+         "alternating": sign * (-1.0) ** np.arange(T),
+         "constant": sign * np.ones(T)}[shape]
+    # closeness times the validation bound, max(n, 2T, 4) * max|y| finite;
+    # past 1 a panel must be rejected or still give finite results.
+    y *= np.finfo(float).max / max(n, 2 * T, 4) / np.abs(y).max() * closeness
+    try:
+        panel = panel_from_columns([f"u{i}" for i in range(n) for _ in range(T)],
+                                   list(range(t_min, t_max + 1)) * n,
+                                   [i < n1 for i in range(n) for _ in range(T)],
+                                   y.ravel().tolist())
+    except NonFiniteOutcome:
+        return
+    for est in estimate_many(panel, list(TAGS)):
+        assert np.isfinite(list(est.coefficients.values())).all()
+    config = BootstrapConfig(replications=8, seed=data_seed, method=method)
+    for est in bootstrap_many(panel, list(TAGS), config):
+        assert np.isfinite(list(est.se.values())).all()
 
 
 def test_count_weights_match_explicit_gather_10k_units():
