@@ -206,7 +206,9 @@ def _overlay_for(tag: str, gamma: float | None, rows: list[TableRow]):
         return None
     rel = [row.relative_time for row in rows]
     t_min, t_max = min(rel) + 1, max(rel) + 1
-    curve = population_curve(tag, gamma, t_min, t_max)
+    # Under estimate --bjs-pre the omitted BJS pre periods pool into its baseline.
+    n_pool = sum(row.omitted for row in rows if row.relative_time < 0) or 1
+    curve = population_curve(tag, gamma, t_min, t_max, n_pool)
     return sorted(curve.values.items())
 
 

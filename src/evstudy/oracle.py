@@ -47,18 +47,26 @@ def population_cs_dcdh(gamma: float, r: int, t_min: int | None = None) -> float:
     return gamma if r < 0 else gamma * (r + 1)
 
 
-def population_bjs(gamma: float, r: int, t_min: int) -> float:
-    """BJS limit: gamma*(r+1+T) pre, gamma*(r+1+T/2) post, T = -t_min (a jump)."""
+def population_bjs(gamma: float, r: int, t_min: int, n_pool: int = 1) -> float:
+    """BJS limit: gamma*(r+1+T) pre, gamma*(r+1+T/2) post, T = -t_min (a jump).
+
+    With the ``n_pool`` earliest periods pooled into the pre baseline
+    (``estimate --bjs-pre``), the pre limit is gamma*(r+1-t_min-(n_pool-1)/2)
+    and those periods are omitted.
+    """
     t_low = -t_min
-    if r == t_min - 1:
-        raise OmittedCategory(f"r = {r} is the earliest category, omitted by BJS")
+    if t_min - 1 <= r < t_min - 1 + n_pool:
+        raise OmittedCategory(f"r = {r} is among the {n_pool} earliest categories, omitted by BJS")
     if r < 0:
-        return gamma * (r + 1 + t_low)
+        return gamma * (r + 1 - t_min - (n_pool - 1) / 2)
     return gamma * (r + 1 + t_low / 2)
 
 
-def population_curve(tag: str, gamma: float, t_min: int, t_max: int) -> PopulationCurve:
-    """Population values on the non-omitted relative times of the estimator."""
+def population_curve(tag: str, gamma: float, t_min: int, t_max: int, n_pool: int = 1) -> PopulationCurve:
+    """Population values on the non-omitted relative times of the estimator.
+
+    ``n_pool`` is passed to ``population_bjs``; the other estimators ignore it.
+    """
     values: dict[int, float] = {}
     for r in range(t_min - 1, t_max):
         if tag == "twfe" or tag == "cs_dcdh_universal":
@@ -68,8 +76,8 @@ def population_curve(tag: str, gamma: float, t_min: int, t_max: int) -> Populati
             if r != t_min - 1:
                 values[r] = population_cs_dcdh(gamma, r, t_min)
         elif tag == "bjs":
-            if r != t_min - 1:
-                values[r] = population_bjs(gamma, r, t_min)
+            if r >= t_min - 1 + n_pool:
+                values[r] = population_bjs(gamma, r, t_min, n_pool)
         else:
             raise ValueError(f"unknown estimator tag {tag!r}")
     return PopulationCurve(tag, values, gamma, t_min, t_max)

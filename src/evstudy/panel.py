@@ -66,12 +66,12 @@ class PanelDataset:
 
     def to_rows(self) -> list[tuple[str, int, int, float]]:
         """Emit (unit_id, time, treated, outcome) rows in unit-major order."""
-        rows = []
-        for i, uid in enumerate(self.unit_ids):
-            d = int(self.treated[i])
-            for j, t in enumerate(range(self.t_min, self.t_max + 1)):
-                rows.append((uid, t, d, float(self.outcomes[i, j])))
-        return rows
+        times = range(self.t_min, self.t_max + 1)
+        return [
+            (uid, t, d, y)
+            for uid, d, ys in zip(self.unit_ids, self.treated.astype(int).tolist(), self.outcomes.tolist())
+            for t, y in zip(times, ys)
+        ]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PanelDataset):
@@ -112,6 +112,24 @@ def validate_panel(rows) -> PanelDataset:
         treated.append(int(d))
         outcomes.append(float(y))
     return panel_from_columns(units, times, treated, outcomes)
+
+
+def check_outcome_bound(outcomes: np.ndarray, t_min: int) -> None:
+    """Raise NonFiniteOutcome unless max(n, 2 * T, 4) * max|y_t| is finite in every period.
+
+    With M = max|y|: a group sum or a count-weighted bootstrap sum is at most
+    n * M, a gap difference across periods 4 * M, a BJS base sum 2 * T * M.
+    """
+    n, n_periods = outcomes.shape
+    factor = max(n, 2 * n_periods, 4)
+    with np.errstate(over="ignore"):
+        bound = factor * np.abs(outcomes).max(axis=0)
+    bad = np.flatnonzero(~np.isfinite(bound))
+    if bad.size:
+        raise NonFiniteOutcome(
+            f"period {t_min + int(bad[0])}: {factor} * max|outcome| overflows"
+            f" (the factor is max(units, 2 * periods, 4))"
+        )
 
 
 def panel_from_columns(units, times, treated, outcomes) -> PanelDataset:
@@ -160,18 +178,7 @@ def panel_from_columns(units, times, treated, outcomes) -> PanelDataset:
             f"time range [{t_min}, {t_max}] must cover t <= -1 and t >= 1"
         )
     outcomes = y[order].reshape(n, n_periods)
-    # With M = max|y|: a group sum or a count-weighted bootstrap sum is at most
-    # n * M, a gap difference across periods 4 * M, a BJS base sum 2 * T * M.
-    factor = max(n, 2 * n_periods, 4)
-    with np.errstate(over="ignore"):
-        bound = factor * np.abs(outcomes).max(axis=0)
-    bad = np.flatnonzero(np.isinf(bound))
-    if bad.size:
-        raise NonFiniteOutcome(
-            f"period {t_min + int(bad[0])}: {factor} * max|outcome| overflows"
-            f" (the factor is max(units, 2 * periods, 4))"
-        )
-
+    check_outcome_bound(outcomes, t_min)
     return PanelDataset(
         unit_ids=tuple(units[r] for r in first.tolist()),
         treated=is_treated,

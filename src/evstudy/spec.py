@@ -9,6 +9,7 @@ flags, check configs and catch every error class without loading numpy;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 TAGS = ("twfe", "cs_dcdh_default", "cs_dcdh_universal", "bjs")
@@ -79,8 +80,10 @@ class DgpConfig:
             raise InvalidConfig(f"need t_min <= -1 and t_max >= 1, got [{self.t_min}, {self.t_max}]")
         if self.n_treated < 1 or self.n_control < 1:
             raise InvalidConfig("need at least one treated and one control unit")
-        if not self.error_sd > 0:
-            raise InvalidConfig(f"error_sd must be positive, got {self.error_sd}")
+        if not math.isfinite(self.gamma):
+            raise InvalidConfig(f"gamma must be finite, got {self.gamma}")
+        if not 0 < self.error_sd < math.inf:
+            raise InvalidConfig(f"error_sd must be positive and finite, got {self.error_sd}")
         if not (0 <= self.seed < 2**64):
             raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 

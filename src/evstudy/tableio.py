@@ -35,8 +35,7 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(PANEL_COLUMNS)
-        for uid, t, d, y in panel.to_rows():
-            w.writerow([uid, t, d, _num(y)])
+        w.writerows((uid, t, d, repr(y)) for uid, t, d, y in panel.to_rows())
 
 
 def read_panel_csv(path) -> PanelDataset:

@@ -1,5 +1,7 @@
 import filecmp
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,9 @@ from evstudy.tableio import (
 
 from conftest import FOUR_CELL_ROWS
 
+GOLDEN = Path(__file__).parent / "golden"
+SMALL_DESIGN = ["--n-treated", "3", "--n-control", "2", "--t-min", "-3", "--t-max", "2",
+                "--seed", "11"]
 SIM_FLAGS = ["--t-min", "-4", "--t-max", "3", "--n-treated", "6", "--n-control", "6",
              "--gamma", "0.5", "--seed", "21"]
 
@@ -44,6 +49,38 @@ def test_simulate_byte_identical(tmp_path):
     main(["simulate", *SIM_FLAGS, "--out", str(a)])
     main(["simulate", *SIM_FLAGS, "--out", str(b)])
     assert filecmp.cmp(a, b, shallow=False)
+
+
+def test_simulate_matches_golden(tmp_path):
+    out = tmp_path / "panel.csv"
+    assert main(["simulate", *SMALL_DESIGN, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "panel_small.csv").read_bytes()
+
+
+def test_montecarlo_matches_golden(tmp_path):
+    out = tmp_path / "mc.csv"
+    assert main(["montecarlo", *SMALL_DESIGN, "--draws", "50", "--master-seed", "4",
+                 "--estimator", "all", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "mc_small.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("simulate", ["--gamma", "nan"], "gamma must be finite"),
+    ("simulate", ["--gamma", "inf"], "gamma must be finite"),
+    ("simulate", ["--error-sd", "inf"], "error_sd must be positive and finite"),
+    ("simulate", ["--gamma", "1e308"], "period -15: 100 * max|outcome| overflows"),
+    ("montecarlo", ["--gamma", "nan", "--draws", "5"], "gamma must be finite"),
+    ("montecarlo", ["--error-sd", "1e300", "--draws", "5"], "Monte Carlo sums are not finite"),
+])
+def test_dgp_without_a_finite_panel_exit_2(tmp_path, capsys, command, flags, message):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, *flags, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not caught
+    assert not out.exists()
 
 
 def test_simulate_config_file_and_override(tmp_path):
@@ -288,6 +325,33 @@ def test_plot_files_and_split(tmp_path):
                      "fig_cs_dcdh_default.svg", "fig_cs_dcdh_universal.svg",
                      "fig_twfe.svg"]
     assert "<polyline" in (tmp_path / "fig_twfe.svg").read_text()
+
+
+def _svg_points(svg: str):
+    circles = [(float(x), float(y)) for x, y in re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', svg)]
+    polyline = re.search(r'<polyline points="([^"]+)"', svg).group(1)
+    vertices = [tuple(map(float, xy.split(","))) for xy in polyline.split()]
+    return circles, vertices
+
+
+def test_plot_overlay_passes_through_pooled_bjs_points(tmp_path):
+    # Noiseless gamma * t panel: every BJS coefficient equals its population value.
+    panel_csv, est_csv = tmp_path / "p.csv", tmp_path / "e.csv"
+    panel_csv.write_text("unit,time,treated,outcome\n" + "".join(
+        f"{u},{t},{d},{0.5 * t * d!r}\n" for u, d in (("a", 1), ("b", 1), ("c", 0))
+        for t in range(-8, 4)))
+    assert main(["estimate", str(panel_csv), "--estimator", "bjs", "--bjs-pre", "3",
+                 "--out", str(est_csv)]) == 0
+    whole, split = tmp_path / "whole.svg", tmp_path / "split.svg"
+    assert main(["plot", str(est_csv), "--overlay-population", "0.5", "--out", str(whole)]) == 0
+    assert main(["plot", str(est_csv), "--overlay-population", "0.5", "--split-bjs",
+                 "--out", str(split)]) == 0
+    for path, n_points in ((whole, 3 + 3), (tmp_path / "split_pre.svg", 3),
+                           (tmp_path / "split_post.svg", 3)):
+        circles, vertices = _svg_points(path.read_text())
+        assert len(circles) == len(vertices) == n_points
+        for (cx, cy), (vx, vy) in zip(circles, vertices):
+            assert abs(cx - vx) <= 0.011 and abs(cy - vy) <= 0.011
 
 
 def test_plot_split_bjs_without_bjs_rows_exit_3(tmp_path, capsys):

@@ -1,7 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from evstudy import DgpConfig, UnknownEstimator, run_mc
+from evstudy import DgpConfig, PanelDataset, UnknownEstimator, run_mc, simulate
+from evstudy import dgp as dgp_module
+from evstudy.dgp import derive_seed
+from evstudy.estimators import TAG_CODES
+from evstudy.kernels import coef_matrix
 
 SMALL = DgpConfig(gamma=0.5, t_min=-4, t_max=3, n_treated=10, n_control=10)
 ALL_TAGS = ["twfe", "cs_dcdh_default", "cs_dcdh_universal", "bjs"]
@@ -58,3 +66,40 @@ def test_monotone_concentration():
             if abs(big.means[tag][r] - pop) < abs(small.means[tag][r] - pop):
                 closer += 1
     assert closer / total >= 0.9
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_treated=st.integers(1, 5), n_control=st.integers(1, 5), t_min=st.integers(-5, -1),
+       t_max=st.integers(1, 4), gamma=st.floats(-3, 3), error_sd=st.floats(0.01, 5),
+       draws=st.integers(2, 6), master_seed=st.integers(0, 2**32))
+@example(n_treated=1, n_control=1, t_min=-1, t_max=1, gamma=0.5, error_sd=1.0, draws=2,
+         master_seed=0)
+@example(n_treated=1, n_control=1, t_min=-1, t_max=3, gamma=-1.5, error_sd=0.3, draws=2,
+         master_seed=9)
+def test_draws_are_the_simulated_panels(n_treated, n_control, t_min, t_max, gamma, error_sd,
+                                        draws, master_seed):
+    dgp = DgpConfig(gamma=gamma, t_min=t_min, t_max=t_max, n_treated=n_treated,
+                    n_control=n_control, error_sd=error_sd)
+    report = run_mc(dgp, ALL_TAGS, draws, master_seed)
+    codes = [TAG_CODES[tag] for tag in ALL_TAGS]
+    total = total_sq = 0.0
+    for k in range(draws):
+        panel = simulate(replace(dgp, seed=derive_seed(master_seed, k)))
+        sel = coef_matrix(panel.outcomes, panel.treated, panel.t_min)[codes]
+        total = total + sel
+        total_sq = total_sq + sel * sel
+    mean = total / draws
+    se = np.sqrt(np.maximum((total_sq - draws * mean * mean) / (draws - 1), 0.0) / draws)
+    for e, tag in enumerate(ALL_TAGS):
+        assert report.means[tag] == {r: float(mean[e, r - t_min + 1]) for r in report.means[tag]}
+        assert report.mc_se[tag] == {r: float(se[e, r - t_min + 1]) for r in report.mc_se[tag]}
+
+
+def test_run_mc_builds_no_panel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_mc built a panel")
+
+    monkeypatch.setattr(dgp_module, "simulate", refuse)
+    monkeypatch.setattr(PanelDataset, "__post_init__", refuse)
+    report = run_mc(SMALL, ALL_TAGS, draws=3, master_seed=2)
+    assert report.draws == 3

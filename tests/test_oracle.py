@@ -76,6 +76,24 @@ def test_population_curve_domains():
     assert -1 not in curve.values and -5 in curve.values
 
 
+@pytest.mark.parametrize("t_min", [-1, -2, -6])
+def test_pooled_bjs_curve_matches_a_noiseless_panel(t_min):
+    from evstudy import estimate_many, validate_panel
+
+    gamma, t_max = 0.7, 3
+    panel = validate_panel([(u, t, d, gamma * t * d) for u, d in (("a", 1), ("b", 1), ("c", 0))
+                            for t in range(t_min, t_max + 1)])
+    for n_pre in range(1, -t_min + 1):
+        (est,) = estimate_many(panel, ["bjs"], n_pre)
+        n_pool = -t_min - n_pre + 1
+        curve = population_curve("bjs", gamma, t_min, t_max, n_pool).values
+        assert set(curve) == set(est.coefficients)
+        assert all(abs(curve[r] - est.coefficients[r]) <= 1e-12 for r in curve)
+        for r in est.omitted:
+            with pytest.raises(OmittedCategory):
+                population_bjs(gamma, r, t_min, n_pool)
+
+
 # --- brute-force finite-sample oracle ------------------------------------
 
 

@@ -174,6 +174,16 @@ def test_csv_roundtrip(tmp_path_factory, seed, max_units, max_abs_t):
 
 
 @fuzz_cases
+def test_to_rows_is_one_python_row_per_cell(seed, max_units, max_abs_t):
+    panel = make_fuzz_panel(np.random.default_rng(seed), max_units, max_abs_t)
+    expected = [(uid, t, int(panel.treated[i]), float(panel.outcomes[i, j]))
+                for i, uid in enumerate(panel.unit_ids) for j, t in enumerate(panel.times.tolist())]
+    rows = panel.to_rows()
+    assert rows == expected
+    assert all(type(t) is int and type(d) is int and type(y) is float for _, t, d, y in rows)
+
+
+@fuzz_cases
 def test_shuffled_rows_keep_first_seen_unit_order(seed, max_units, max_abs_t):
     rng = np.random.default_rng(seed)
     panel = make_fuzz_panel(rng, max_units, max_abs_t)
