@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -53,7 +54,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 _DGP_KEYS = tuple(f.name for f in fields(DgpConfig))
-_MC_KEYS = _DGP_KEYS + ("draws", "master_seed")
+# Monte Carlo draw k is seeded by derive_seed(master_seed, k), so no seed key.
+_MC_KEYS = tuple(k for k in _DGP_KEYS if k != "seed") + ("draws", "master_seed")
 _INT_KEYS = {"t_min", "t_max", "n_treated", "n_control", "seed", "draws", "master_seed"}
 # BootstrapConfig field -> the estimate flag that sets it.
 _BOOT_FLAGS = {"replications": "--replications", "seed": "--boot-seed",
@@ -88,7 +90,6 @@ def _add_dgp_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-treated", dest="n_treated", type=int)
     p.add_argument("--n-control", dest="n_control", type=int)
     p.add_argument("--error-sd", dest="error_sd", type=float)
-    p.add_argument("--seed", type=int)
 
 
 def _parse_tags(raw: list[str]) -> list[str]:
@@ -114,6 +115,7 @@ def build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="draw one panel from the trend-violation DGP")
     _add_dgp_flags(p_sim)
+    p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--out", type=Path, required=True, help="panel CSV output path")
 
     p_est = sub.add_parser("estimate", help="run event-study estimators on a panel CSV")
@@ -213,6 +215,9 @@ def _overlay_for(tag: str, gamma: float | None, rows: list[TableRow]):
 
 
 def _cmd_plot(args) -> int:
+    gamma = args.overlay_population
+    if gamma is not None and not math.isfinite(gamma):
+        raise InvalidConfig(f"--overlay-population must be finite, got {gamma}")
     rows = read_estimate_table(args.input)
     by_tag: dict[str, list[TableRow]] = {}
     for row in rows:
@@ -222,16 +227,17 @@ def _cmd_plot(args) -> int:
     if args.split_bjs and "bjs" not in by_tag:
         raise UsageError(f"--split-bjs needs bjs rows in {args.input}")
     multi = len(by_tag) > 1
-    written = []
+    # Every figure is rendered before any is written, so an error writes none.
+    figures: dict[Path, str] = {}
     for tag, tag_rows in by_tag.items():
         points = [
             (row.relative_time, row.coefficient, row.ci_low, row.ci_high)
             for row in tag_rows
-            if not row.omitted and row.coefficient is not None
+            if not row.omitted
         ]
         if not points:
             raise EmptyTable(f"no non-omitted coefficients for {tag}")
-        overlay = _overlay_for(tag, args.overlay_population, tag_rows)
+        overlay = _overlay_for(tag, gamma, tag_rows)
         if tag == "bjs" and args.split_bjs:
             halves = [
                 ("pre", [p for p in points if p[0] < 0]),
@@ -244,17 +250,13 @@ def _cmd_plot(args) -> int:
                 if overlay is not None:
                     keep = (lambda r: r < 0) if part == "pre" else (lambda r: r >= 0)
                     part_overlay = [(r, v) for r, v in overlay if keep(r)]
-                path = _plot_path(args.out, tag, multi, part)
-                path.write_text(
-                    event_study_svg(f"bjs ({part}-treatment)", part_points, part_overlay),
-                    encoding="utf-8",
-                )
-                written.append(path)
+                figures[_plot_path(args.out, tag, multi, part)] = event_study_svg(
+                    f"bjs ({part}-treatment)", part_points, part_overlay)
         else:
-            path = _plot_path(args.out, tag, multi)
-            path.write_text(event_study_svg(tag, points, overlay), encoding="utf-8")
-            written.append(path)
-    print("wrote " + ", ".join(str(p) for p in written))
+            figures[_plot_path(args.out, tag, multi)] = event_study_svg(tag, points, overlay)
+    for path, svg in figures.items():
+        path.write_text(svg, encoding="utf-8")
+    print("wrote " + ", ".join(str(p) for p in figures))
     return EXIT_OK
 
 

@@ -5,14 +5,14 @@ replicate keeps the original group sizes and no replicate can lose a group.
 Replicate k's treated and control resample indices derive deterministically
 from the bootstrap seed via derive_seed(seed, 2k) and derive_seed(seed,
 2k + 1); results are therefore reproducible and independent of any
-execution schedule. A replicate enters the reduction as per-unit draw counts
-(the multinomial-weights form of the same resample), and one set of
-replicates serves every estimator of a call.
+execution schedule. Each replicate is reduced at once to its (T,)
+treated-minus-control gap, so the replicates take O(n + B * T) memory; the
+(B, T) gaps then go through ``kernels.baseline_coefs`` as a point estimate's
+gap does, and one set of replicates serves every estimator of a call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -25,17 +25,25 @@ from .panel import PanelDataset
 from .spec import BootstrapConfig
 
 
-def _resample_counts(n: int, B: int, seed: int, stream: int) -> np.ndarray:
-    """(B, n) matrix of how often each row is drawn, one row per replicate.
+def _resampled_mean(y: np.ndarray, seed: int, stream: int) -> np.ndarray:
+    """(T,) mean of the rows of ``y`` drawn with replacement by one index stream."""
+    n = y.shape[0]
+    idx = np.random.default_rng(derive_seed(seed, stream)).integers(0, n, size=n)
+    return np.bincount(idx, minlength=n) @ y / n
 
-    Row k counts the with-replacement indices of replicate k's own stream;
-    the indices themselves are never held for all replicates at once.
+
+def _replicate_gaps(panel: PanelDataset, B: int, seed: int) -> np.ndarray:
+    """(B, T) treated-minus-control gaps of B stratified resamples.
+
+    Replicate k draws its treated rows from stream 2k and its control rows
+    from stream 2k + 1; only one replicate's indices exist at a time.
     """
-    out = np.empty((B, n))
+    y1 = panel.outcomes[panel.treated]
+    y0 = panel.outcomes[~panel.treated]
+    gaps = np.empty((B, panel.n_periods))
     for k in range(B):
-        rng = np.random.default_rng(derive_seed(seed, 2 * k + stream))
-        out[k] = np.bincount(rng.integers(0, n, size=n), minlength=n)
-    return out
+        gaps[k] = _resampled_mean(y1, seed, 2 * k) - _resampled_mean(y0, seed, 2 * k + 1)
+    return gaps
 
 
 def bootstrap(
@@ -68,36 +76,27 @@ def bootstrap_many(
     """
     points = estimate_many(panel, tags, n_pre)
 
-    y1 = panel.outcomes[panel.treated]
-    y0 = panel.outcomes[~panel.treated]
-    B = config.replications
-    c1 = _resample_counts(y1.shape[0], B, config.seed, stream=0)
-    c0 = _resample_counts(y0.shape[0], B, config.seed, stream=1)
-    reps = kernels.bootstrap_coefs(y1, y0, c1, c0, panel.t_min, n_pre)
+    gaps = _replicate_gaps(panel, config.replications, config.seed)
+    reps = kernels.baseline_coefs(gaps, -panel.t_min, n_pre)
     return [_with_intervals(point, reps[TAG_CODES[point.estimator]], panel, config)
             for point in points]
 
 
 def _with_intervals(point, reps, panel, config) -> EventStudyEstimate:
     """``point`` with se/ci filled from its (B, T) replicate coefficients."""
-    rel_times = list(range(panel.t_min - 1, panel.t_max))
-    se: dict[int, float] = {}
-    ci: dict[int, tuple[float, float]] = {}
-    z = NormalDist().inv_cdf(0.5 + config.level / 2)
-    lo_q, hi_q = (1 - config.level) / 2, (1 + config.level) / 2
-    for j, r in enumerate(rel_times):
-        if r not in point.coefficients:
-            continue
-        # Scaling by a power of two is exact, so se and the quantiles keep
-        # every digit, and the squares cannot overflow near the float range.
-        e = int(np.frexp(np.abs(reps[:, j]).max())[1])
-        draws = np.ldexp(reps[:, j], -e)
-        s = math.ldexp(float(draws.std(ddof=1)), e)
-        se[r] = s
-        if config.method == "normal":
-            c = point.coefficients[r]
-            ci[r] = (c - z * s, c + z * s)
-        else:
-            ci[r] = (math.ldexp(float(np.quantile(draws, lo_q)), e),
-                     math.ldexp(float(np.quantile(draws, hi_q)), e))
+    rs = sorted(point.coefficients)
+    block = reps[:, [r - panel.t_min + 1 for r in rs]]
+    # Scaling each column by a power of two is exact, so se and the quantiles
+    # keep every digit, and the squares cannot overflow near the float range.
+    e = np.frexp(np.abs(block).max(axis=0))[1]
+    draws = np.ldexp(block, -e)
+    se = dict(zip(rs, np.ldexp(draws.std(axis=0, ddof=1), e).tolist()))
+    if config.method == "normal":
+        z = NormalDist().inv_cdf(0.5 + config.level / 2)
+        ci = {r: (point.coefficients[r] - z * s, point.coefficients[r] + z * s)
+              for r, s in se.items()}
+    else:
+        q = [(1 - config.level) / 2, (1 + config.level) / 2]
+        lo, hi = np.ldexp(np.quantile(draws, q, axis=0), e).tolist()
+        ci = dict(zip(rs, zip(lo, hi)))
     return replace(point, se=se, ci=ci, level=config.level)

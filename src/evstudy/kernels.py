@@ -1,9 +1,9 @@
-"""The baseline transform, per-panel coefficients and the bootstrap reduction.
+"""The baseline transform and per-panel coefficients.
 
 ``baseline_coefs`` is the one place the four baseline rules are written: it
 maps group gaps of any leading shape to every estimator's coefficients.
-``coef_matrix`` applies it to one panel's gap, ``bootstrap_coefs`` to B
-count-weighted replicate gaps (one matrix product per group).
+``coef_matrix`` applies it to one panel's gap; the bootstrap applies it to
+its (B, T) replicate gaps and the Monte Carlo to each draw's gap.
 
 Coefficient layout: for a panel over periods [t_min, t_max] with
 T = t_max - t_min + 1 periods, kernels return length-T vectors indexed by
@@ -55,15 +55,3 @@ def coef_matrix(y: np.ndarray, treated: np.ndarray, t_min: int, n_pre: int | Non
     g = y[treated].mean(axis=0) - y[~treated].mean(axis=0)
     return baseline_coefs(g, -t_min, n_pre)
 
-
-def bootstrap_coefs(y1, y0, c1, c0, t_min: int, n_pre: int | None = None) -> np.ndarray:
-    """All four estimators' coefficients for B stratified resamples, shape (4, B, T).
-
-    ``c1``/``c0`` of shape (B, n1)/(B, n0) count how often each treated and
-    control unit is drawn in each replicate, so a replicate's group mean is a
-    count-weighted sum. ``n_pre`` is as in ``baseline_coefs``.
-    """
-    y1 = np.asarray(y1, dtype=np.float64)
-    y0 = np.asarray(y0, dtype=np.float64)
-    g = c1 @ y1 / y1.shape[0] - c0 @ y0 / y0.shape[0]
-    return baseline_coefs(g, -t_min, n_pre)

@@ -46,7 +46,8 @@ def event_study_svg(
 
     Draws CI whiskers where bounds are given, a horizontal zero line, a
     vertical reference at r = -0.5 (the treatment date), and an optional
-    population-curve overlay as connected line segments.
+    population-curve overlay as connected line segments. Raises ValueError
+    when a value is not finite or the padded y-axis span overflows.
     """
     if not points:
         raise ValueError("no coefficients to plot")
@@ -61,10 +62,15 @@ def event_study_svg(
         xs = xs + [q[0] for q in overlay]
         y_all += [q[1] for q in overlay]
 
+    if not all(map(math.isfinite, y_all)):
+        raise ValueError(f"{title}: plotted values must be finite")
+
     x_lo, x_hi = min(xs) - 0.5, max(xs) + 0.5
     y_lo, y_hi = min(y_all), max(y_all)
     pad = 0.05 * (y_hi - y_lo) or 1.0
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not math.isfinite(y_hi - y_lo):
+        raise ValueError(f"{title}: the padded y-axis span overflows")
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

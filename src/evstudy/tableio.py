@@ -10,6 +10,7 @@ targets.
 from __future__ import annotations
 
 import csv
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -114,12 +115,19 @@ class TableRow:
 
 
 def read_estimate_table(path) -> list[TableRow]:
+    """Rows of an estimate table; errors name the physical line.
+
+    Every number must be finite, each (estimator, relative_time) may appear
+    once, a row with ``omitted=0`` needs a coefficient and a row with
+    ``omitted=1`` carries no numbers.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ESTIMATE_COLUMNS:
             raise CsvFormatError(f"expected columns {ESTIMATE_COLUMNS}, got {header}")
         out = []
+        first_line: dict[tuple[str, int], int] = {}
         for row in filter(None, reader):
             try:
                 if len(row) != len(ESTIMATE_COLUMNS):
@@ -127,9 +135,20 @@ def read_estimate_table(path) -> list[TableRow]:
                 estimator, rel, *numbers, omitted = row
                 if omitted not in ("0", "1"):
                     raise ValueError(f"omitted must be 0 or 1, got {omitted!r}")
-                out.append(TableRow(estimator, int(rel),
-                                    *(float(v) if v != "" else None for v in numbers),
-                                    omitted == "1"))
+                key = (estimator, int(rel))
+                values = [float(v) if v != "" else None for v in numbers]
+                for name, v in zip(ESTIMATE_COLUMNS[2:6], values):
+                    if v is not None and not math.isfinite(v):
+                        raise ValueError(f"{name} must be finite, got {v}")
+                if omitted == "1" and any(v is not None for v in values):
+                    raise ValueError("a row with omitted=1 must leave its numbers empty")
+                if omitted == "0" and values[0] is None:
+                    raise ValueError("a row with omitted=0 needs a coefficient")
+                if key in first_line:
+                    raise ValueError(f"repeated row for {estimator} at relative time {key[1]} "
+                                     f"(first on line {first_line[key]})")
+                first_line[key] = reader.line_num
+                out.append(TableRow(*key, *values, omitted == "1"))
             except ValueError as exc:
                 raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
     return out

@@ -17,8 +17,7 @@ from evstudy.tableio import (
 from conftest import FOUR_CELL_ROWS
 
 GOLDEN = Path(__file__).parent / "golden"
-SMALL_DESIGN = ["--n-treated", "3", "--n-control", "2", "--t-min", "-3", "--t-max", "2",
-                "--seed", "11"]
+SMALL_DESIGN = ["--n-treated", "3", "--n-control", "2", "--t-min", "-3", "--t-max", "2"]
 SIM_FLAGS = ["--t-min", "-4", "--t-max", "3", "--n-treated", "6", "--n-control", "6",
              "--gamma", "0.5", "--seed", "21"]
 
@@ -53,7 +52,7 @@ def test_simulate_byte_identical(tmp_path):
 
 def test_simulate_matches_golden(tmp_path):
     out = tmp_path / "panel.csv"
-    assert main(["simulate", *SMALL_DESIGN, "--out", str(out)]) == 0
+    assert main(["simulate", *SMALL_DESIGN, "--seed", "11", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "panel_small.csv").read_bytes()
 
 
@@ -113,7 +112,9 @@ def test_montecarlo_flags_override_config_file(tmp_path, capsys):
 @pytest.mark.parametrize("command, body, line, key", [
     ("simulate", "gamma=0.25\ngama=0.9\n", 2, "gama"),
     ("simulate", "draws=3\n", 1, "draws"),
-    ("montecarlo", "# design\nseed=3\n\nmaster_sed=4\n", 4, "master_sed"),
+    ("montecarlo", "# design\ngamma=0.5\n\nmaster_sed=4\n", 4, "master_sed"),
+    # Draw k is seeded by derive_seed(master_seed, k); a seed key would be ignored.
+    ("montecarlo", "draws=3\nseed=7\n", 2, "seed"),
 ])
 def test_config_unknown_key_exit_2(tmp_path, capsys, command, body, line, key):
     cfg = tmp_path / "bad.cfg"
@@ -121,6 +122,13 @@ def test_config_unknown_key_exit_2(tmp_path, capsys, command, body, line, key):
     out = tmp_path / "out.csv"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"{cfg}:{line}: unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_montecarlo_seed_flag_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    assert main(["montecarlo", "--draws", "5", "--seed", "1", "--out", str(out)]) == 3
+    assert "--seed" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -385,13 +393,53 @@ def test_plot_empty_table_exit_2(tmp_path):
     ("twfe,0,abc,,,,0\n", "line 3: could not convert string to float: 'abc'"),
     ("twfe,x,1.5,,,,0\n", "line 3: invalid literal for int() with base 10: 'x'"),
     ("twfe,0,1.5,,,,yes\n", "line 3: omitted must be 0 or 1, got 'yes'"),
-], ids=["short-row", "bad-coefficient", "bad-relative-time", "bad-omitted"])
+    ("twfe,0,inf,,,,0\n", "line 3: coefficient must be finite, got inf"),
+    ("twfe,0,nan,,,,0\n", "line 3: coefficient must be finite, got nan"),
+    ("twfe,0,1.5,0.1,1.3,-inf,0\n", "line 3: ci_high must be finite, got -inf"),
+    ("twfe,-1,,,,,1\n", "line 3: repeated row for twfe at relative time -1 (first on line 2)"),
+    ("twfe,0,,,,,0\n", "line 3: a row with omitted=0 needs a coefficient"),
+    ("twfe,0,1.5,,,,1\n", "line 3: a row with omitted=1 must leave its numbers empty"),
+], ids=["short-row", "bad-coefficient", "bad-relative-time", "bad-omitted", "inf-coefficient",
+        "nan-coefficient", "inf-ci", "repeated-row", "missing-coefficient",
+        "omitted-with-numbers"])
 def test_plot_malformed_table_names_line(tmp_path, capsys, row, message):
     table = tmp_path / "e.csv"
     table.write_text("estimator,relative_time,coefficient,std_error,ci_low,ci_high,omitted\n"
                      "twfe,-1,,,,,1\n" + row)
     assert main(["plot", str(table), "--out", str(tmp_path / "f.svg")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+def test_plot_non_finite_overlay_exit_2(tmp_path, capsys, gamma):
+    panel_csv, est_csv = tmp_path / "p.csv", tmp_path / "e.csv"
+    write_four_cell(panel_csv)
+    main(["estimate", str(panel_csv), "--estimator", "twfe", "--out", str(est_csv)])
+    out = tmp_path / "fig.svg"
+    assert main(["plot", str(est_csv), f"--overlay-population={gamma}", "--out", str(out)]) == 2
+    assert f"--overlay-population must be finite, got {float(gamma)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plot_overflowing_overlay_exit_2(tmp_path, capsys):
+    # A finite GAMMA whose population curve overflows: gamma * (r + 1) at r = 1.
+    panel_csv, est_csv = tmp_path / "p.csv", tmp_path / "e.csv"
+    main(["simulate", *SIM_FLAGS, "--out", str(panel_csv)])
+    main(["estimate", str(panel_csv), "--estimator", "all", "--out", str(est_csv)])
+    out = tmp_path / "fig.svg"
+    assert main(["plot", str(est_csv), "--overlay-population", "1e308", "--out", str(out)]) == 2
+    assert "plotted values must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.svg"))
+
+
+def test_plot_overflowing_span_exit_2(tmp_path, capsys):
+    table = tmp_path / "e.csv"
+    table.write_text("estimator,relative_time,coefficient,std_error,ci_low,ci_high,omitted\n"
+                     "twfe,-2,1e308,,,,0\ntwfe,-1,,,,,1\ntwfe,0,-1e308,,,,0\n")
+    out = tmp_path / "fig.svg"
+    assert main(["plot", str(table), "--out", str(out)]) == 2
+    assert "twfe: the padded y-axis span overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plot_deterministic(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -96,7 +98,7 @@ def test_bjs_pooled_bootstrap():
         bootstrap(panel, "twfe", BootstrapConfig(seed=1), n_pre=2)
 
 
-# --- count-weight bootstrap against an explicit gather ------------------------
+# --- replicate gaps against an explicit gather --------------------------------
 
 
 def _gather_reps(panel, B, seed, n_pre=None):
@@ -132,16 +134,9 @@ def _gather_reps(panel, B, seed, n_pre=None):
 
 def _check_against_gather(panel, B, seed, n_pre=None):
     reps = _gather_reps(panel, B, seed, n_pre)
-    # The kernel on counts of the same indices gives the same replicates.
-    counts = []
-    for stream, n in ((0, int(panel.treated.sum())), (1, int((~panel.treated).sum()))):
-        counts.append(np.stack([
-            np.bincount(np.random.default_rng(derive_seed(seed, 2 * k + stream))
-                        .integers(0, n, size=n), minlength=n)
-            for k in range(B)
-        ]))
-    got = kernels.bootstrap_coefs(panel.outcomes[panel.treated], panel.outcomes[~panel.treated],
-                                  counts[0], counts[1], panel.t_min, n_pre)
+    # The replicate loop's gaps through the one baseline transform give the
+    # same replicates.
+    got = kernels.baseline_coefs(inference._replicate_gaps(panel, B, seed), -panel.t_min, n_pre)
     for tag in TAGS:
         row = got[TAG_CODES[tag]]
         assert np.array_equal(np.isnan(row), np.isnan(reps[tag]))
@@ -222,6 +217,20 @@ def test_count_weights_match_explicit_gather_10k_units():
     panel = _panel(5000, 5000, -3, 2, data_seed=3)
     _check_against_gather(panel, B=4, seed=12)
     _check_against_gather(panel, B=4, seed=12, n_pre=1)
+
+
+def test_bootstrap_memory_grows_with_units_plus_replicates_not_their_product():
+    # The default 26 periods at 5000+5000 units and B = 999: a (B, n) array
+    # of any kind would take 38 MiB per group.
+    panel = _panel(5000, 5000, -15, 10, data_seed=5)
+    config = BootstrapConfig(replications=999, seed=1)
+    tracemalloc.start()
+    try:
+        bootstrap_many(panel, list(TAGS), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("n_pre", [None, 2])

@@ -17,16 +17,3 @@ def test_coef_matrix_matches_estimators(default_panel):
         for r in est.omitted:
             assert np.isnan(mat[row, r - offset])
 
-
-def test_bootstrap_identity_indices(default_panel):
-    # Resampling every unit once (all-ones counts) reproduces the point estimates.
-    y1 = default_panel.outcomes[default_panel.treated]
-    y0 = default_panel.outcomes[~default_panel.treated]
-    c1 = np.ones((1, y1.shape[0]))
-    c0 = np.ones((1, y0.shape[0]))
-    reps = kernels.bootstrap_coefs(y1, y0, c1, c0, default_panel.t_min)
-    offset = default_panel.t_min - 1
-    for tag, code in TAG_ROWS:
-        est = estimate(default_panel, tag)
-        for r, value in est.coefficients.items():
-            assert reps[code, 0, r - offset] == pytest.approx(value, abs=1e-10)

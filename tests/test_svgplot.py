@@ -44,3 +44,15 @@ def test_title_escaped():
 def test_empty_rejected():
     with pytest.raises(ValueError):
         event_study_svg("none", [])
+
+
+@pytest.mark.parametrize("points, overlay", [
+    ([(0, float("nan"), None, None)], None),
+    ([(0, 1.0, float("-inf"), 2.0)], None),
+    (POINTS, [(-2, 1.0), (0, float("inf"))]),
+    ([(-2, 1e308, None, None), (0, -1e308, None, None)], None),
+    ([(-2, 9e307, None, None), (0, -8e307, None, None)], None),
+], ids=["nan-value", "inf-ci", "inf-overlay", "span-overflows", "padded-span-overflows"])
+def test_non_finite_values_and_spans_rejected(points, overlay):
+    with pytest.raises(ValueError, match="must be finite|span overflows"):
+        event_study_svg("x", points, overlay)
