@@ -52,6 +52,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # argparse reads only -12 and -1.5 as negative numbers; take any token
+        # that float() parses (-1e-3, -inf) as a value. No option looks like one.
+        if arg_string.startswith("-"):
+            try:
+                float(arg_string)
+            except ValueError:
+                pass
+            else:
+                return None
+        return super()._parse_optional(arg_string)
+
 
 _DGP_KEYS = tuple(f.name for f in fields(DgpConfig))
 # Monte Carlo draw k is seeded by derive_seed(master_seed, k), so no seed key.

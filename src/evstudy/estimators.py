@@ -164,6 +164,17 @@ def _fe_solve(z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alpha, lam
 
 
+def _scaled_outcomes(panel: PanelDataset) -> tuple[np.ndarray, int]:
+    """(outcomes * 2**-e, e), every scaled outcome below 1 in magnitude.
+
+    The twins are linear in the outcomes, so running them on the scaled
+    outcomes and scaling the results back by 2**e is exact, and their sums
+    and residuals cannot overflow on a panel near the validation bound.
+    """
+    e = int(np.frexp(np.abs(panel.outcomes).max())[1])
+    return np.ldexp(panel.outcomes, -e), e
+
+
 def _fwl(panel: PanelDataset, periods, mask: np.ndarray) -> dict[int, float]:
     """Event-time coefficients of a least-squares fit over the cells in ``mask``.
 
@@ -174,14 +185,15 @@ def _fwl(panel: PanelDataset, periods, mask: np.ndarray) -> dict[int, float]:
     regressed on the residual indicators.
     """
     cols = [panel.period_index(t) for t in periods]
-    z = np.concatenate([panel.outcomes[None],
+    y, e = _scaled_outcomes(panel)
+    z = np.concatenate([y[None],
                         panel.treated[None, :, None] * np.eye(panel.n_periods)[cols][:, None, :]])
     alpha, lam = _fe_solve(z, mask)
     resid = (z - alpha[..., None] - lam[:, None, :])[:, mask]
     beta, _, rank, _ = np.linalg.lstsq(resid[1:].T, resid[0], rcond=None)
     if rank < len(cols):
         raise SingularDesign("event-time design is rank deficient given the fixed effects")
-    return {t - 1: float(b) for t, b in zip(periods, beta)}
+    return {t - 1: b for t, b in zip(periods, np.ldexp(beta, e).tolist())}
 
 
 def twfe_regression(panel: PanelDataset) -> EventStudyEstimate:
@@ -209,10 +221,11 @@ def fit_twfe_on_untreated(panel: PanelDataset) -> FixedEffectsFit:
     t <= 0. Normalization: the first unit absorbs the intercept and the
     earliest period's effect is zero; predictions do not depend on it.
     """
-    alpha, lam = _fe_solve(panel.outcomes, _untreated_mask(panel))
+    y, e = _scaled_outcomes(panel)
+    alpha, lam = _fe_solve(y, _untreated_mask(panel))
     return FixedEffectsFit(
-        alpha=dict(zip(panel.unit_ids, alpha.tolist())),
-        lam=dict(zip(range(panel.t_min, panel.t_max + 1), lam.tolist())),
+        alpha=dict(zip(panel.unit_ids, np.ldexp(alpha, e).tolist())),
+        lam=dict(zip(range(panel.t_min, panel.t_max + 1), np.ldexp(lam, e).tolist())),
         normalization=f"unit {panel.unit_ids[0]!r} absorbs the intercept; period {panel.t_min} effect pinned to 0",
     )
 
@@ -237,11 +250,12 @@ def bjs_imputation(panel: PanelDataset) -> EventStudyEstimate:
     to zero.
     """
     mask = _untreated_mask(panel)
-    alpha, lam = _fe_solve(panel.outcomes, mask)
+    y, e = _scaled_outcomes(panel)
+    alpha, lam = _fe_solve(y, mask)
     post = range(panel.treatment_date, panel.t_max + 1)
     j = panel.period_index(panel.treatment_date)
-    tau = panel.outcomes[panel.treated, j:] - alpha[panel.treated, None] - lam[j:]
-    coefs = {t - 1: float(v) for t, v in zip(post, tau.mean(axis=0))}
+    tau = y[panel.treated, j:] - alpha[panel.treated, None] - lam[j:]
+    coefs = dict(zip((t - 1 for t in post), np.ldexp(tau.mean(axis=0), e).tolist()))
 
     # Pre side: untreated-cell regression with treated x period indicators
     # for t in [t_min + 1, 0] (relative times t_min .. -1).

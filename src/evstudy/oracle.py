@@ -2,13 +2,18 @@
 
 The population functions give each estimator's probability limit under the
 linear-trend-violation DGP (treated trend gamma per period, no effects).
-``brute_force_did`` recomputes any single coefficient by literal row
-iteration with no code shared with the estimators module, so the two can
-falsify each other in tests.
+``brute_force_did`` recomputes any single coefficient from plain sums over
+the panel's rows, with no code shared with the estimators module, so the two
+can falsify each other in tests. It makes one pass over a panel's rows,
+collecting every (period, group) sum and each group's mean of unit
+pre-period averages, and answers each coefficient by lookup; the pass of
+the last panel asked about is cached, keyed on that object's identity
+through a weak reference.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -83,25 +88,65 @@ def population_curve(tag: str, gamma: float, t_min: int, t_max: int, n_pool: int
     return PopulationCurve(tag, values, gamma, t_min, t_max)
 
 
+# (weak reference to the last panel scanned, its ``_scan`` result)
+_last_scan = None
+
+
+def _scan(panel: PanelDataset):
+    """(periods, cells, pre) of ``panel`` from one pass over its rows.
+
+    ``cells`` maps (period, group) to the (total, count) of its outcomes and
+    ``pre`` maps each group to the (sum, count) of its units' means over
+    t <= 0. Sums are divided at lookup, so an empty group raises as a
+    per-call scan would. Rows are added in unit-major order from 0.0, the
+    order of a literal per-cell scan, so every value is bit-identical to it.
+    The last panel's result is cached, keyed on the panel's identity through
+    a weak reference: panels are immutable, and a dead reference never
+    matches.
+    """
+    global _last_scan
+    last = _last_scan
+    if last is not None and last[0]() is panel:
+        return last[1]
+    cells: dict[tuple[int, int], list] = {}
+    sums: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    groups: dict[str, int] = {}
+    for uid, time, treat, y in panel.to_rows():
+        cell = cells.setdefault((time, treat), [0.0, 0])
+        cell[0] += y
+        cell[1] += 1
+        groups[uid] = treat
+        if time <= 0:
+            # Group means of unit-level averages over t <= 0.
+            sums[uid] = sums.get(uid, 0.0) + y
+            counts[uid] = counts.get(uid, 0) + 1
+    pre = {}
+    for d in (0, 1):
+        vals = [sums[u] / counts[u] for u in sums if groups[u] == d]
+        pre[d] = (sum(vals), len(vals))
+    scan = (sorted({t for t, _ in cells}), cells, pre)
+    _last_scan = (weakref.ref(panel), scan)
+    return scan
+
+
 def brute_force_did(panel: PanelDataset, r_target: int, base_spec) -> float:
-    """DiD for relative time ``r_target`` by naive summation over rows.
+    """DiD for relative time ``r_target`` from plain sums over the panel's rows.
 
     ``base_spec`` is one of ``("period", t0)``, ``("pre_mean",)`` or
     ``("prior_period",)``. Deliberately shares no code with the estimators:
-    plain dict accumulation over the row list.
+    one pass over the row list accumulates every (period, group) sum and
+    every unit's pre-period sum in plain dicts, and each call is a lookup.
+    Only the last panel's pass is kept (see ``_scan``), so asking for every
+    coefficient of one panel scans its rows once.
     """
-    rows = panel.to_rows()
+    times, cells, pre = _scan(panel)
     t_hi = r_target + 1
-    times = sorted({t for _, t, _, _ in rows})
     if t_hi not in times:
         raise TimeOutOfRange(f"period {t_hi} not in panel")
 
     def mean_at(t, d):
-        total, count = 0.0, 0
-        for _, time, treat, y in rows:
-            if time == t and treat == d:
-                total += y
-                count += 1
+        total, count = cells.get((t, d), (0.0, 0))
         return total / count
 
     kind = base_spec[0]
@@ -116,19 +161,8 @@ def brute_force_did(panel: PanelDataset, r_target: int, base_spec) -> float:
             raise TimeOutOfRange(f"base period {t0} not in panel")
         base = mean_at(t0, 1) - mean_at(t0, 0)
     elif kind == "pre_mean":
-        # Group means of unit-level averages over t <= 0.
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        groups: dict[str, int] = {}
-        for uid, time, treat, y in rows:
-            groups[uid] = treat
-            if time <= 0:
-                sums[uid] = sums.get(uid, 0.0) + y
-                counts[uid] = counts.get(uid, 0) + 1
-        def group_pre_mean(d):
-            vals = [sums[u] / counts[u] for u in sums if groups[u] == d]
-            return sum(vals) / len(vals)
-        base = group_pre_mean(1) - group_pre_mean(0)
+        (s1, n1), (s0, n0) = pre[1], pre[0]
+        base = s1 / n1 - s0 / n0
     else:
         raise ValueError(f"unknown base spec {base_spec!r}")
 

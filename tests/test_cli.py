@@ -70,6 +70,7 @@ def test_montecarlo_matches_golden(tmp_path):
     ("simulate", ["--gamma", "1e308"], "period -15: 100 * max|outcome| overflows"),
     ("montecarlo", ["--gamma", "nan", "--draws", "5"], "gamma must be finite"),
     ("montecarlo", ["--error-sd", "1e300", "--draws", "5"], "Monte Carlo sums are not finite"),
+    ("simulate", ["--gamma", "-inf"], "gamma must be finite"),
 ])
 def test_dgp_without_a_finite_panel_exit_2(tmp_path, capsys, command, flags, message):
     out = tmp_path / "out.csv"
@@ -80,6 +81,12 @@ def test_dgp_without_a_finite_panel_exit_2(tmp_path, capsys, command, flags, mes
     assert message in capsys.readouterr().err
     assert not caught
     assert not out.exists()
+
+
+def test_simulate_negative_gamma_with_an_exponent(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert main(["simulate", *SMALL_DESIGN, "--gamma", "-1e-3", "--out", str(out)]) == 0
+    assert "gamma=-0.001 " in capsys.readouterr().out
 
 
 def test_simulate_config_file_and_override(tmp_path):
@@ -419,6 +426,18 @@ def test_plot_non_finite_overlay_exit_2(tmp_path, capsys, gamma):
     assert main(["plot", str(est_csv), f"--overlay-population={gamma}", "--out", str(out)]) == 2
     assert f"--overlay-population must be finite, got {float(gamma)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma, code", [("-1E-2", 0), ("-inf", 2)])
+def test_plot_overlay_reads_a_negative_number_as_its_value(tmp_path, capsys, gamma, code):
+    # argparse alone reads only -12 and -1.5 as values; -1E-2 and -inf were
+    # taken for options ("expected one argument", exit 3).
+    panel_csv, est_csv = tmp_path / "p.csv", tmp_path / "e.csv"
+    write_four_cell(panel_csv)
+    main(["estimate", str(panel_csv), "--estimator", "twfe", "--out", str(est_csv)])
+    out = tmp_path / "fig.svg"
+    assert main(["plot", str(est_csv), "--overlay-population", gamma, "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
 
 
 def test_plot_overflowing_overlay_exit_2(tmp_path, capsys):

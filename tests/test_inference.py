@@ -10,16 +10,20 @@ from evstudy import (
     DgpConfig,
     PanelDataset,
     UnknownEstimator,
+    bjs_imputation,
     bootstrap,
     bootstrap_many,
+    brute_force_did,
     estimate,
     estimate_many,
     simulate,
+    twfe_regression,
 )
 from evstudy import inference, kernels
 from evstudy.cli import main
 from evstudy.dgp import derive_seed
 from evstudy.estimators import TAG_CODES, TAGS
+from evstudy.oracle import matching_base_spec
 from evstudy.panel import NonFiniteOutcome, panel_from_columns
 
 
@@ -187,6 +191,8 @@ def test_count_weights_match_explicit_gather(n1, n0, t_min, t_max, B, seed, data
          method="normal")
 @example(n1=1, n0=1, t_min=-1, t_max=1, data_seed=0, shape="alternating", closeness=2.0,
          method="percentile")
+@example(n1=5, n0=3, t_min=-1, t_max=1, data_seed=0, shape="alternating", closeness=1.0,
+         method="normal")
 def test_panels_near_the_overflow_bound_give_finite_results(n1, n0, t_min, t_max, data_seed,
                                                             shape, closeness, method):
     n, T = n1 + n0, t_max - t_min + 1
@@ -208,6 +214,11 @@ def test_panels_near_the_overflow_bound_give_finite_results(n1, n0, t_min, t_max
         return
     for est in estimate_many(panel, list(TAGS)):
         assert np.isfinite(list(est.coefficients.values())).all()
+        brute = [brute_force_did(panel, r, matching_base_spec(est.estimator, r, t_min))
+                 for r in est.coefficients]
+        assert np.isfinite(brute).all()
+    for twin in (twfe_regression, bjs_imputation):
+        assert np.isfinite(list(twin(panel).coefficients.values())).all()
     config = BootstrapConfig(replications=8, seed=data_seed, method=method)
     for est in bootstrap_many(panel, list(TAGS), config):
         assert np.isfinite(list(est.se.values())).all()

@@ -1,8 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evstudy import (
     OmittedCategory,
+    PanelDataset,
     brute_force_did,
     estimate,
     population_bjs,
@@ -12,6 +18,7 @@ from evstudy import (
 )
 from evstudy.oracle import matching_base_spec
 from evstudy.panel import TimeOutOfRange
+from evstudy.spec import TAGS
 
 from helpers import make_fuzz_panel
 
@@ -134,3 +141,126 @@ def test_estimators_agree_with_brute_force(four_cell):
     rng = np.random.default_rng(99)
     for _ in range(10):
         assert agrees_with_brute_force(make_fuzz_panel(rng))
+
+
+# --- one row pass per panel ---------------------------------------------
+
+_to_rows = PanelDataset.to_rows  # unpatched, for the reference scan
+
+
+def per_call_scan(panel, r_target, base_spec):
+    """Reference DiD: rescan every row for each group mean, as a literal oracle would."""
+    rows = _to_rows(panel)
+    t_hi = r_target + 1
+    times = sorted({t for _, t, _, _ in rows})
+    if t_hi not in times:
+        raise TimeOutOfRange(f"period {t_hi} not in panel")
+
+    def mean_at(t, d):
+        total, count = 0.0, 0
+        for _, time, treat, y in rows:
+            if time == t and treat == d:
+                total += y
+                count += 1
+        return total / count
+
+    kind = base_spec[0]
+    if kind in ("period", "prior_period"):
+        t0 = base_spec[1] if kind == "period" else r_target
+        if t0 not in times:
+            raise TimeOutOfRange(f"base period {t0} not in panel")
+        base = mean_at(t0, 1) - mean_at(t0, 0)
+    elif kind == "pre_mean":
+        sums, counts, groups = {}, {}, {}
+        for uid, time, treat, y in rows:
+            groups[uid] = treat
+            if time <= 0:
+                sums[uid] = sums.get(uid, 0.0) + y
+                counts[uid] = counts.get(uid, 0) + 1
+
+        def group_pre_mean(d):
+            vals = [sums[u] / counts[u] for u in sums if groups[u] == d]
+            return sum(vals) / len(vals)
+        base = group_pre_mean(1) - group_pre_mean(0)
+    else:
+        raise ValueError(f"unknown base spec {base_spec!r}")
+    return (mean_at(t_hi, 1) - mean_at(t_hi, 0)) - base
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (TimeOutOfRange, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _queries(panel):
+    """(r, spec) for every relative time, under each tag's spec and the three kinds."""
+    for r in range(panel.t_min - 1, panel.t_max):
+        specs = {matching_base_spec(tag, r, panel.t_min) for tag in TAGS}
+        for spec in sorted(specs | {("period", 0), ("pre_mean",), ("prior_period",)}):
+            yield r, spec
+
+
+def _random_panel(n1, n0, t_min, t_max, data_seed, scale=1.0):
+    rng = np.random.default_rng(data_seed)
+    n = n1 + n0
+    return PanelDataset(tuple(f"u{i}" for i in range(n)), np.arange(n) < n1, t_min, t_max,
+                        scale * rng.standard_normal((n, t_max - t_min + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(1, 4), n0=st.integers(1, 4), t_min=st.integers(-4, -1),
+       t_max=st.integers(1, 3), data_seed=st.integers(0, 2**32),
+       scale=st.sampled_from([1.0, 1e-300, 1e300]))
+@example(n1=1, n0=1, t_min=-1, t_max=1, data_seed=0, scale=1.0)
+@example(n1=1, n0=3, t_min=-1, t_max=2, data_seed=1, scale=1e300)
+def test_brute_force_matches_a_per_call_row_scan(n1, n0, t_min, t_max, data_seed, scale):
+    panel = _random_panel(n1, n0, t_min, t_max, data_seed, scale)
+    for r, spec in _queries(panel):
+        assert _outcome(brute_force_did, panel, r, spec) == _outcome(per_call_scan, panel, r, spec)
+
+
+def _count_to_rows(monkeypatch):
+    """A list that grows by one on each ``PanelDataset.to_rows`` call."""
+    calls = []
+
+    def counted(self):
+        calls.append(None)
+        return _to_rows(self)
+    monkeypatch.setattr(PanelDataset, "to_rows", counted)
+    return calls
+
+
+def _every_coefficient(panel):
+    return [brute_force_did(panel, r, matching_base_spec(tag, r, panel.t_min))
+            for tag in TAGS for r in estimate(panel, tag).coefficients]
+
+
+def test_every_coefficient_of_a_panel_scans_its_rows_once(monkeypatch):
+    panel = _random_panel(3, 2, -4, 3, data_seed=8)
+    calls = _count_to_rows(monkeypatch)
+    values = _every_coefficient(panel)
+    assert len(values) == 4 * 7
+    assert len(calls) == 1
+
+
+def test_switching_panels_never_answers_from_a_stale_pass(monkeypatch):
+    a = _random_panel(2, 2, -3, 2, data_seed=1)
+    b = _random_panel(2, 2, -3, 2, data_seed=2)
+    calls = _count_to_rows(monkeypatch)
+    for panel in (a, b, a):
+        for r, spec in _queries(panel):
+            assert _outcome(brute_force_did, panel, r, spec) == _outcome(per_call_scan, panel, r, spec)
+    assert len(calls) == 3  # one pass per switch of panel
+
+    # The cache holds no reference: a deleted panel is freed, and a new one of
+    # the same shape (perhaps at the same address) gets a pass of its own.
+    ref = weakref.ref(a)
+    del a, panel
+    gc.collect()
+    assert ref() is None
+    c = _random_panel(2, 2, -3, 2, data_seed=3)
+    for r, spec in _queries(c):
+        assert _outcome(brute_force_did, c, r, spec) == _outcome(per_call_scan, c, r, spec)
+    assert len(calls) == 4

@@ -1,5 +1,6 @@
-"""The package surface: lazy exports, and which commands load numpy."""
+"""The package surface: lazy exports, which commands load numpy, and what the oracle imports."""
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -108,3 +109,35 @@ def test_simulate_loads_neither_inference_nor_montecarlo(tmp_path):
     modules = _fresh_modules(f"from evstudy.cli import main\nassert main({argv!r}) == 0")
     assert "evstudy.dgp" in modules
     assert not {"evstudy.inference", "evstudy.montecarlo"} & modules
+
+
+def _imports(path: Path) -> list[tuple[str, bool]]:
+    """(module, under ``if TYPE_CHECKING``) for every import in the file at ``path``."""
+    tree = ast.parse(path.read_text())
+    guarded = {id(node) for block in ast.walk(tree)
+               if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+               for node in ast.walk(block)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            names = ["." * node.level + alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + node.module]
+        else:
+            continue
+        found += [(name, id(node) in guarded) for name in names]
+    return found
+
+
+def test_oracle_shares_no_code_with_the_estimators():
+    # The brute-force oracle falsifies the closed forms only while it is
+    # independent of them: no numpy, no kernels, no estimators.
+    imports = _imports(SRC / "evstudy" / "oracle.py")
+    assert (".panel", True) in imports
+    for name, type_checking in imports:
+        if name.startswith("."):
+            assert name == ".spec" or (name, type_checking) == (".panel", True), name
+        else:
+            assert name.partition(".")[0] in sys.stdlib_module_names, name
