@@ -32,6 +32,15 @@ def _resampled_mean(y: np.ndarray, seed: int, stream: int) -> np.ndarray:
     return np.bincount(idx, minlength=n) @ y / n
 
 
+def _size_text(nbytes: int) -> str:
+    size, unit = nbytes / 1024, "KiB"
+    for bigger in ("MiB", "GiB", "TiB", "PiB", "EiB"):
+        if size < 1024:
+            break
+        size, unit = size / 1024, bigger
+    return f"{size:.1f} {unit}"
+
+
 def _replicate_gaps(panel: PanelDataset, B: int, seed: int) -> np.ndarray:
     """(B, T) treated-minus-control gaps of B stratified resamples.
 
@@ -40,7 +49,12 @@ def _replicate_gaps(panel: PanelDataset, B: int, seed: int) -> np.ndarray:
     """
     y1 = panel.outcomes[panel.treated]
     y0 = panel.outcomes[~panel.treated]
-    gaps = np.empty((B, panel.n_periods))
+    try:
+        gaps = np.empty((B, panel.n_periods))
+    except MemoryError:
+        raise ValueError(f"replications={B}: the ({B}, {panel.n_periods}) bootstrap gap array"
+                         f" needs {_size_text(8 * B * panel.n_periods)}, more than can be"
+                         " allocated") from None
     for k in range(B):
         gaps[k] = _resampled_mean(y1, seed, 2 * k) - _resampled_mean(y0, seed, 2 * k + 1)
     return gaps

@@ -38,6 +38,8 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
     """
     if draws < 2:
         raise ValueError("need at least 2 Monte Carlo draws")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be a non-negative integer, got {master_seed}")
     for tag in estimators:
         if tag not in TAG_CODES:
             raise UnknownEstimator(f"unknown estimator {tag!r}")

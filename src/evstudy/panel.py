@@ -4,6 +4,10 @@ Conventions: treatment starts at period t = 1 for treated units; periods run
 over the inclusive integer range [t_min, t_max] with t_min <= -1 and
 t_max >= 1. Relative time is r = t - 1, so r < 0 is pre-treatment and
 r >= 0 is post-treatment.
+
+``panel_from_columns`` is the one place rows become a ``PanelDataset``:
+``validate_panel`` (rows as tuples) and ``tableio.read_panel_csv`` (rows
+as typed columns) both code their units to first-seen integers and call it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from .spec import (
 )
 
 TREATMENT_DATE = 1
+# Rows scattered into the outcome matrix per step, so the cell indices stay small.
+_SCATTER_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,17 @@ def validate_panel(rows) -> PanelDataset:
             raise InconsistentTreatment(f"unit {units[-1]}: treated={d!r} not 0/1")
         treated.append(int(d))
         outcomes.append(float(y))
-    return panel_from_columns(units, times, treated, outcomes)
+    codes: dict[str, int] = {}
+    unit_codes = _code_units(codes, units)
+    return panel_from_columns(list(codes), unit_codes, times, treated, outcomes)
+
+
+def _code_units(codes: dict[str, int], units) -> list[int]:
+    """The code of each of ``units``; ids not yet in ``codes`` get the next
+    codes in first-seen order, so ``list(codes)`` names the codes in order."""
+    for unit in dict.fromkeys(units):
+        codes.setdefault(unit, len(codes))
+    return list(map(codes.__getitem__, units))
 
 
 def check_outcome_bound(outcomes: np.ndarray, t_min: int) -> None:
@@ -123,7 +139,8 @@ def check_outcome_bound(outcomes: np.ndarray, t_min: int) -> None:
     n, n_periods = outcomes.shape
     factor = max(n, 2 * n_periods, 4)
     with np.errstate(over="ignore"):
-        bound = factor * np.abs(outcomes).max(axis=0)
+        # max|y| per period without an (n, T) temporary
+        bound = factor * np.maximum(outcomes.max(axis=0), -outcomes.min(axis=0))
     bad = np.flatnonzero(~np.isfinite(bound))
     if bad.size:
         raise NonFiniteOutcome(
@@ -132,43 +149,49 @@ def check_outcome_bound(outcomes: np.ndarray, t_min: int) -> None:
         )
 
 
-def panel_from_columns(units, times, treated, outcomes) -> PanelDataset:
-    """Check row-aligned columns (str ids, int times, 0/1 flags, floats) by index
-    arithmetic and gather them into a PanelDataset, units in first-seen order;
-    nothing sized by the time range is allocated before the grid is complete."""
-    if not units:
+def panel_from_columns(names, units, times, treated, outcomes) -> PanelDataset:
+    """Check row-aligned columns and gather them into a PanelDataset.
+
+    Row r is unit ``names[units[r]]`` at time ``times[r]``, with treatment
+    flag ``treated[r]`` (0/1) and outcome ``outcomes[r]``; unit codes number
+    the units in first-seen order. The columns may be lists or the typed
+    ``array('q')``, ``bytearray`` and ``array('d')`` the CSV reader fills,
+    which are read without a copy. Rows as many as the cells are scattered
+    into the outcome matrix by their cell index, so nothing sized by the
+    time range is allocated unless the rows fill it; only a panel with a
+    missing or repeated cell is sorted, to name the first one.
+    """
+    if not len(units):
         raise UnbalancedPanel("no rows")
     y = np.asarray(outcomes, dtype=float)
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         r = bad[0]
-        raise NonFiniteOutcome(f"unit {units[r]}, t={times[r]}: outcome {outcomes[r]!r}")
-    # u[r] is row r's unit in first-seen order; first[i] is unit i's first row.
-    _, first, code = np.unique(np.array(units, dtype=object), return_index=True, return_inverse=True)
-    u = np.argsort(np.argsort(first))[code]
-    first = np.sort(first)
-    n = len(first)
+        raise NonFiniteOutcome(f"unit {names[units[r]]}, t={times[r]}: outcome {outcomes[r]!r}")
+    u = np.asarray(units, dtype=np.int64)
+    n = len(names)
+    # Codes are first-seen, so unit i's first row is where the running maximum reaches i.
+    first = np.searchsorted(np.maximum.accumulate(u), np.arange(n))
     d = np.asarray(treated, dtype=bool)
     bad = np.flatnonzero(d != d[first][u])
     if bad.size:
-        raise InconsistentTreatment(f"unit {units[bad[0]]} switches treatment group")
-    t_min, t_max = min(times), max(times)
+        raise InconsistentTreatment(f"unit {names[u[bad[0]]]} switches treatment group")
+    try:
+        t = np.asarray(times, dtype=np.int64)
+    except OverflowError:  # a time beyond int64: the grid cannot be complete
+        t = np.array(times, dtype=object)
+    t_min, t_max = int(t.min()), int(t.max())
     n_periods = t_max - t_min + 1
-    t = np.array(times, dtype=np.int64 if -(2**63) <= t_min and t_max < 2**63 else object)
-    # Rows by (unit, time), ties in row order: a repeat follows its first copy.
-    order = np.lexsort((t, u))
-    u_s, t_s = u[order], t[order]
-    bad = order[1:][(u_s[1:] == u_s[:-1]) & (t_s[1:] == t_s[:-1])]
-    if bad.size:
-        r = bad.min()
-        raise UnbalancedPanel(f"duplicate cell {(units[r], times[r])}")
-    # A unit's k-th row is in place if its time is t_min + k; those rows are a prefix.
-    k = np.arange(len(order)) - np.searchsorted(u_s, u_s)
-    filled = np.bincount(u_s[t_s - t_min == k], minlength=n)
-    bad = np.flatnonzero(filled < n_periods)
-    if bad.size:
-        i = bad[0]
-        raise UnbalancedPanel(f"missing cell ({units[first[i]]}, {t_min + int(filled[i])})")
+    # Rows as many as cells fill the grid unless a cell repeats and leaves a hole.
+    if len(u) != n * n_periods:
+        raise _grid_fault(names, u, t, times, t_min, n_periods)
+    grid = np.full((n, n_periods), np.nan)
+    cells = grid.ravel()
+    for lo in range(0, len(u), _SCATTER_ROWS):
+        rows = slice(lo, lo + _SCATTER_ROWS)
+        cells[t[rows] - t_min + u[rows] * n_periods] = y[rows]
+    if np.isnan(grid).any():
+        raise _grid_fault(names, u, t, times, t_min, n_periods)
 
     is_treated = d[first]
     if is_treated.all() or not is_treated.any():
@@ -177,15 +200,30 @@ def panel_from_columns(units, times, treated, outcomes) -> PanelDataset:
         raise InsufficientPeriods(
             f"time range [{t_min}, {t_max}] must cover t <= -1 and t >= 1"
         )
-    outcomes = y[order].reshape(n, n_periods)
-    check_outcome_bound(outcomes, t_min)
+    check_outcome_bound(grid, t_min)
     return PanelDataset(
-        unit_ids=tuple(units[r] for r in first.tolist()),
+        unit_ids=tuple(names),
         treated=is_treated,
         t_min=t_min,
         t_max=t_max,
-        outcomes=outcomes,
+        outcomes=grid,
     )
+
+
+def _grid_fault(names, u, t, times, t_min, n_periods) -> UnbalancedPanel:
+    """The first repeated cell in row order, else the first missing cell in unit order."""
+    # Rows by (unit, time), ties in row order: a repeat follows its first copy.
+    order = np.lexsort((t, u))
+    u_s, t_s = u[order], t[order]
+    bad = order[1:][(u_s[1:] == u_s[:-1]) & (t_s[1:] == t_s[:-1])]
+    if bad.size:
+        r = bad.min()
+        return UnbalancedPanel(f"duplicate cell {(names[u[r]], times[r])}")
+    # A unit's k-th row is in place if its time is t_min + k; those rows are a prefix.
+    k = np.arange(len(order)) - np.searchsorted(u_s, u_s)
+    filled = np.bincount(u_s[t_s - t_min == k], minlength=len(names))
+    i = int(np.flatnonzero(filled < n_periods)[0])
+    return UnbalancedPanel(f"missing cell ({names[i]}, {t_min + int(filled[i])})")
 
 
 def group_mean(panel: PanelDataset, t: int, d: int) -> float:

@@ -98,6 +98,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.replications < 2:
             raise ValueError("need at least 2 bootstrap replications")
+        if self.seed < 0:
+            raise ValueError(f"bootstrap seed must be a non-negative integer, got {self.seed}")
         if not (0.0 < self.level < 1.0):
             raise ValueError(f"confidence level must be in (0, 1), got {self.level}")
         if self.method not in ("normal", "percentile"):

@@ -5,6 +5,12 @@ estimate tables carry ``estimator,relative_time,coefficient,std_error,
 ci_low,ci_high,omitted``. Decimals are written with repr, the shortest
 representation that round-trips, so emitted files are stable golden-file
 targets.
+
+Panel files take memory in proportion to their cells, not their rows'
+Python objects: the writer formats one block of units at a time, and the
+reader flushes each block of rows into typed columns (integer unit codes,
+times, flags and outcomes) that ``panel.panel_from_columns`` reads without
+a copy.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from __future__ import annotations
 import csv
 import math
 import operator
-import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .spec import CsvFormatError, NonIntegerTime
@@ -32,41 +38,91 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
+# Rows per block of the panel writer and reader: the Python objects of one
+# block are all that exist at a time beside the typed columns.
+_BLOCK_ROWS = 1 << 16
+
+
+class _Echo:
+    """A file whose write returns its text, so a csv.writer's writerow returns the line."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
 def write_panel_csv(panel: PanelDataset, path) -> None:
+    """The panel as csv.writer would write its ``to_rows()`` with repr outcomes,
+    block of units by block: each unit id is quoted once, each ``,time,treated,``
+    run formatted once, and each block written in one call."""
+    quote = csv.writer(_Echo()).writerow
+    mids = [[f",{t},{d}," for t in range(panel.t_min, panel.t_max + 1)] for d in (0, 1)]
+    flags = panel.treated.tolist()
+    step = max(1, _BLOCK_ROWS // panel.n_periods)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(PANEL_COLUMNS)
-        w.writerows((uid, t, d, repr(y)) for uid, t, d, y in panel.to_rows())
+        fh.write(quote(PANEL_COLUMNS))
+        for lo in range(0, panel.n_units, step):
+            hi = lo + step
+            # csv quotes a field by its content alone; [:-3] drops the ",\r\n" of (uid, "").
+            ids = [quote((uid, ""))[:-3] for uid in panel.unit_ids[lo:hi]]
+            fh.write("".join([
+                f"{uid}{mid}{y!r}\r\n"
+                for uid, d, ys in zip(ids, flags[lo:hi], panel.outcomes[lo:hi].tolist())
+                for mid, y in zip(mids[d], ys)
+            ]))
 
 
 def read_panel_csv(path) -> PanelDataset:
-    """Columns in any order, blank lines skipped; errors name the physical line."""
-    from .panel import panel_from_columns  # numpy; estimate tables and configs need none
+    """Columns in any order, blank lines skipped; errors name the physical line.
 
-    units, times, treated, outcomes = [], [], [], []
+    Each block of rows is flushed into typed columns: unit codes and times
+    as ``array('q')``, flags as a ``bytearray``, outcomes as ``array('d')``,
+    so memory grows by about 25 bytes per row, not by Python objects.
+    """
+    # numpy and array load here: estimate tables and configs need neither
+    from array import array
+
+    from .panel import _code_units, panel_from_columns
+
+    codes: dict[str, int] = {}
+    units, times, treated, outcomes = array("q"), array("q"), bytearray(), array("d")
+    extend_times = times.fromlist  # leaves times unchanged when it raises
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or sorted(header) != sorted(PANEL_COLUMNS):
             raise CsvFormatError(f"expected columns {PANEL_COLUMNS}, got {header}")
         pick = operator.itemgetter(*map(header.index, PANEL_COLUMNS))
-        for row in filter(None, reader):  # skips blank lines
-            if len(row) != len(PANEL_COLUMNS):
-                raise CsvFormatError(f"line {reader.line_num}: wrong number of fields")
-            unit, time, d, y = pick(row)
+        rows = filter(None, reader)  # skips blank lines
+        while True:
+            u_blk, t_blk, d_blk, y_blk = [], [], [], []
+            for row in islice(rows, _BLOCK_ROWS):
+                if len(row) != len(PANEL_COLUMNS):
+                    raise CsvFormatError(f"line {reader.line_num}: wrong number of fields")
+                unit, time, d, y = pick(row)
+                try:
+                    t_blk.append(int(time))
+                except ValueError:
+                    raise NonIntegerTime(f"line {reader.line_num}: time {time!r}") from None
+                if d not in ("0", "1"):
+                    raise CsvFormatError(f"line {reader.line_num}: treated must be 0 or 1")
+                try:
+                    y_blk.append(float(y))
+                except ValueError:
+                    raise CsvFormatError(f"line {reader.line_num}: bad outcome {y!r}") from None
+                u_blk.append(unit)
+                d_blk.append(d == "1")
+            if not u_blk:
+                break
+            units.fromlist(_code_units(codes, u_blk))
             try:
-                times.append(int(time))
-            except ValueError:
-                raise NonIntegerTime(f"line {reader.line_num}: time {time!r}") from None
-            if d not in ("0", "1"):
-                raise CsvFormatError(f"line {reader.line_num}: treated must be 0 or 1")
-            try:
-                outcomes.append(float(y))
-            except ValueError:
-                raise CsvFormatError(f"line {reader.line_num}: bad outcome {y!r}") from None
-            units.append(sys.intern(unit))  # one str object per unit, not per row
-            treated.append(d == "1")
-    return panel_from_columns(units, times, treated, outcomes)
+                extend_times(t_blk)
+            except OverflowError:  # a time beyond int64; keep exact ints to name it
+                times = [*times, *t_blk]
+                extend_times = times.extend
+            treated += bytes(d_blk)
+            outcomes.fromlist(y_blk)
+    return panel_from_columns(list(codes), units, times, treated, outcomes)
 
 
 def estimate_table_rows(estimates: list[EventStudyEstimate]) -> list[dict[str, str]]:

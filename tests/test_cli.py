@@ -319,6 +319,49 @@ def test_bootstrap_flag_without_bootstrap_exit_3(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_estimate_unallocatable_replications_exit_2(tmp_path, capsys):
+    # 10**14 replicates of a 26-period gap are 18.5 PiB, beyond any address
+    # space, so the request fails at once and allocates nothing.
+    panel_csv, out = tmp_path / "panel.csv", tmp_path / "est.csv"
+    assert main(["simulate", "--out", str(panel_csv)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", str(panel_csv), "--bootstrap", "--replications", str(10**14),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"replications={10**14}: the ({10**14}, 26) bootstrap gap array needs 18.5 PiB" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["estimate", "{panel}", "--bootstrap", "--boot-seed", "-1"], None,
+     "bootstrap seed must be a non-negative integer, got -1"),
+    (["montecarlo", *SMALL_DESIGN, "--draws", "3", "--master-seed", "-1"], None,
+     "master_seed must be a non-negative integer, got -1"),
+    (["montecarlo", *SMALL_DESIGN], "draws=3\nmaster_seed=-1\n",
+     "master_seed must be a non-negative integer, got -1"),
+], ids=["boot-seed-flag", "master-seed-flag", "master-seed-config"])
+def test_negative_seed_exit_2_names_the_key(tmp_path, capsys, argv, config, message):
+    panel_csv, out = tmp_path / "four.csv", tmp_path / "o.csv"
+    write_four_cell(panel_csv)
+    argv = [arg.format(panel=panel_csv) for arg in argv]
+    if config is not None:
+        (tmp_path / "c.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "c.cfg")]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**70])
+def test_seeds_beyond_64_bits_are_accepted(tmp_path, seed):
+    panel_csv = tmp_path / "four.csv"
+    write_four_cell(panel_csv)
+    assert main(["estimate", str(panel_csv), "--bootstrap", "--replications", "3",
+                 "--boot-seed", str(seed), "--out", str(tmp_path / "e.csv")]) == 0
+    assert main(["montecarlo", *SMALL_DESIGN, "--draws", "3", "--master-seed", str(seed),
+                 "--out", str(tmp_path / "mc.csv")]) == 0
+
+
 def test_usage_error_exit_3(tmp_path):
     assert main(["estimate"]) == 3
 

@@ -206,7 +206,8 @@ def test_panels_near_the_overflow_bound_give_finite_results(n1, n0, t_min, t_max
     # past 1 a panel must be rejected or still give finite results.
     y *= np.finfo(float).max / max(n, 2 * T, 4) / np.abs(y).max() * closeness
     try:
-        panel = panel_from_columns([f"u{i}" for i in range(n) for _ in range(T)],
+        panel = panel_from_columns([f"u{i}" for i in range(n)],
+                                   [i for i in range(n) for _ in range(T)],
                                    list(range(t_min, t_max + 1)) * n,
                                    [i < n1 for i in range(n) for _ in range(T)],
                                    y.ravel().tolist())
