@@ -17,20 +17,18 @@ _EXPORTS = {
         "InvalidConfig", "NonIntegerTime", "PanelError", "TimeOutOfRange",
         "UnbalancedPanel", "UnknownEstimator",
     ), "spec"),
-    **dict.fromkeys(("expected_outcome", "simulate"), "dgp"),
+    **dict.fromkeys(("simulate",), "dgp"),
     **dict.fromkeys((
-        "EventStudyEstimate", "FixedEffectsFit", "ImputationResult", "SingularDesign",
-        "bjs_closed_form", "bjs_imputation", "cs_dcdh_default", "cs_dcdh_universal",
-        "estimate", "estimate_many", "fit_twfe_on_untreated", "impute_treatment_effects",
-        "twfe_closed_form", "twfe_regression",
+        "EventStudyEstimate", "SingularDesign", "bjs_imputation", "estimate",
+        "estimate_many", "twfe_regression",
     ), "estimators"),
-    **dict.fromkeys(("bootstrap", "bootstrap_many"), "inference"),
+    **dict.fromkeys(("bootstrap_many",), "inference"),
     **dict.fromkeys(("McReport", "run_mc"), "montecarlo"),
     **dict.fromkeys((
-        "OmittedCategory", "PopulationCurve", "brute_force_did", "population_bjs",
-        "population_cs_dcdh", "population_curve", "population_twfe",
+        "OmittedCategory", "brute_force_did", "population_bjs", "population_cs_dcdh",
+        "population_curve", "population_twfe",
     ), "oracle"),
-    **dict.fromkeys(("PanelDataset", "group_mean", "validate_panel"), "panel"),
+    **dict.fromkeys(("PanelDataset", "validate_panel"), "panel"),
 }
 
 __all__ = sorted(_EXPORTS)
@@ -48,4 +46,4 @@ def __dir__():
     return sorted(set(globals()) | set(__all__))
 
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

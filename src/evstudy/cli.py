@@ -222,8 +222,7 @@ def _overlay_for(tag: str, gamma: float | None, rows: list[TableRow]):
     t_min, t_max = min(rel) + 1, max(rel) + 1
     # Under estimate --bjs-pre the omitted BJS pre periods pool into its baseline.
     n_pool = sum(row.omitted for row in rows if row.relative_time < 0) or 1
-    curve = population_curve(tag, gamma, t_min, t_max, n_pool)
-    return sorted(curve.values.items())
+    return sorted(population_curve(tag, gamma, t_min, t_max, n_pool).items())
 
 
 def _cmd_plot(args) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .panel import PanelDataset, check_outcome_bound
-from .spec import DgpConfig, InvalidConfig, TimeOutOfRange
+from .spec import DgpConfig, InvalidConfig
 
 # Identity of the deterministic noise transform, echoed in CLI output so a
 # simulated panel can be reproduced exactly from (generator, config, seed).
@@ -60,13 +60,6 @@ def simulate(config: DgpConfig) -> PanelDataset:
         t_max=config.t_max,
         outcomes=outcomes,
     )
-
-
-def expected_outcome(config: DgpConfig, t: int, d: int) -> float:
-    """Population mean outcome at period t for group d: gamma*t if treated, else 0."""
-    if not (config.t_min <= t <= config.t_max):
-        raise TimeOutOfRange(f"period {t} outside [{config.t_min}, {config.t_max}]")
-    return config.gamma * t if d else 0.0
 
 
 def derive_seed(master_seed: int, index: int) -> int:

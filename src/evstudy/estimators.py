@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .panel import PanelDataset
+from .panel import TREATMENT_DATE, PanelDataset
 from .spec import TAGS, UnknownEstimator
 
 TAG_CODES = {
@@ -44,7 +44,7 @@ class EventStudyEstimate:
     """Coefficients by relative time, with omitted-category metadata.
 
     ``se``/``ci`` stay None until filled by the bootstrap; ``ci`` maps r to
-    (low, high) at confidence level ``level``.
+    (low, high).
     """
 
     estimator: str
@@ -52,31 +52,6 @@ class EventStudyEstimate:
     omitted: frozenset[int]
     se: dict[int, float] | None = None
     ci: dict[int, tuple[float, float]] | None = None
-    level: float | None = None
-
-
-@dataclass(frozen=True)
-class FixedEffectsFit:
-    """Unit and period effects from least squares on a subset of cells.
-
-    Only alpha_i + lambda_t is identified; ``normalization`` documents the
-    constraint that pins the individual effects.
-    """
-
-    alpha: dict[str, float]
-    lam: dict[int, float]
-    normalization: str
-
-    def predict(self, unit_id: str, t: int) -> float:
-        return self.alpha[unit_id] + self.lam[t]
-
-
-@dataclass(frozen=True)
-class ImputationResult:
-    """Per-cell effect estimates tau_it = Y_it - Yhat_it on treated post cells."""
-
-    tau: dict[tuple[str, int], float]
-    fit: FixedEffectsFit
 
 
 def estimate_many(panel: PanelDataset, tags: list[str], n_pre: int | None = None) -> list[EventStudyEstimate]:
@@ -107,34 +82,12 @@ def estimate_many(panel: PanelDataset, tags: list[str], n_pre: int | None = None
 
 
 def estimate(panel: PanelDataset, tag: str) -> EventStudyEstimate:
-    """Run the estimator named by ``tag`` (closed-form route)."""
-    return estimate_many(panel, [tag])[0]
+    """The closed-form estimate of the one estimator named by ``tag``.
 
-
-def twfe_closed_form(panel: PanelDataset) -> EventStudyEstimate:
-    """Dynamic TWFE coefficients via the difference-of-means identity."""
-    return estimate(panel, "twfe")
-
-
-def cs_dcdh_default(panel: PanelDataset) -> EventStudyEstimate:
-    """Default CS / dCDH plot: short differences pre, long differences post."""
-    return estimate(panel, "cs_dcdh_default")
-
-
-def cs_dcdh_universal(panel: PanelDataset) -> EventStudyEstimate:
-    """CS / dCDH with the universal period-0 baseline; equals TWFE exactly."""
-    return estimate(panel, "cs_dcdh_universal")
-
-
-def bjs_closed_form(panel: PanelDataset, n_pre: int | None = None) -> EventStudyEstimate:
-    """Imputation-style coefficients via their sample-mean reduction.
-
-    Pre coefficients compare each period to the earliest period (or, when
-    fewer than the maximal ``n_pre`` coefficients are requested, to the mean
-    of the pooled omitted periods); post coefficients compare to the
-    unit-level mean outcome over t <= 0.
+    ``estimate_many(panel, [tag])[0]``; kept because the benchmark's
+    ``crosscheck_400`` workload (``perfbench/worker.py``) calls it.
     """
-    return estimate_many(panel, ["bjs"], n_pre)[0]
+    return estimate_many(panel, [tag])[0]
 
 
 def _fe_solve(z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,34 +164,7 @@ def twfe_regression(panel: PanelDataset) -> EventStudyEstimate:
 
 def _untreated_mask(panel: PanelDataset) -> np.ndarray:
     """Boolean (units x periods) mask of cells that are untreated."""
-    return ~(panel.treated[:, None] & (panel.times >= panel.treatment_date))
-
-
-def fit_twfe_on_untreated(panel: PanelDataset) -> FixedEffectsFit:
-    """Least-squares unit and period effects on the untreated cells only.
-
-    Untreated cells are all control-unit cells plus treated-unit cells with
-    t <= 0. Normalization: the first unit absorbs the intercept and the
-    earliest period's effect is zero; predictions do not depend on it.
-    """
-    y, e = _scaled_outcomes(panel)
-    alpha, lam = _fe_solve(y, _untreated_mask(panel))
-    return FixedEffectsFit(
-        alpha=dict(zip(panel.unit_ids, np.ldexp(alpha, e).tolist())),
-        lam=dict(zip(range(panel.t_min, panel.t_max + 1), np.ldexp(lam, e).tolist())),
-        normalization=f"unit {panel.unit_ids[0]!r} absorbs the intercept; period {panel.t_min} effect pinned to 0",
-    )
-
-
-def impute_treatment_effects(panel: PanelDataset) -> ImputationResult:
-    """tau_it = Y_it - (alpha_i + lambda_t) on treated-unit post cells."""
-    fit = fit_twfe_on_untreated(panel)
-    tau = {}
-    for i in np.nonzero(panel.treated)[0]:
-        uid = panel.unit_ids[i]
-        for t in range(panel.treatment_date, panel.t_max + 1):
-            tau[(uid, t)] = float(panel.outcomes[i, panel.period_index(t)] - fit.predict(uid, t))
-    return ImputationResult(tau=tau, fit=fit)
+    return ~(panel.treated[:, None] & (panel.times >= TREATMENT_DATE))
 
 
 def bjs_imputation(panel: PanelDataset) -> EventStudyEstimate:
@@ -252,12 +178,12 @@ def bjs_imputation(panel: PanelDataset) -> EventStudyEstimate:
     mask = _untreated_mask(panel)
     y, e = _scaled_outcomes(panel)
     alpha, lam = _fe_solve(y, mask)
-    post = range(panel.treatment_date, panel.t_max + 1)
-    j = panel.period_index(panel.treatment_date)
+    post = range(TREATMENT_DATE, panel.t_max + 1)
+    j = panel.period_index(TREATMENT_DATE)
     tau = y[panel.treated, j:] - alpha[panel.treated, None] - lam[j:]
     coefs = dict(zip((t - 1 for t in post), np.ldexp(tau.mean(axis=0), e).tolist()))
 
     # Pre side: untreated-cell regression with treated x period indicators
     # for t in [t_min + 1, 0] (relative times t_min .. -1).
-    coefs.update(_fwl(panel, range(panel.t_min + 1, panel.treatment_date), mask))
+    coefs.update(_fwl(panel, range(panel.t_min + 1, TREATMENT_DATE), mask))
     return EventStudyEstimate("bjs", dict(sorted(coefs.items())), frozenset({panel.t_min - 1}))

@@ -60,22 +60,6 @@ def _replicate_gaps(panel: PanelDataset, B: int, seed: int) -> np.ndarray:
     return gaps
 
 
-def bootstrap(
-    panel: PanelDataset,
-    estimator: str,
-    config: BootstrapConfig,
-    *,
-    n_pre: int | None = None,
-) -> EventStudyEstimate:
-    """Point estimate plus bootstrap se/ci for the named estimator.
-
-    The returned coefficients are exactly the non-bootstrap estimator output;
-    the bootstrap only fills the se and ci fields. ``n_pre`` applies to the
-    bjs estimator only and pools earlier pre periods into the baseline.
-    """
-    return bootstrap_many(panel, [estimator], config, n_pre=n_pre)[0]
-
-
 def bootstrap_many(
     panel: PanelDataset,
     tags: list[str],
@@ -83,10 +67,13 @@ def bootstrap_many(
     *,
     n_pre: int | None = None,
 ) -> list[EventStudyEstimate]:
-    """``bootstrap`` for each named estimator, from one shared set of resamples.
+    """Point estimates plus bootstrap se/ci for each named estimator.
 
-    Replicate k is the same resample for every estimator, so each result is
-    identical to a separate ``bootstrap`` call; the resamples are drawn once.
+    The returned coefficients are exactly ``estimate_many``'s; the bootstrap
+    only fills the se and ci fields. ``n_pre`` applies to the bjs estimator
+    only and pools earlier pre periods into its baseline. The resamples are
+    drawn once and replicate k is the same resample for every estimator, so
+    each result is identical to a call with that estimator alone.
     """
     points = estimate_many(panel, tags, n_pre)
 
@@ -113,4 +100,4 @@ def _with_intervals(point, reps, panel, config) -> EventStudyEstimate:
         q = [(1 - config.level) / 2, (1 + config.level) / 2]
         lo, hi = np.ldexp(np.quantile(draws, q, axis=0), e).tolist()
         ci = dict(zip(rs, zip(lo, hi)))
-    return replace(point, se=se, ci=ci, level=config.level)
+    return replace(point, se=se, ci=ci)

@@ -46,26 +46,33 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
 
     codes = [TAG_CODES[tag] for tag in estimators]
     treated = np.arange(dgp.n_treated + dgp.n_control) < dgp.n_treated
-    total = np.zeros((len(codes), dgp.t_max - dgp.t_min + 1))
-    total_sq = np.zeros_like(total)
+    r0 = dgp.t_min - 1  # column j holds relative time r0 + j
+    population = {tag: population_curve(tag, dgp.gamma, dgp.t_min, dgp.t_max)
+                  for tag in estimators}
+    # The spread is summed about the population values (0 in omitted columns),
+    # not about 0, so it keeps its digits however large the coefficients are.
+    pop = np.zeros((len(codes), dgp.t_max - dgp.t_min + 1))
+    for e, tag in enumerate(estimators):
+        pop[e, [r - r0 for r in population[tag]]] = list(population[tag].values())
+    total = np.zeros_like(pop)
+    dev_sq = np.zeros_like(pop)
     # A design too large for float64 sums to inf or nan; that is rejected below, unwarned.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(draws):
             y = draw_outcomes(dgp, derive_seed(master_seed, k))
             sel = kernels.coef_matrix(y, treated, dgp.t_min)[codes]
             total += sel
-            total_sq += sel * sel
+            dev = sel - pop
+            dev_sq += dev * dev
 
-    r0 = dgp.t_min - 1  # column j holds relative time r0 + j
-    population = {tag: population_curve(tag, dgp.gamma, dgp.t_min, dgp.t_max).values
-                  for tag in estimators}
     for e, tag in enumerate(estimators):
-        # A finite sum of squares also bounds the plain sum.
-        if not np.isfinite(total_sq[e, [r - r0 for r in population[tag]]]).all():
+        cols = [r - r0 for r in population[tag]]
+        if not (np.isfinite(total[e, cols]).all() and np.isfinite(dev_sq[e, cols]).all()):
             raise ValueError(f"{tag}: Monte Carlo sums are not finite; gamma or error_sd is too large")
 
     mean = total / draws
-    var = (total_sq - draws * mean * mean) / (draws - 1)
+    mean_dev = mean - pop
+    var = (dev_sq - draws * mean_dev * mean_dev) / (draws - 1)
     mc_se_mat = np.sqrt(np.maximum(var, 0.0) / draws)
     means = {tag: {r: float(mean[e, r - r0]) for r in population[tag]}
              for e, tag in enumerate(estimators)}

@@ -14,7 +14,6 @@ through a weak reference.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .spec import TimeOutOfRange
@@ -25,17 +24,6 @@ if TYPE_CHECKING:
 
 class OmittedCategory(ValueError):
     """Requested relative time is a normalized category with no coefficient."""
-
-
-@dataclass(frozen=True)
-class PopulationCurve:
-    """Population coefficients beta_r for one estimator over a period range."""
-
-    estimator: str
-    values: dict[int, float]
-    gamma: float
-    t_min: int
-    t_max: int
 
 
 def population_twfe(gamma: float, r: int) -> float:
@@ -67,8 +55,8 @@ def population_bjs(gamma: float, r: int, t_min: int, n_pool: int = 1) -> float:
     return gamma * (r + 1 + t_low / 2)
 
 
-def population_curve(tag: str, gamma: float, t_min: int, t_max: int, n_pool: int = 1) -> PopulationCurve:
-    """Population values on the non-omitted relative times of the estimator.
+def population_curve(tag: str, gamma: float, t_min: int, t_max: int, n_pool: int = 1) -> dict[int, float]:
+    """Population value beta_r at each non-omitted relative time r of the estimator.
 
     ``n_pool`` is passed to ``population_bjs``; the other estimators ignore it.
     """
@@ -85,7 +73,7 @@ def population_curve(tag: str, gamma: float, t_min: int, t_max: int, n_pool: int
                 values[r] = population_bjs(gamma, r, t_min, n_pool)
         else:
             raise ValueError(f"unknown estimator tag {tag!r}")
-    return PopulationCurve(tag, values, gamma, t_min, t_max)
+    return values
 
 
 # (weak reference to the last panel scanned, its ``_scan`` result)

@@ -28,6 +28,7 @@ from .spec import (
     UnbalancedPanel,
 )
 
+# The common treatment date: treated units are treated from t = 1 on.
 TREATMENT_DATE = 1
 # Rows scattered into the outcome matrix per step, so the cell indices stay small.
 _SCATTER_ROWS = 1 << 16
@@ -47,7 +48,6 @@ class PanelDataset:
     t_min: int
     t_max: int
     outcomes: np.ndarray  # float64, shape (n_units, n_periods)
-    treatment_date: int = TREATMENT_DATE
 
     def __post_init__(self):
         self.treated.setflags(write=False)
@@ -86,7 +86,6 @@ class PanelDataset:
             self.unit_ids == other.unit_ids
             and self.t_min == other.t_min
             and self.t_max == other.t_max
-            and self.treatment_date == other.treatment_date
             and np.array_equal(self.treated, other.treated)
             and np.array_equal(self.outcomes, other.outcomes)
         )
@@ -113,7 +112,8 @@ def validate_panel(rows) -> PanelDataset:
     for unit_id, time, d, y in rows:
         units.append(str(unit_id))
         times.append(_as_int_time(time))
-        if int(d) not in (0, 1):
+        # ``in`` compares by value, so True, numpy ints and 1.0 pass; 0.5, nan and '1' do not.
+        if d not in (0, 1):
             raise InconsistentTreatment(f"unit {units[-1]}: treated={d!r} not 0/1")
         treated.append(int(d))
         outcomes.append(float(y))
@@ -224,10 +224,3 @@ def _grid_fault(names, u, t, times, t_min, n_periods) -> UnbalancedPanel:
     filled = np.bincount(u_s[t_s - t_min == k], minlength=len(names))
     i = int(np.flatnonzero(filled < n_periods)[0])
     return UnbalancedPanel(f"missing cell ({names[i]}, {t_min + int(filled[i])})")
-
-
-def group_mean(panel: PanelDataset, t: int, d: int) -> float:
-    """Sample mean of outcomes over units in group d at period t."""
-    j = panel.period_index(t)
-    mask = panel.treated if d else ~panel.treated
-    return float(panel.outcomes[mask, j].mean())

@@ -14,19 +14,16 @@ import pytest
 from evstudy import (
     BootstrapConfig,
     DgpConfig,
-    bjs_closed_form,
     bjs_imputation,
-    bootstrap,
+    bootstrap_many,
     brute_force_did,
-    cs_dcdh_default,
-    cs_dcdh_universal,
     estimate,
+    estimate_many,
     population_bjs,
     population_cs_dcdh,
     population_twfe,
     run_mc,
     simulate,
-    twfe_closed_form,
     twfe_regression,
     validate_panel,
 )
@@ -98,9 +95,12 @@ def test_criterion_3_bjs_jump(mc_report):
 
 def test_criterion_4_exact_equivalences(figure_panel, fuzz_panels):
     panels = [validate_panel(FOUR_CELL_ROWS), figure_panel] + fuzz_panels
-    dev_a = max(max_coef_diff(twfe_regression(p), twfe_closed_form(p)) for p in panels)
-    dev_b = max(max_coef_diff(cs_dcdh_universal(p), twfe_closed_form(p)) for p in panels)
-    dev_c = max(max_coef_diff(bjs_imputation(p), bjs_closed_form(p)) for p in panels)
+    dev_a = dev_b = dev_c = 0.0
+    for p in panels:
+        twfe, _, universal, bjs = estimate_many(p, ALL_TAGS)
+        dev_a = max(dev_a, max_coef_diff(twfe_regression(p), twfe))
+        dev_b = max(dev_b, max_coef_diff(universal, twfe))
+        dev_c = max(dev_c, max_coef_diff(bjs_imputation(p), bjs))
     check(4, f"equivalences on {len(panels)} panels: regression~closed {dev_a:.2e}<1e-8, "
              f"universal~twfe {dev_b:.2e}<1e-12, imputation~closed {dev_c:.2e}<1e-8",
           dev_a < 1e-8 and dev_b < 1e-12 and dev_c < 1e-8)
@@ -120,19 +120,19 @@ def test_criterion_5_brute_force_oracle(figure_panel, fuzz_panels):
 
 
 def test_criterion_6_hand_fixture():
-    panel = validate_panel(FOUR_CELL_ROWS)
+    twfe, cs, universal, bjs = estimate_many(validate_panel(FOUR_CELL_ROWS), ALL_TAGS)
     ok = (
-        twfe_closed_form(panel).coefficients == {-3: -2.0, -2: -1.0, 0: 1.0}
-        and cs_dcdh_default(panel).coefficients == {-2: 1.0, -1: 1.0, 0: 1.0}
-        and cs_dcdh_universal(panel).coefficients == {-3: -2.0, -2: -1.0, 0: 1.0}
-        and bjs_closed_form(panel).coefficients == {-2: 1.0, -1: 2.0, 0: 2.0}
+        twfe.coefficients == {-3: -2.0, -2: -1.0, 0: 1.0}
+        and cs.coefficients == {-2: 1.0, -1: 1.0, 0: 1.0}
+        and universal.coefficients == {-3: -2.0, -2: -1.0, 0: 1.0}
+        and bjs.coefficients == {-2: 1.0, -1: 2.0, 0: 2.0}
     )
     check(6, "4-cell fixture reproduces all hand-derived coefficients exactly", ok)
 
 
 def test_criterion_7_bootstrap_calibration(figure_panel):
-    boot = bootstrap(figure_panel, "twfe",
-                     BootstrapConfig(replications=999, seed=BOOT_SEED))
+    [boot] = bootstrap_many(figure_panel, ["twfe"],
+                            BootstrapConfig(replications=999, seed=BOOT_SEED))
     target = np.sqrt(8 / 100)
     ratios = np.array(list(boot.se.values())) / target
     check(7, f"TWFE bootstrap SEs within 15% of sqrt(8/N)={target:.3f} "
@@ -166,7 +166,7 @@ def test_criterion_8_figure_shapes_and_goldens(figure_panel, tmp_path):
     )
 
     # (a) TWFE: a line fit leaves no detectable level break at r = 0.
-    tw = twfe_closed_form(figure_panel).coefficients
+    tw = estimate(figure_panel, "twfe").coefficients
     rs = np.array(sorted(tw), dtype=float)
     ys = np.array([tw[r] for r in sorted(tw)])
     X = np.column_stack([np.ones_like(rs), rs, (rs >= 0).astype(float)])
@@ -177,7 +177,7 @@ def test_criterion_8_figure_shapes_and_goldens(figure_panel, tmp_path):
     a_ok = abs(beta[2]) < 3 * se_break
 
     # (b) CS/dCDH: pre slope ~ 0, post slope ~ gamma.
-    cs = cs_dcdh_default(figure_panel).coefficients
+    cs = estimate(figure_panel, "cs_dcdh_default").coefficients
     pre = sorted(r for r in cs if r < 0)
     post = sorted(r for r in cs if r >= 0)
     beta_pre, se_p = _ols(np.array(pre, float), np.array([cs[r] for r in pre]))
@@ -185,7 +185,8 @@ def test_criterion_8_figure_shapes_and_goldens(figure_panel, tmp_path):
     b_ok = abs(beta_pre[1]) < 3 * se_p[1] and abs(beta_post[1] - 0.5) < 3 * se_q[1]
 
     # (c) BJS: the drop from r=-1 to r=0 dwarfs its bootstrap SE.
-    boot = bootstrap(figure_panel, "bjs", BootstrapConfig(replications=999, seed=BOOT_SEED + 1))
+    [boot] = bootstrap_many(figure_panel, ["bjs"],
+                            BootstrapConfig(replications=999, seed=BOOT_SEED + 1))
     drop = boot.coefficients[-1] - boot.coefficients[0]
     c_ok = drop > 3 * max(boot.se[-1], boot.se[0])
 
@@ -197,8 +198,7 @@ def test_criterion_8_figure_shapes_and_goldens(figure_panel, tmp_path):
 def test_criterion_9_telescoping(figure_panel, fuzz_panels):
     worst = 0.0
     for panel in [validate_panel(FOUR_CELL_ROWS), figure_panel] + fuzz_panels:
-        cs = cs_dcdh_default(panel).coefficients
-        tw = twfe_closed_form(panel).coefficients
+        tw, cs = (est.coefficients for est in estimate_many(panel, ["twfe", "cs_dcdh_default"]))
         for r in range(panel.t_min - 1, -1):
             total = sum(cs[s] for s in range(r + 1, 0))
             worst = max(worst, abs(total + tw[r]))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from evstudy import DgpConfig, bootstrap, BootstrapConfig, estimate, simulate
+from evstudy import BootstrapConfig, DgpConfig, bootstrap_many, estimate_many, simulate
 from evstudy.cli import main
 from evstudy.tableio import (
     estimate_table_rows,
@@ -158,8 +158,7 @@ def test_roundtrip_estimates_bit_identical(tmp_path):
     main(["simulate", *SIM_FLAGS, "--out", str(panel_csv)])
     assert main(["estimate", str(panel_csv), "--estimator", "all", "--out", str(est_csv)]) == 0
     panel = simulate(DgpConfig(gamma=0.5, t_min=-4, t_max=3, n_treated=6, n_control=6, seed=21))
-    direct = [estimate(panel, tag) for tag in
-              ("twfe", "cs_dcdh_default", "cs_dcdh_universal", "bjs")]
+    direct = estimate_many(panel, ["twfe", "cs_dcdh_default", "cs_dcdh_universal", "bjs"])
     expected = estimate_table_rows(direct)
     got = read_estimate_table(est_csv)
     assert len(got) == len(expected)
@@ -204,7 +203,7 @@ def test_estimate_bootstrap_columns(tmp_path):
     rows = [r for r in read_estimate_table(out) if not r.omitted]
     assert all(r.std_error is not None and r.ci_low is not None for r in rows)
     panel = read_panel_csv(panel_csv)
-    direct = bootstrap(panel, "twfe", BootstrapConfig(replications=99, seed=3))
+    [direct] = bootstrap_many(panel, ["twfe"], BootstrapConfig(replications=99, seed=3))
     for r in rows:
         assert r.std_error == pytest.approx(direct.se[r.relative_time], abs=0)
 

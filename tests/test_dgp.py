@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evstudy import DgpConfig, InvalidConfig, expected_outcome, group_mean, simulate
+from evstudy import DgpConfig, InvalidConfig, simulate
 from evstudy.dgp import derive_seed
 
 
@@ -37,13 +37,6 @@ def test_deterministic_trend_term():
     assert panel.outcomes[2, j] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_expected_outcome():
-    cfg = DgpConfig(gamma=0.5)
-    assert expected_outcome(cfg, 4, 1) == 2.0
-    assert expected_outcome(cfg, -15, 1) == -7.5
-    assert expected_outcome(cfg, 4, 0) == 0.0
-
-
 @pytest.mark.parametrize("bad", [
     dict(t_min=0), dict(t_max=0), dict(n_treated=0), dict(n_control=0),
     dict(error_sd=0.0), dict(error_sd=-1.0), dict(seed=-1),
@@ -60,15 +53,15 @@ def test_derive_seed_distinct_and_stable():
 
 
 def test_monte_carlo_mean_converges():
-    # Mean of group_mean over independent draws approaches the population
-    # value within 4 * error_sd / sqrt(draws * n_d).
+    # The treated group's mean outcome at t, averaged over independent draws,
+    # approaches its population value gamma * t within 4 * error_sd / sqrt(draws * n_d).
     cfg = DgpConfig(gamma=0.7, t_min=-2, t_max=1, n_treated=3, n_control=3, error_sd=1.0)
     draws = 2000
-    t, d = 1, 1
+    t = 1
     total = 0.0
     for k in range(draws):
         panel = simulate(DgpConfig(gamma=0.7, t_min=-2, t_max=1, n_treated=3,
                                    n_control=3, seed=derive_seed(11, k)))
-        total += group_mean(panel, t, d)
+        total += float(panel.outcomes[panel.treated, panel.period_index(t)].mean())
     bound = 4.0 / np.sqrt(draws * cfg.n_treated)
-    assert abs(total / draws - expected_outcome(cfg, t, d)) < bound
+    assert abs(total / draws - cfg.gamma * t) < bound

@@ -10,19 +10,15 @@ from evstudy import (
     PanelDataset,
     SingularDesign,
     UnknownEstimator,
-    bjs_closed_form,
     bjs_imputation,
-    cs_dcdh_default,
-    cs_dcdh_universal,
     estimate,
     estimate_many,
-    fit_twfe_on_untreated,
-    impute_treatment_effects,
     simulate,
-    twfe_closed_form,
     twfe_regression,
     validate_panel,
 )
+from evstudy.estimators import _fe_solve, _untreated_mask
+from evstudy.spec import TAGS
 
 from helpers import make_fuzz_panel, max_coef_diff
 
@@ -37,29 +33,34 @@ def scale_panel(panel, c):
                         panel.t_max, panel.outcomes * c)
 
 
+def untreated_fit(panel):
+    """(alpha, lam) of the fixed-effects fit on the untreated cells, as bjs_imputation fits it."""
+    return _fe_solve(panel.outcomes, _untreated_mask(panel))
+
+
 # --- hand fixture values -------------------------------------------------
 
 
 def test_twfe_fixture(four_cell):
-    est = twfe_closed_form(four_cell)
+    est = estimate(four_cell, "twfe")
     assert est.coefficients == {-3: -2.0, -2: -1.0, 0: 1.0}
     assert set(est.omitted) == {-1}
 
 
 def test_cs_default_fixture(four_cell):
-    est = cs_dcdh_default(four_cell)
+    est = estimate(four_cell, "cs_dcdh_default")
     assert est.coefficients == {-2: 1.0, -1: 1.0, 0: 1.0}
     assert set(est.omitted) == {-3}
 
 
 def test_cs_universal_fixture(four_cell):
-    est = cs_dcdh_universal(four_cell)
-    assert est.coefficients == twfe_closed_form(four_cell).coefficients
+    est = estimate(four_cell, "cs_dcdh_universal")
+    assert est.coefficients == estimate(four_cell, "twfe").coefficients
     assert set(est.omitted) == {-1}
 
 
 def test_bjs_fixture(four_cell):
-    est = bjs_closed_form(four_cell)
+    est = estimate(four_cell, "bjs")
     assert est.coefficients == {-2: 1.0, -1: 2.0, 0: 2.0}
     assert set(est.omitted) == {-3}
 
@@ -67,19 +68,19 @@ def test_bjs_fixture(four_cell):
 def test_symmetric_groups_all_zero():
     rows = [(u, t, d, float(t * t)) for (u, d) in (("a", 1), ("b", 0)) for t in range(-3, 3)]
     panel = validate_panel(rows)
-    for fn in (twfe_closed_form, cs_dcdh_default, cs_dcdh_universal, bjs_closed_form):
-        assert all(v == 0.0 for v in fn(panel).coefficients.values())
+    for est in estimate_many(panel, TAGS):
+        assert all(v == 0.0 for v in est.coefficients.values())
 
 
 # --- regression and imputation routes ------------------------------------
 
 
 def test_twfe_regression_matches_closed_form_fixture(four_cell):
-    assert max_coef_diff(twfe_regression(four_cell), twfe_closed_form(four_cell)) < 1e-8
+    assert max_coef_diff(twfe_regression(four_cell), estimate(four_cell, "twfe")) < 1e-8
 
 
 def test_twfe_regression_matches_closed_form_simulated(default_panel):
-    assert max_coef_diff(twfe_regression(default_panel), twfe_closed_form(default_panel)) < 1e-8
+    assert max_coef_diff(twfe_regression(default_panel), estimate(default_panel, "twfe")) < 1e-8
 
 
 def test_twfe_constant_outcome_zero():
@@ -94,57 +95,52 @@ def test_fit_on_untreated_exact_additive():
     a = {"a": 0.0, "b": 1.0}
     rows = [(u, t, d, a[u] + t) for (u, d) in (("a", 1), ("b", 0)) for t in range(-2, 3)]
     panel = validate_panel(rows)
-    fit = fit_twfe_on_untreated(panel)
-    for u, t, _, y in rows:
-        assert fit.predict(u, t) == pytest.approx(y, abs=1e-8)
+    alpha, lam = untreated_fit(panel)
+    np.testing.assert_allclose(alpha[:, None] + lam, panel.outcomes, rtol=0, atol=1e-8)
 
 
 def test_fit_on_untreated_fixture_prediction(four_cell):
-    fit = fit_twfe_on_untreated(four_cell)
-    assert fit.predict("a", 1) == pytest.approx(2.0, abs=1e-8)
+    alpha, lam = untreated_fit(four_cell)
+    assert alpha[0] + lam[four_cell.period_index(1)] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_fit_on_untreated_constant_panel():
     rows = [(u, t, d, 7.0) for (u, d) in (("a", 1), ("b", 0)) for t in range(-2, 2)]
     panel = validate_panel(rows)
-    fit = fit_twfe_on_untreated(panel)
-    for u, t, _, _ in rows:
-        assert fit.predict(u, t) == pytest.approx(7.0, abs=1e-10)
+    alpha, lam = untreated_fit(panel)
+    np.testing.assert_allclose(alpha[:, None] + lam, 7.0, rtol=0, atol=1e-10)
 
 
 def test_fit_residuals_sum_to_zero(default_panel):
-    fit = fit_twfe_on_untreated(default_panel)
-    panel = default_panel
-    resid = {}
-    for i, uid in enumerate(panel.unit_ids):
-        for t in panel.times:
-            if panel.treated[i] and t >= 1:
-                continue
-            resid[(uid, t)] = panel.outcomes[i, panel.period_index(t)] - fit.predict(uid, t)
-    for uid in panel.unit_ids:
-        assert sum(v for (u, _), v in resid.items() if u == uid) == pytest.approx(0.0, abs=1e-7)
-    for t in panel.times:
-        assert sum(v for (_, tt), v in resid.items() if tt == t) == pytest.approx(0.0, abs=1e-7)
+    alpha, lam = untreated_fit(default_panel)
+    mask = _untreated_mask(default_panel)
+    # Untreated cells: every control cell and the treated cells with t <= 0.
+    assert mask.sum() == default_panel.outcomes.size - 50 * 10
+    resid = np.where(mask, default_panel.outcomes - alpha[:, None] - lam, 0.0)
+    np.testing.assert_allclose(resid.sum(axis=1), 0.0, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(resid.sum(axis=0), 0.0, rtol=0, atol=1e-7)
 
 
 def test_imputation_cells(four_cell):
-    imp = impute_treatment_effects(four_cell)
-    assert set(imp.tau) == {("a", 1)}
-    assert imp.tau[("a", 1)] == pytest.approx(2.0, abs=1e-8)
+    # One treated unit and one post period: the r = 0 coefficient is the one
+    # imputed effect, Y_a1 - (alpha_a + lambda_1) = 4 - 2.
+    est = bjs_imputation(four_cell)
+    assert [r for r in est.coefficients if r >= 0] == [0]
+    assert est.coefficients[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_bjs_imputation_matches_closed_form(four_cell, default_panel):
     for panel in (four_cell, default_panel):
-        assert max_coef_diff(bjs_imputation(panel), bjs_closed_form(panel)) < 1e-8
-        assert bjs_imputation(panel).omitted == bjs_closed_form(panel).omitted
+        assert max_coef_diff(bjs_imputation(panel), estimate(panel, "bjs")) < 1e-8
+        assert bjs_imputation(panel).omitted == estimate(panel, "bjs").omitted
 
 
 def test_bjs_pooled_pre_categories(default_panel):
-    est = bjs_closed_form(default_panel, n_pre=5)
+    est = estimate_many(default_panel, ["bjs"], n_pre=5)[0]
     assert sorted(r for r in est.coefficients if r < 0) == list(range(-5, 0))
     assert set(est.omitted) == set(range(-16, -5))
     # Pooled baseline is the mean gap over the pooled periods.
-    full = bjs_closed_form(default_panel)
+    full = estimate(default_panel, "bjs")
     g0 = {r: full.coefficients[r] for r in full.coefficients if r < 0}
     # reconstruct: pooled base periods are t in [-15, -5] -> r in [-16, -6]
     pool = [g0.get(r, 0.0) for r in range(-16, -5)]  # r=-16 omitted => gap 0 vs itself
@@ -155,16 +151,15 @@ def test_bjs_pooled_pre_categories(default_panel):
 
 def test_bjs_pooled_bounds(four_cell):
     with pytest.raises(ValueError):
-        bjs_closed_form(four_cell, n_pre=0)
+        estimate_many(four_cell, ["bjs"], n_pre=0)
     with pytest.raises(ValueError):
-        bjs_closed_form(four_cell, n_pre=3)
+        estimate_many(four_cell, ["bjs"], n_pre=3)
 
 
 def test_estimate_many_matches_single_calls(default_panel):
-    tags = ["twfe", "cs_dcdh_default", "cs_dcdh_universal", "bjs"]
-    for est in estimate_many(default_panel, tags, n_pre=5):
+    for est in estimate_many(default_panel, list(TAGS), n_pre=5):
         if est.estimator == "bjs":
-            assert est == bjs_closed_form(default_panel, n_pre=5)
+            assert est == estimate_many(default_panel, ["bjs"], n_pre=5)[0]
         else:
             assert est == estimate(default_panel, est.estimator)
     with pytest.raises(ValueError):
@@ -187,8 +182,8 @@ def test_twins_match_closed_forms(n1, n0, t_min, t_max, data_seed):
     treated = np.arange(n1 + n0) < n1
     panel = PanelDataset(tuple(f"u{i}" for i in range(n1 + n0)), treated, t_min, t_max,
                          3 * rng.standard_normal((n1 + n0, t_max - t_min + 1)))
-    assert max_coef_diff(twfe_regression(panel), twfe_closed_form(panel)) < 1e-8
-    imputed, closed = bjs_imputation(panel), bjs_closed_form(panel)
+    assert max_coef_diff(twfe_regression(panel), estimate(panel, "twfe")) < 1e-8
+    imputed, closed = bjs_imputation(panel), estimate(panel, "bjs")
     assert max_coef_diff(imputed, closed) < 1e-8
     assert imputed.omitted == closed.omitted
 
@@ -197,14 +192,13 @@ def test_untreated_fit_singular_when_every_unit_treated():
     # No untreated cell in a post period, so its effect is not identified.
     panel = PanelDataset(("a", "b"), np.array([True, True]), -2, 1, np.zeros((2, 4)))
     with pytest.raises(SingularDesign):
-        fit_twfe_on_untreated(panel)
+        untreated_fit(panel)
     with pytest.raises(SingularDesign):
         bjs_imputation(panel)
 
 
-@pytest.mark.parametrize("twin, closed_form", [(twfe_regression, twfe_closed_form),
-                                               (bjs_imputation, bjs_closed_form)])
-def test_twins_10k_units_bounded_memory(twin, closed_form):
+@pytest.mark.parametrize("twin, tag", [(twfe_regression, "twfe"), (bjs_imputation, "bjs")])
+def test_twins_10k_units_bounded_memory(twin, tag):
     panel = simulate(DgpConfig(n_treated=5000, n_control=5000, seed=4))
     tracemalloc.start()
     try:
@@ -212,7 +206,7 @@ def test_twins_10k_units_bounded_memory(twin, closed_form):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max_coef_diff(est, closed_form(panel)) < 1e-8
+    assert max_coef_diff(est, estimate(panel, tag)) < 1e-8
     assert peak < 512 * 2**20
 
 
@@ -223,14 +217,15 @@ def test_equivalences_on_fuzz_panels():
     rng = np.random.default_rng(2026)
     for _ in range(25):
         panel = make_fuzz_panel(rng)
-        assert max_coef_diff(twfe_regression(panel), twfe_closed_form(panel)) < 1e-8
-        assert max_coef_diff(cs_dcdh_universal(panel), twfe_closed_form(panel)) < 1e-12
-        assert max_coef_diff(bjs_imputation(panel), bjs_closed_form(panel)) < 1e-8
+        twfe, _, universal, bjs = estimate_many(panel, TAGS)
+        assert max_coef_diff(twfe_regression(panel), twfe) < 1e-8
+        assert max_coef_diff(universal, twfe) < 1e-12
+        assert max_coef_diff(bjs_imputation(panel), bjs) < 1e-8
 
 
 def test_post_side_agreement(default_panel):
-    d = cs_dcdh_default(default_panel).coefficients
-    u = cs_dcdh_universal(default_panel).coefficients
+    d = estimate(default_panel, "cs_dcdh_default").coefficients
+    u = estimate(default_panel, "cs_dcdh_universal").coefficients
     for r in range(0, default_panel.t_max):
         assert d[r] == pytest.approx(u[r], abs=1e-12)
 
@@ -241,8 +236,8 @@ def telescoping_holds(panel, tol=1e-9):
     For every pre relative time r < -1, sum of the CS/dCDH short differences
     at s = r+1 .. -1 equals -beta_r^TWFE.
     """
-    cs = cs_dcdh_default(panel).coefficients
-    tw = twfe_closed_form(panel).coefficients
+    cs = estimate(panel, "cs_dcdh_default").coefficients
+    tw = estimate(panel, "twfe").coefficients
     ok = True
     for r in range(panel.t_min - 1, -1):
         total = sum(cs[s] for s in range(r + 1, 0))
@@ -260,20 +255,20 @@ def test_telescoping(four_cell, default_panel):
 
 def test_location_shift_invariance(default_panel):
     shifted = shift_panel(default_panel, 17.25)
-    for fn in (twfe_closed_form, cs_dcdh_default, cs_dcdh_universal, bjs_closed_form):
-        a, b = fn(default_panel).coefficients, fn(shifted).coefficients
+    for est_a, est_b in zip(estimate_many(default_panel, TAGS), estimate_many(shifted, TAGS)):
+        a, b = est_a.coefficients, est_b.coefficients
         assert all(abs(a[r] - b[r]) < 1e-9 for r in a)
 
 
 def test_scale_equivariance(default_panel):
     scaled = scale_panel(default_panel, -2.5)
-    for fn in (twfe_closed_form, cs_dcdh_default, cs_dcdh_universal, bjs_closed_form):
-        a, b = fn(default_panel).coefficients, fn(scaled).coefficients
+    for est_a, est_b in zip(estimate_many(default_panel, TAGS), estimate_many(scaled, TAGS)):
+        a, b = est_a.coefficients, est_b.coefficients
         assert all(abs(-2.5 * a[r] - b[r]) < 1e-9 for r in a)
 
 
 def test_zero_gamma_near_zero_noise_all_zero():
     panel = simulate(DgpConfig(gamma=0.0, error_sd=1e-12, seed=3,
                                t_min=-4, t_max=3, n_treated=3, n_control=3))
-    for tag in ("twfe", "cs_dcdh_default", "cs_dcdh_universal", "bjs"):
-        assert all(abs(v) < 1e-9 for v in estimate(panel, tag).coefficients.values())
+    for est in estimate_many(panel, TAGS):
+        assert all(abs(v) < 1e-9 for v in est.coefficients.values())

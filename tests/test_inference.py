@@ -11,10 +11,8 @@ from evstudy import (
     PanelDataset,
     UnknownEstimator,
     bjs_imputation,
-    bootstrap,
     bootstrap_many,
     brute_force_did,
-    estimate,
     estimate_many,
     simulate,
     twfe_regression,
@@ -43,22 +41,22 @@ def test_config_invariants():
 
 def test_unknown_estimator(four_cell):
     with pytest.raises(UnknownEstimator):
-        bootstrap(four_cell, "nope", BootstrapConfig(seed=1))
+        bootstrap_many(four_cell, ["nope"], BootstrapConfig(seed=1))
 
 
 def test_point_estimates_unchanged():
     panel = small_panel()
-    for tag in ("twfe", "cs_dcdh_default", "cs_dcdh_universal", "bjs"):
-        boot = bootstrap(panel, tag, BootstrapConfig(replications=49, seed=2))
-        assert boot.coefficients == estimate(panel, tag).coefficients
-        assert boot.omitted == estimate(panel, tag).omitted
+    boots = bootstrap_many(panel, list(TAGS), BootstrapConfig(replications=49, seed=2))
+    for boot, point in zip(boots, estimate_many(panel, TAGS), strict=True):
+        assert boot.coefficients == point.coefficients
+        assert boot.omitted == point.omitted
 
 
 def test_reproducible():
     panel = small_panel()
     cfg = BootstrapConfig(replications=99, seed=11)
-    a = bootstrap(panel, "twfe", cfg)
-    b = bootstrap(panel, "twfe", cfg)
+    [a] = bootstrap_many(panel, ["twfe"], cfg)
+    [b] = bootstrap_many(panel, ["twfe"], cfg)
     assert a.se == b.se
     assert a.ci == b.ci
 
@@ -66,28 +64,29 @@ def test_reproducible():
 def test_zero_noise_ses_vanish():
     panel = simulate(DgpConfig(gamma=0.5, t_min=-3, t_max=2, n_treated=5,
                                n_control=5, error_sd=1e-12, seed=6))
-    boot = bootstrap(panel, "twfe", BootstrapConfig(replications=199, seed=0))
+    [boot] = bootstrap_many(panel, ["twfe"], BootstrapConfig(replications=199, seed=0))
     assert max(boot.se.values()) < 1e-6
 
 
 def test_normal_ci_contains_point():
     panel = small_panel()
-    boot = bootstrap(panel, "bjs", BootstrapConfig(replications=99, seed=5))
+    [boot] = bootstrap_many(panel, ["bjs"], BootstrapConfig(replications=99, seed=5))
     for r, (lo, hi) in boot.ci.items():
         assert lo <= boot.coefficients[r] <= hi
 
 
 def test_percentile_ci_ordered():
     panel = small_panel()
-    boot = bootstrap(panel, "twfe", BootstrapConfig(replications=99, seed=5, method="percentile"))
+    [boot] = bootstrap_many(panel, ["twfe"],
+                            BootstrapConfig(replications=99, seed=5, method="percentile"))
     for lo, hi in boot.ci.values():
         assert lo <= hi
 
 
 def test_se_scale_with_error_sd():
     cfg = BootstrapConfig(replications=499, seed=9)
-    a = bootstrap(small_panel(seed=13, sd=1.0), "twfe", cfg)
-    b = bootstrap(small_panel(seed=13, sd=2.0), "twfe", cfg)
+    [a] = bootstrap_many(small_panel(seed=13, sd=1.0), ["twfe"], cfg)
+    [b] = bootstrap_many(small_panel(seed=13, sd=2.0), ["twfe"], cfg)
     # Doubling the noise scale doubles every SE up to Monte Carlo tolerance.
     ratios = np.array([b.se[r] / a.se[r] for r in a.se])
     assert np.all(np.abs(ratios - 2.0) < 0.2)
@@ -95,11 +94,11 @@ def test_se_scale_with_error_sd():
 
 def test_bjs_pooled_bootstrap():
     panel = small_panel()
-    boot = bootstrap(panel, "bjs", BootstrapConfig(replications=99, seed=3), n_pre=2)
+    [boot] = bootstrap_many(panel, ["bjs"], BootstrapConfig(replications=99, seed=3), n_pre=2)
     assert sorted(r for r in boot.coefficients if r < 0) == [-2, -1]
     assert set(boot.se) == set(boot.coefficients)
     with pytest.raises(ValueError):
-        bootstrap(panel, "twfe", BootstrapConfig(seed=1), n_pre=2)
+        bootstrap_many(panel, ["twfe"], BootstrapConfig(seed=1), n_pre=2)
 
 
 # --- replicate gaps against an explicit gather --------------------------------
@@ -251,7 +250,7 @@ def test_bootstrap_many_equals_bootstrap_per_tag(n_pre):
     cfg = BootstrapConfig(replications=49, seed=8)
     many = bootstrap_many(panel, list(TAGS), cfg, n_pre=n_pre)
     for tag, got in zip(TAGS, many):
-        one = bootstrap(panel, tag, cfg, n_pre=n_pre if tag == "bjs" else None)
+        [one] = bootstrap_many(panel, [tag], cfg, n_pre=n_pre if tag == "bjs" else None)
         assert got == one
 
 

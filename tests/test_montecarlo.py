@@ -82,17 +82,35 @@ def test_draws_are_the_simulated_panels(n_treated, n_control, t_min, t_max, gamm
                     n_control=n_control, error_sd=error_sd)
     report = run_mc(dgp, ALL_TAGS, draws, master_seed)
     codes = [TAG_CODES[tag] for tag in ALL_TAGS]
-    total = total_sq = 0.0
+    # The spread is summed about the population values, 0 in omitted columns.
+    pop = np.zeros((len(ALL_TAGS), t_max - t_min + 1))
+    for e, tag in enumerate(ALL_TAGS):
+        for r, value in report.population[tag].items():
+            pop[e, r - t_min + 1] = value
+    total = dev_sq = 0.0
     for k in range(draws):
         panel = simulate(replace(dgp, seed=derive_seed(master_seed, k)))
         sel = coef_matrix(panel.outcomes, panel.treated, panel.t_min)[codes]
         total = total + sel
-        total_sq = total_sq + sel * sel
+        dev_sq = dev_sq + (sel - pop) * (sel - pop)
     mean = total / draws
-    se = np.sqrt(np.maximum((total_sq - draws * mean * mean) / (draws - 1), 0.0) / draws)
+    var = (dev_sq - draws * (mean - pop) * (mean - pop)) / (draws - 1)
+    se = np.sqrt(np.maximum(var, 0.0) / draws)
     for e, tag in enumerate(ALL_TAGS):
         assert report.means[tag] == {r: float(mean[e, r - t_min + 1]) for r in report.means[tag]}
         assert report.mc_se[tag] == {r: float(se[e, r - t_min + 1]) for r in report.mc_se[tag]}
+
+
+def test_mc_se_does_not_depend_on_gamma():
+    # The noise, and so every coefficient's spread across draws, is the same
+    # at any gamma; only the digits lost to cancellation could tell them apart.
+    flat = run_mc(DgpConfig(gamma=0.0), ALL_TAGS, draws=200, master_seed=6)
+    steep = run_mc(DgpConfig(gamma=1e8), ALL_TAGS, draws=200, master_seed=6)
+    for tag in ALL_TAGS:
+        assert set(steep.mc_se[tag]) == set(flat.mc_se[tag])
+        for r, se in flat.mc_se[tag].items():
+            assert se > 0
+            assert steep.mc_se[tag][r] == pytest.approx(se, rel=1e-6, abs=0)
 
 
 def test_run_mc_builds_no_panel(monkeypatch):

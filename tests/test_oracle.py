@@ -78,9 +78,10 @@ def test_bjs_jump_size():
 
 def test_population_curve_domains():
     curve = population_curve("cs_dcdh_default", 0.5, -4, 3)
-    assert sorted(curve.values) == [r for r in range(-5, 3) if r != -5]
+    assert sorted(curve) == [r for r in range(-5, 3) if r != -5]
+    assert curve[-2] == 0.5 and curve[2] == 1.5
     curve = population_curve("twfe", 0.5, -4, 3)
-    assert -1 not in curve.values and -5 in curve.values
+    assert -1 not in curve and curve[-5] == -2.0
 
 
 @pytest.mark.parametrize("t_min", [-1, -2, -6])
@@ -93,7 +94,7 @@ def test_pooled_bjs_curve_matches_a_noiseless_panel(t_min):
     for n_pre in range(1, -t_min + 1):
         (est,) = estimate_many(panel, ["bjs"], n_pre)
         n_pool = -t_min - n_pre + 1
-        curve = population_curve("bjs", gamma, t_min, t_max, n_pool).values
+        curve = population_curve("bjs", gamma, t_min, t_max, n_pool)
         assert set(curve) == set(est.coefficients)
         assert all(abs(curve[r] - est.coefficients[r]) <= 1e-12 for r in curve)
         for r in est.omitted:

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,28 +16,27 @@ import evstudy
 from evstudy import cli, spec
 from evstudy.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 GOLDEN = Path(__file__).parent / "golden"
 
-# Every name the package exported when it imported all its modules eagerly,
-# by the module it came from then; each must still be that module's object.
+# Every exported name, by the module that provided it when the package
+# imported all its modules eagerly; each must still be that module's object.
 EXPORTED_FROM = {
-    "dgp": ["DgpConfig", "InvalidConfig", "expected_outcome", "simulate"],
+    "dgp": ["DgpConfig", "InvalidConfig", "simulate"],
     "estimators": [
-        "EventStudyEstimate", "FixedEffectsFit", "ImputationResult", "SingularDesign",
-        "UnknownEstimator", "bjs_closed_form", "bjs_imputation", "cs_dcdh_default",
-        "cs_dcdh_universal", "estimate", "estimate_many", "fit_twfe_on_untreated",
-        "impute_treatment_effects", "twfe_closed_form", "twfe_regression",
+        "EventStudyEstimate", "SingularDesign", "UnknownEstimator", "bjs_imputation",
+        "estimate", "estimate_many", "twfe_regression",
     ],
-    "inference": ["BootstrapConfig", "bootstrap", "bootstrap_many"],
+    "inference": ["BootstrapConfig", "bootstrap_many"],
     "montecarlo": ["McReport", "run_mc"],
     "oracle": [
-        "OmittedCategory", "PopulationCurve", "brute_force_did", "population_bjs",
-        "population_cs_dcdh", "population_curve", "population_twfe",
+        "OmittedCategory", "brute_force_did", "population_bjs", "population_cs_dcdh",
+        "population_curve", "population_twfe",
     ],
     "panel": [
         "DegenerateGroups", "InconsistentTreatment", "NonIntegerTime", "PanelDataset",
-        "PanelError", "TimeOutOfRange", "UnbalancedPanel", "group_mean", "validate_panel",
+        "PanelError", "TimeOutOfRange", "UnbalancedPanel", "validate_panel",
     ],
 }
 
@@ -51,6 +51,13 @@ def test_every_export_resolves_to_its_module_object():
             assert obj is getattr(mod, name), name
             # ... and is the object its defining module holds.
             assert obj is getattr(importlib.import_module(obj.__module__), name), name
+
+
+def test_version_matches_pyproject():
+    # A regex rather than tomllib, which Python 3.10 lacks.
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", (ROOT / "pyproject.toml").read_text(),
+                        re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == evstudy.__version__
 
 
 def test_dir_lists_every_export():

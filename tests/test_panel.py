@@ -17,7 +17,6 @@ from evstudy import (
     PanelDataset,
     TimeOutOfRange,
     UnbalancedPanel,
-    group_mean,
     simulate,
     validate_panel,
 )
@@ -62,6 +61,20 @@ def test_all_treated_rejected():
     rows = [(u, t, 1, 0.0) for u in "ab" for t in (-1, 0, 1)]
     with pytest.raises(DegenerateGroups):
         validate_panel(rows)
+
+
+@pytest.mark.parametrize("flag", [0.5, 1.7, float("nan"), "x", "1", 2])
+def test_treatment_flag_not_0_or_1_rejected(flag):
+    rows = [("a", t, flag, 0.0) for t in (-1, 0, 1)] + [("b", t, 0, 0.0) for t in (-1, 0, 1)]
+    with pytest.raises(InconsistentTreatment, match=r"^unit a: treated="):
+        validate_panel(rows)
+
+
+@pytest.mark.parametrize("treated, control", [(True, False), (np.int64(1), np.int8(0)),
+                                              (1.0, 0.0), (np.float64(1.0), -0.0)])
+def test_treatment_flags_equal_to_0_or_1_accepted(treated, control):
+    rows = [("a", t, treated, 0.0) for t in (-1, 0, 1)] + [("b", t, control, 0.0) for t in (-1, 0, 1)]
+    assert validate_panel(rows).treated.tolist() == [True, False]
 
 
 def test_switching_treatment_rejected():
@@ -112,21 +125,23 @@ def test_group_mean_two_points():
             ("c", -1, 1, 0.0), ("c", 0, 1, 3.0), ("c", 1, 1, 0.0),
             ("b", -1, 0, 0.0), ("b", 0, 0, 0.0), ("b", 1, 0, 0.0)]
     panel = validate_panel(rows)
-    assert group_mean(panel, 0, 1) == 2.0
+    assert panel.outcomes[panel.treated, panel.period_index(0)].mean() == 2.0
 
 
 def test_group_mean_single_unit(four_cell):
-    assert group_mean(four_cell, 0, 0) == 0.0
-    assert group_mean(four_cell, 1, 0) == 1.0
+    control = four_cell.outcomes[~four_cell.treated]
+    assert control.shape == (1, 4)
+    assert control[0, four_cell.period_index(0)] == 0.0
+    assert control[0, four_cell.period_index(1)] == 1.0
 
 
 def test_group_mean_fixture_treated_at_1(four_cell):
-    assert group_mean(four_cell, 1, 1) == 4.0
+    assert four_cell.outcomes[four_cell.treated, four_cell.period_index(1)].tolist() == [4.0]
 
 
 def test_group_mean_out_of_range(four_cell):
     with pytest.raises(TimeOutOfRange):
-        group_mean(four_cell, 7, 1)
+        four_cell.period_index(7)
 
 
 @given(st.randoms(use_true_random=False))
@@ -135,8 +150,14 @@ def test_group_mean_row_order_invariant(pyrandom):
     rows = list(FOUR_CELL_ROWS)
     pyrandom.shuffle(rows)
     panel = validate_panel(rows)
-    assert group_mean(panel, 1, 1) == 4.0
-    assert group_mean(panel, -2, 0) == 0.0
+    # Units keep their first-seen order; each cell lands in its unit's row.
+    first_seen = tuple(dict.fromkeys(u for u, _, _, _ in rows))
+    assert panel.unit_ids == first_seen
+    by_cell = {(u, t): y for u, t, _, y in FOUR_CELL_ROWS}
+    for i, u in enumerate(panel.unit_ids):
+        assert panel.outcomes[i].tolist() == [by_cell[u, t] for t in range(-2, 2)]
+    assert panel.outcomes[panel.treated, panel.period_index(1)].tolist() == [4.0]
+    assert panel.outcomes[~panel.treated, panel.period_index(-2)].tolist() == [0.0]
 
 
 @given(st.floats(-1e6, 1e6))
@@ -144,11 +165,9 @@ def test_group_mean_row_order_invariant(pyrandom):
 def test_group_mean_shift_equivariant(shift):
     base = validate_panel(FOUR_CELL_ROWS)
     shifted = validate_panel([(u, t, d, y + shift) for u, t, d, y in FOUR_CELL_ROWS])
-    for t in range(-2, 2):
-        for d in (0, 1):
-            assert group_mean(shifted, t, d) == pytest.approx(
-                group_mean(base, t, d) + shift, abs=1e-9
-            )
+    assert shifted.unit_ids == base.unit_ids
+    np.testing.assert_array_equal(shifted.treated, base.treated)
+    np.testing.assert_allclose(shifted.outcomes, base.outcomes + shift, rtol=0, atol=1e-9)
 
 
 # --- the typed-column pass, through validate_panel and the CSV reader -----
