@@ -2,13 +2,17 @@
 
 Units are resampled with replacement within their treatment group, so every
 replicate keeps the original group sizes and no replicate can lose a group.
-Replicate k's treated and control resample indices derive deterministically
-from the bootstrap seed via derive_seed(seed, 2k) and derive_seed(seed,
-2k + 1); results are therefore reproducible and independent of any
-execution schedule. Each replicate is reduced at once to its (T,)
-treated-minus-control gap, so the replicates take O(n + B * T) memory; the
-(B, T) gaps then go through ``kernels.baseline_coefs`` as a point estimate's
-gap does, and one set of replicates serves every estimator of a call.
+Replicate k draws its treated resample indices with
+np.random.default_rng(derive_seed(seed, 2k)) and its control indices with
+default_rng(derive_seed(seed, 2k + 1)); results are therefore reproducible
+and independent of any execution schedule. The stream seeds, and the PCG64
+words ``default_rng`` would hash from each, are derived a block at a time
+(``dgp.seed_blocks``, ``dgp.pcg64_words``): bit for bit the same streams,
+without two SeedSequence constructions per stream. Each replicate is
+reduced at once to its (T,) treated-minus-control gap, so the replicates
+take O(n + B * T) memory; the (B, T) gaps then go through
+``kernels.baseline_coefs`` as a point estimate's gap does, and one set of
+replicates serves every estimator of a call.
 """
 
 from __future__ import annotations
@@ -17,18 +21,33 @@ from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import kernels
-from .dgp import derive_seed
+from .dgp import pcg64_words, seed_blocks
 from .estimators import TAG_CODES, EventStudyEstimate, estimate_many
 from .panel import PanelDataset
 from .spec import BootstrapConfig
 
 
-def _resampled_mean(y: np.ndarray, seed: int, stream: int) -> np.ndarray:
+class _Pcg64Words(ISeedSequence):
+    """Hands PCG64 the state words ``pcg64_words`` derived for one stream."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds PCG64's 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+def _resampled_mean(y: np.ndarray, words: np.ndarray) -> np.ndarray:
     """(T,) mean of the rows of ``y`` drawn with replacement by one index stream."""
     n = y.shape[0]
-    idx = np.random.default_rng(derive_seed(seed, stream)).integers(0, n, size=n)
+    idx = np.random.Generator(np.random.PCG64(_Pcg64Words(words))).integers(0, n, size=n)
     return np.bincount(idx, minlength=n) @ y / n
 
 
@@ -45,7 +64,8 @@ def _replicate_gaps(panel: PanelDataset, B: int, seed: int) -> np.ndarray:
     """(B, T) treated-minus-control gaps of B stratified resamples.
 
     Replicate k draws its treated rows from stream 2k and its control rows
-    from stream 2k + 1; only one replicate's indices exist at a time.
+    from stream 2k + 1; only one replicate's indices and one block of
+    stream words exist at a time.
     """
     y1 = panel.outcomes[panel.treated]
     y0 = panel.outcomes[~panel.treated]
@@ -55,8 +75,9 @@ def _replicate_gaps(panel: PanelDataset, B: int, seed: int) -> np.ndarray:
         raise ValueError(f"replications={B}: the ({B}, {panel.n_periods}) bootstrap gap array"
                          f" needs {_size_text(8 * B * panel.n_periods)}, more than can be"
                          " allocated") from None
+    streams = (words for seeds in seed_blocks(seed, 2 * B) for words in pcg64_words(seeds))
     for k in range(B):
-        gaps[k] = _resampled_mean(y1, seed, 2 * k) - _resampled_mean(y0, seed, 2 * k + 1)
+        gaps[k] = _resampled_mean(y1, next(streams)) - _resampled_mean(y0, next(streams))
     return gaps
 
 

@@ -3,7 +3,7 @@
 ``baseline_coefs`` is the one place the four baseline rules are written: it
 maps group gaps of any leading shape to every estimator's coefficients.
 ``coef_matrix`` applies it to one panel's gap; the bootstrap applies it to
-its (B, T) replicate gaps and the Monte Carlo to each draw's gap.
+its (B, T) replicate gaps and the Monte Carlo to each block of draws' gaps.
 
 Coefficient layout: for a panel over periods [t_min, t_max] with
 T = t_max - t_min + 1 periods, kernels return length-T vectors indexed by

@@ -7,9 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dgp import DgpConfig, derive_seed, draw_outcomes
+from .dgp import DgpConfig, draw_outcomes, seed_blocks
 from .estimators import TAG_CODES, UnknownEstimator
 from .oracle import population_curve
+
+# Outcome cells drawn per block: the draws of a block share one pass of the
+# scaling, the group means and the baseline transform, in bounded memory.
+BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -31,10 +35,12 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
     """Average each estimator over ``draws`` independent simulated panels.
 
     Draw k has the outcomes ``simulate`` gives with seed
-    SeedSequence([master_seed, k]) (``derive_seed``); the per-draw
-    coefficient vectors are summed, so the report does not depend on the
-    order in which draws are evaluated. Raises ValueError when the sums
-    overflow.
+    ``derive_seed(master_seed, k)``, the rule SeedSequence([master_seed, k]);
+    the seeds are derived a block at a time (``dgp.seed_blocks``) and the
+    draws drawn and reduced in blocks of at most BLOCK_CELLS outcome cells,
+    so memory does not grow with ``draws``. Each draw's coefficients are
+    added to the sums in draw order, so the report is bit-identical to a
+    draw-by-draw loop. Raises ValueError when the sums overflow.
     """
     if draws < 2:
         raise ValueError("need at least 2 Monte Carlo draws")
@@ -45,7 +51,8 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
             raise UnknownEstimator(f"unknown estimator {tag!r}")
 
     codes = [TAG_CODES[tag] for tag in estimators]
-    treated = np.arange(dgp.n_treated + dgp.n_control) < dgp.n_treated
+    n1 = dgp.n_treated
+    per_block = max(1, BLOCK_CELLS // ((n1 + dgp.n_control) * (dgp.t_max - dgp.t_min + 1)))
     r0 = dgp.t_min - 1  # column j holds relative time r0 + j
     population = {tag: population_curve(tag, dgp.gamma, dgp.t_min, dgp.t_max)
                   for tag in estimators}
@@ -58,12 +65,16 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
     dev_sq = np.zeros_like(pop)
     # A design too large for float64 sums to inf or nan; that is rejected below, unwarned.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(draws):
-            y = draw_outcomes(dgp, derive_seed(master_seed, k))
-            sel = kernels.coef_matrix(y, treated, dgp.t_min)[codes]
-            total += sel
-            dev = sel - pop
-            dev_sq += dev * dev
+        for seeds in seed_blocks(master_seed, draws):
+            for lo in range(0, seeds.size, per_block):
+                y = draw_outcomes(dgp, seeds[lo : lo + per_block].tolist())  # treated rows first
+                gaps = y[:, :n1].mean(axis=1) - y[:, n1:].mean(axis=1)
+                sel = kernels.baseline_coefs(gaps, -dgp.t_min)[codes]
+                dev = sel - pop[:, None]
+                dev *= dev
+                for d in range(gaps.shape[0]):
+                    total += sel[:, d]
+                    dev_sq += dev[:, d]
 
     for e, tag in enumerate(estimators):
         cols = [r - r0 for r in population[tag]]

@@ -1,4 +1,4 @@
-"""The benchmark's own output check, run on the tiny pipeline iteration.
+"""The benchmark's own output check, run on the tiny pipeline and montecarlo iterations.
 
 perfbench rates an iteration whose outputs fail ``checks.check`` as failed;
 running the same check here makes such a change fail the test suite first.
@@ -27,3 +27,11 @@ def test_tiny_pipeline_passes_the_benchmark_check(tmp_path, capsys):
     for name, argv in workloads.cli_commands("pipeline", sizes, 5, tmp_path):
         assert main(argv) == 0, (name, capsys.readouterr().err)
     assert checks.check("pipeline", tmp_path, sizes) == []
+
+
+def test_tiny_montecarlo_passes_the_benchmark_check(tmp_path, capsys):
+    checks, workloads = load("checks"), load("workloads")
+    _, _, sizes = workloads.WORKLOADS["montecarlo"]
+    for name, argv in workloads.cli_commands("montecarlo", sizes, 5, tmp_path):
+        assert main(argv) == 0, (name, capsys.readouterr().err)
+    assert checks.check("montecarlo", tmp_path, sizes) == []

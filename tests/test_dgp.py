@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evstudy import DgpConfig, InvalidConfig, simulate
-from evstudy.dgp import derive_seed
+from evstudy import dgp
+from evstudy.dgp import derive_seed, draw_outcomes, pcg64_words, seed_blocks, stream_seeds
 
 
 def test_reproducible_bit_exact():
@@ -65,3 +70,81 @@ def test_monte_carlo_mean_converges():
         total += float(panel.outcomes[panel.treated, panel.period_index(t)].mean())
     bound = 4.0 / np.sqrt(draws * cfg.n_treated)
     assert abs(total / draws - cfg.gamma * t) < bound
+
+
+# --- block seed derivation against numpy's SeedSequence -----------------------
+
+
+def _reference_seed(master_seed, index):
+    return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
+
+
+# A master seed of w uint32 words, w = 1..7; 0 is one word.
+MASTER_SEEDS = st.integers(1, 7).flatmap(
+    lambda w: st.integers(0 if w == 1 else 2 ** (32 * (w - 1)), 2 ** (32 * w) - 1))
+# Index blocks near 0 and across the word-count boundaries at 2**32 and 2**64.
+STARTS = st.one_of(st.integers(0, 5000), st.integers(2**32 - 60, 2**32 + 10),
+                   st.integers(2**64 - 60, 2**64 + 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(master_seed=MASTER_SEEDS, start=STARTS, count=st.integers(0, 64))
+@example(master_seed=0, start=0, count=3)
+@example(master_seed=2**32 - 1, start=2**32 - 3, count=6)
+@example(master_seed=2**32, start=2**32 - 3, count=6)
+@example(master_seed=2**64, start=2**32 - 3, count=6)
+@example(master_seed=2**200, start=2**32 - 3, count=6)
+@example(master_seed=2**200, start=2**64 - 3, count=6)
+def test_stream_seeds_are_the_seed_sequence_rule(master_seed, start, count):
+    got = stream_seeds(master_seed, start, start + count)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [_reference_seed(master_seed, k) for k in range(start, start + count)]
+
+
+@pytest.mark.parametrize("master_seed, index", [(0, 0), (7, 3), (2**32, 2**32 - 1),
+                                                (2**200, 2**32), (5, 2**64 + 7)])
+def test_derive_seed_is_the_seed_sequence_rule(master_seed, index):
+    assert derive_seed(master_seed, index) == _reference_seed(master_seed, index)
+
+
+def test_negative_seeds_and_indices_rejected():
+    with pytest.raises(ValueError):
+        derive_seed(-1, 0)
+    with pytest.raises(ValueError):
+        stream_seeds(0, -1, 2)
+
+
+def test_seed_blocks_split_the_streams_in_order(monkeypatch):
+    monkeypatch.setattr(dgp, "SEED_BLOCK", 3)
+    blocks = list(seed_blocks(2**40, 11))
+    assert [b.size for b in blocks] == [3, 3, 3, 2]
+    assert np.concatenate(blocks).tolist() == [_reference_seed(2**40, k) for k in range(11)]
+    assert list(seed_blocks(1, 0)) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=20))
+@example(seeds=[0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1])
+def test_pcg64_words_are_the_seed_sequence_state(seeds):
+    got = pcg64_words(np.array(seeds, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.shape == (len(seeds), 4)
+    for words, s in zip(got, seeds):
+        assert words.tolist() == np.random.SeedSequence(s).generate_state(4, np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n_treated, n_control, t_min, t_max", [(1, 1, -1, 1), (2, 3, -2, 2)])
+def test_each_draw_of_a_block_is_its_seed_alone(n_treated, n_control, t_min, t_max):
+    # Odd cell counts leave a Philox buffer part used after each draw; the
+    # next draw must still start from its own key at counter 0.
+    config = DgpConfig(gamma=0.7, t_min=t_min, t_max=t_max, n_treated=n_treated,
+                       n_control=n_control, error_sd=1.3)
+    seeds = [5, 0, 2**64 - 1, 5, 123456789]
+    block = draw_outcomes(config, seeds)
+    times = np.arange(t_min, t_max + 1)
+    for y, seed in zip(block, seeds, strict=True):
+        noise = np.random.Generator(np.random.Philox(key=seed)).standard_normal(y.shape)
+        want = noise * config.error_sd
+        want[:n_treated] += config.gamma * times
+        assert np.array_equal(y, want)
+        assert np.array_equal(y, simulate(replace(config, seed=seed)).outcomes)

@@ -17,9 +17,9 @@ from evstudy import (
     simulate,
     twfe_regression,
 )
-from evstudy import inference, kernels
+from evstudy import dgp, inference, kernels
 from evstudy.cli import main
-from evstudy.dgp import derive_seed
+from evstudy.dgp import derive_seed, stream_seeds
 from evstudy.estimators import TAG_CODES, TAGS
 from evstudy.oracle import matching_base_spec
 from evstudy.panel import NonFiniteOutcome, panel_from_columns
@@ -202,8 +202,10 @@ def test_panels_near_the_overflow_bound_give_finite_results(n1, n0, t_min, t_max
          "alternating": sign * (-1.0) ** np.arange(T),
          "constant": sign * np.ones(T)}[shape]
     # closeness times the validation bound, max(n, 2T, 4) * max|y| finite;
-    # past 1 a panel must be rejected or still give finite results.
-    y *= np.finfo(float).max / max(n, 2 * T, 4) / np.abs(y).max() * closeness
+    # past 1 a panel must be rejected or still give finite results. Scaling
+    # max|y| to 1 first keeps the factor finite when max|y| < 1.
+    y /= np.abs(y).max()
+    y *= np.finfo(float).max / max(n, 2 * T, 4) * closeness
     try:
         panel = panel_from_columns([f"u{i}" for i in range(n)],
                                    [i for i in range(n) for _ in range(T)],
@@ -255,17 +257,64 @@ def test_bootstrap_many_equals_bootstrap_per_tag(n_pre):
 
 
 def test_estimate_all_draws_resamples_once(tmp_path, monkeypatch):
-    calls = []
+    derived = []
 
-    def counting(master_seed, index):
-        calls.append(index)
-        return derive_seed(master_seed, index)
+    def recording(master_seed, start, stop):
+        derived.extend(range(start, stop))
+        return stream_seeds(master_seed, start, stop)
 
-    monkeypatch.setattr(inference, "derive_seed", counting)
+    monkeypatch.setattr(dgp, "stream_seeds", recording)
     panel_csv = tmp_path / "panel.csv"
     assert main(["simulate", "--n-treated", "4", "--n-control", "3", "--t-min", "-3",
                  "--t-max", "2", "--out", str(panel_csv)]) == 0
     B = 7
     assert main(["estimate", str(panel_csv), "--estimator", "all", "--bootstrap",
                  "--replications", str(B), "--out", str(tmp_path / "est.csv")]) == 0
-    assert sorted(calls) == list(range(2 * B))
+    assert sorted(derived) == list(range(2 * B))
+
+
+# --- block-derived streams against one default_rng per stream -----------------
+
+
+def _reference_gaps(panel, B, seed):
+    """(B, T) replicate gaps by the documented rule, one stream at a time:
+    default_rng(SeedSequence([seed, i]) state) for stream i, treated rows
+    from stream 2k and control rows from stream 2k + 1."""
+    y1 = panel.outcomes[panel.treated]
+    y0 = panel.outcomes[~panel.treated]
+    gaps = np.empty((B, panel.n_periods))
+    for k in range(B):
+        means = []
+        for stream, y in ((2 * k, y1), (2 * k + 1, y0)):
+            stream_seed = int(np.random.SeedSequence([seed, stream]).generate_state(1, np.uint64)[0])
+            n = y.shape[0]
+            idx = np.random.default_rng(stream_seed).integers(0, n, size=n)
+            means.append(np.bincount(idx, minlength=n) @ y / n)
+        gaps[k] = means[0] - means[1]
+    return gaps
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(1, 6), n0=st.integers(1, 6), t_min=st.integers(-5, -1),
+       t_max=st.integers(1, 4), B=st.integers(2, 12),
+       seed=st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**200)),
+       data_seed=st.integers(0, 2**32))
+@example(n1=1, n0=1, t_min=-1, t_max=1, B=2, seed=0, data_seed=0)
+@example(n1=1, n0=1, t_min=-1, t_max=2, B=2, seed=2**64, data_seed=1)
+@example(n1=2, n0=3, t_min=-2, t_max=1, B=2, seed=18446744073709551619, data_seed=2)
+def test_replicate_gaps_equal_one_default_rng_per_stream(n1, n0, t_min, t_max, B, seed, data_seed):
+    panel = _panel(n1, n0, t_min, t_max, data_seed)
+    assert np.array_equal(inference._replicate_gaps(panel, B, seed), _reference_gaps(panel, B, seed))
+
+
+@pytest.mark.parametrize("block", [1, 3, 4])
+def test_replicate_gaps_do_not_depend_on_the_seed_block(monkeypatch, block):
+    # An odd block puts streams 2k and 2k + 1 in different blocks.
+    panel = _panel(3, 4, -2, 2, data_seed=6)
+    monkeypatch.setattr(dgp, "SEED_BLOCK", block)
+    assert np.array_equal(inference._replicate_gaps(panel, 5, 2**70), _reference_gaps(panel, 5, 2**70))
+
+
+def test_replicate_gaps_equal_one_default_rng_per_stream_10k_units():
+    panel = _panel(5000, 5000, -3, 2, data_seed=3)
+    assert np.array_equal(inference._replicate_gaps(panel, 3, 12), _reference_gaps(panel, 3, 12))

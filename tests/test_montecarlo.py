@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from evstudy import DgpConfig, PanelDataset, UnknownEstimator, run_mc, simulate
 from evstudy import dgp as dgp_module
+from evstudy import montecarlo
 from evstudy.dgp import derive_seed
 from evstudy.estimators import TAG_CODES
 from evstudy.kernels import coef_matrix
@@ -80,14 +82,19 @@ def test_draws_are_the_simulated_panels(n_treated, n_control, t_min, t_max, gamm
                                         draws, master_seed):
     dgp = DgpConfig(gamma=gamma, t_min=t_min, t_max=t_max, n_treated=n_treated,
                     n_control=n_control, error_sd=error_sd)
-    report = run_mc(dgp, ALL_TAGS, draws, master_seed)
+    _assert_is_the_draw_by_draw_report(run_mc(dgp, ALL_TAGS, draws, master_seed), dgp, master_seed)
+
+
+def _assert_is_the_draw_by_draw_report(report, dgp, master_seed):
+    """``report`` equals, bit for bit, the sums of a loop over simulated panels."""
     codes = [TAG_CODES[tag] for tag in ALL_TAGS]
     # The spread is summed about the population values, 0 in omitted columns.
-    pop = np.zeros((len(ALL_TAGS), t_max - t_min + 1))
+    pop = np.zeros((len(ALL_TAGS), dgp.t_max - dgp.t_min + 1))
     for e, tag in enumerate(ALL_TAGS):
         for r, value in report.population[tag].items():
-            pop[e, r - t_min + 1] = value
+            pop[e, r - dgp.t_min + 1] = value
     total = dev_sq = 0.0
+    draws = report.draws
     for k in range(draws):
         panel = simulate(replace(dgp, seed=derive_seed(master_seed, k)))
         sel = coef_matrix(panel.outcomes, panel.treated, panel.t_min)[codes]
@@ -97,8 +104,31 @@ def test_draws_are_the_simulated_panels(n_treated, n_control, t_min, t_max, gamm
     var = (dev_sq - draws * (mean - pop) * (mean - pop)) / (draws - 1)
     se = np.sqrt(np.maximum(var, 0.0) / draws)
     for e, tag in enumerate(ALL_TAGS):
-        assert report.means[tag] == {r: float(mean[e, r - t_min + 1]) for r in report.means[tag]}
-        assert report.mc_se[tag] == {r: float(se[e, r - t_min + 1]) for r in report.mc_se[tag]}
+        assert report.means[tag] == {r: float(mean[e, r - dgp.t_min + 1]) for r in report.means[tag]}
+        assert report.mc_se[tag] == {r: float(se[e, r - dgp.t_min + 1]) for r in report.mc_se[tag]}
+
+
+@pytest.mark.parametrize("draws_per_block, seed_block", [(1, 1024), (2, 5), (3, 4), (40, 7)])
+def test_blocks_do_not_change_the_report(monkeypatch, draws_per_block, seed_block):
+    # 13 draws in fill blocks of 1, 2, 3 or 40 draws within seed blocks of 1024,
+    # 5, 4 or 7 streams: each size leaves a short last block.
+    dgp = DgpConfig(gamma=0.4, t_min=-3, t_max=2, n_treated=3, n_control=2, error_sd=0.9)
+    monkeypatch.setattr(montecarlo, "BLOCK_CELLS", draws_per_block * 5 * 6 + 4)
+    monkeypatch.setattr(dgp_module, "SEED_BLOCK", seed_block)
+    _assert_is_the_draw_by_draw_report(run_mc(dgp, ALL_TAGS, 13, 2**64 + 1), dgp, 2**64 + 1)
+
+
+def test_memory_does_not_grow_with_draws():
+    run_mc(SMALL, ALL_TAGS, 2, master_seed=4)  # first-call allocations stay out of the peaks
+    peaks = []
+    for draws in (2000, 20000):
+        tracemalloc.start()
+        try:
+            run_mc(SMALL, ALL_TAGS, draws, master_seed=4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4096
 
 
 def test_mc_se_does_not_depend_on_gamma():
