@@ -8,9 +8,20 @@ targets.
 
 Panel files take memory in proportion to their cells, not their rows'
 Python objects: the writer formats one block of units at a time, and the
-reader flushes each block of rows into typed columns (integer unit codes,
-times, flags and outcomes) that ``panel.panel_from_columns`` reads without
-a copy.
+reader fills typed columns (integer unit codes, times, flags and outcomes)
+one block at a time, which ``panel.panel_from_columns`` reads without a
+copy.
+
+The reader has two paths to those columns. ``_read_rows``, a loop over
+``csv.reader`` rows with ``int()`` and ``float()``, defines what a panel
+file may hold and words every error. ``_read_canonical`` parses blocks of
+at most 16,384 lines with ``np.loadtxt``; it takes a file only if every
+block is canonical (printable ASCII with no spaces or quotes, CRLF line
+ends, no blank or over-long line, flags 0 or 1, unit ids under 32
+characters), which is what ``write_panel_csv`` writes for plain ids, and
+otherwise the strict loop reads the whole file again. On such files the
+two paths give the same columns, so the fast path accepts nothing the
+strict loop rejects; it takes about 4.3 MiB per block beside the columns.
 """
 
 from __future__ import annotations
@@ -75,25 +86,137 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
 def read_panel_csv(path) -> PanelDataset:
     """Columns in any order, blank lines skipped; errors name the physical line.
 
-    Each block of rows is flushed into typed columns: unit codes and times
-    as ``array('q')``, flags as a ``bytearray``, outcomes as ``array('d')``,
-    so memory grows by about 25 bytes per row, not by Python objects.
+    A file whose every block is canonical is parsed by numpy's C tokenizer
+    (``_read_canonical``); any other file is read again from the start by
+    ``_read_rows``, the strict loop that defines what a panel file may
+    hold. Both fill the same typed columns.
     """
-    # numpy and array load here: estimate tables and configs need neither
+    from .panel import panel_from_columns
+
+    columns = _read_canonical(path)
+    if columns is None:
+        columns = _read_rows(path)
+    return panel_from_columns(*columns)
+
+
+def _csv_rows(reader):
+    """The rows of a csv.reader; a csv.Error, such as a field over csv's
+    size limit, becomes a CsvFormatError naming the physical line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+
+
+def _panel_header(reader) -> list[str]:
+    header = next(_csv_rows(reader), None)
+    if header is None or sorted(header) != sorted(PANEL_COLUMNS):
+        raise CsvFormatError(f"expected columns {PANEL_COLUMNS}, got {header}")
+    return header
+
+
+# Physical lines per block of the canonical path: one block's line strings,
+# their joined text and its parsed records (about 4.3 MiB in all for
+# simulate's lines) are all that exist at a time beside the typed columns.
+_CANONICAL_LINES = 1 << 14
+# Longest canonical line. Below csv's default field limit (131072) and the
+# 640-digit floor of int()'s digit limit, so a field the fast path reads
+# is one the strict loop reads too. simulate writes lines under 90 chars.
+_CANONICAL_CHARS = 128
+# Every byte but these marks a block as not canonical: printable ASCII
+# without space or '"', and the line ends.
+_CANONICAL_BYTES = bytes(c for c in range(0x21, 0x7F) if c != 0x22) + b"\r\n"
+# numpy types per column; a unit id as long as its field may be truncated.
+_CANONICAL_TYPES = {"unit": "S32", "time": "i8", "treated": "S2", "outcome": "f8"}
+
+
+def _read_canonical(path):
+    """The typed columns of a canonical panel file, or None for any other.
+
+    After a header read by csv, the body goes in blocks of at most
+    ``_CANONICAL_LINES`` lines. A block is canonical when it is printable
+    ASCII without spaces or quotes, no line is longer than
+    ``_CANONICAL_CHARS`` or blank, and every line ends in CRLF; such a
+    block splits on commas exactly as csv splits it. ``np.loadtxt`` then
+    parses it with ``PyOS_string_to_double``, as ``float()`` does, and
+    with an int64 parse that agrees with ``int()`` on signs and digits.
+    Anything the strict loop might read differently or reject (a
+    non-canonical block, a flag other than 0 or 1, a unit id as long as
+    its field, anything loadtxt rejects) returns None.
+    """
+    import numpy as np
+
+    from .panel import _code_units
+
+    units, times, treated, outcomes = _new_columns()
+    codes: dict[str, int] = {}
+    longest = min(_CANONICAL_CHARS, csv.field_size_limit())
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = _panel_header(csv.reader(fh))
+        dtype = np.dtype([(name, _CANONICAL_TYPES[name]) for name in header])
+        width = dtype["unit"].itemsize
+        while True:
+            try:
+                lines = list(islice(fh, _CANONICAL_LINES))
+            except UnicodeDecodeError:
+                return None
+            if not lines:
+                break
+            text = "".join(lines)
+            if (not text.isascii() or text.encode().translate(None, _CANONICAL_BYTES)
+                    # lines split at CR, LF and CRLF: one CRLF per line ends each in it
+                    or text.count("\r\n") != len(lines)
+                    or text[0] == "\r" or "\n\r" in text  # a blank line
+                    or max(map(len, lines)) > longest):
+                return None
+            try:
+                block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            except ValueError:
+                return None
+            flags = block["treated"]
+            is_one = flags == b"1"
+            if not (is_one | (flags == b"0")).all():
+                return None
+            ids = block["unit"]
+            heads = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+            head_ids = ids[heads].tolist()
+            if max(map(len, head_ids)) >= width:
+                return None
+            head_codes = _code_units(codes, [uid.decode() for uid in head_ids])
+            runs = np.diff(heads, append=len(block))
+            units.frombytes(np.repeat(np.array(head_codes, dtype=np.int64), runs).tobytes())
+            times.frombytes(block["time"].tobytes())
+            treated += is_one.tobytes()
+            outcomes.frombytes(block["outcome"].tobytes())
+    return list(codes), units, times, treated, outcomes
+
+
+def _new_columns():
+    """Empty typed columns: unit codes and times as ``array('q')``, flags as a
+    ``bytearray``, outcomes as ``array('d')``, about 25 bytes a row."""
+    # array loads here: estimate tables and configs do not need it
     from array import array
 
-    from .panel import _code_units, panel_from_columns
+    return array("q"), array("q"), bytearray(), array("d")
+
+
+def _read_rows(path):
+    """The typed columns of a panel file, read row by row through csv.
+
+    This loop defines what a panel file may hold. Each block of rows is
+    flushed into the typed columns, so memory grows by about 25 bytes per
+    row, not by Python objects.
+    """
+    from .panel import _code_units
 
     codes: dict[str, int] = {}
-    units, times, treated, outcomes = array("q"), array("q"), bytearray(), array("d")
+    units, times, treated, outcomes = _new_columns()
     extend_times = times.fromlist  # leaves times unchanged when it raises
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or sorted(header) != sorted(PANEL_COLUMNS):
-            raise CsvFormatError(f"expected columns {PANEL_COLUMNS}, got {header}")
+        header = _panel_header(reader)
         pick = operator.itemgetter(*map(header.index, PANEL_COLUMNS))
-        rows = filter(None, reader)  # skips blank lines
+        rows = filter(None, _csv_rows(reader))  # skips blank lines
         while True:
             u_blk, t_blk, d_blk, y_blk = [], [], [], []
             for row in islice(rows, _BLOCK_ROWS):
@@ -122,7 +245,7 @@ def read_panel_csv(path) -> PanelDataset:
                 extend_times = times.extend
             treated += bytes(d_blk)
             outcomes.fromlist(y_blk)
-    return panel_from_columns(list(codes), units, times, treated, outcomes)
+    return list(codes), units, times, treated, outcomes
 
 
 def estimate_table_rows(estimates: list[EventStudyEstimate]) -> list[dict[str, str]]:
@@ -179,12 +302,12 @@ def read_estimate_table(path) -> list[TableRow]:
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(_csv_rows(reader), None)
         if header != ESTIMATE_COLUMNS:
             raise CsvFormatError(f"expected columns {ESTIMATE_COLUMNS}, got {header}")
         out = []
         first_line: dict[tuple[str, int], int] = {}
-        for row in filter(None, reader):
+        for row in filter(None, _csv_rows(reader)):
             try:
                 if len(row) != len(ESTIMATE_COLUMNS):
                     raise ValueError(f"expected {len(ESTIMATE_COLUMNS)} fields, got {len(row)}")

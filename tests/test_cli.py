@@ -216,6 +216,22 @@ def test_estimate_malformed_csv_exit_2(tmp_path):
     assert not out.exists()
 
 
+# One character over csv's default field limit of 131072.
+LONG_FIELD = "0." + "0" * 131070 + "1"
+
+
+@pytest.mark.parametrize("line", [f"{LONG_FIELD},0,1,1.0", f"a,0,1,{LONG_FIELD}",
+                                  f'"a",0,1,{LONG_FIELD}'],
+                         ids=["unit", "outcome", "outcome-after-a-quoted-id"])
+def test_estimate_field_over_csv_limit_exit_2(tmp_path, capsys, line):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(f"unit,time,treated,outcome\r\na,-1,1,1.0\r\n{line}\r\n".encode())
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(bad), "--out", str(out)]) == 2
+    assert "line 3: field larger than field limit (131072)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_invalid_panel_exit_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("unit,time,treated,outcome\na,0,1,1.0\na,1,1,1.0\nb,0,1,1.0\nb,1,1,1.0\n")
@@ -457,6 +473,16 @@ def test_plot_malformed_table_names_line(tmp_path, capsys, row, message):
                      "twfe,-1,,,,,1\n" + row)
     assert main(["plot", str(table), "--out", str(tmp_path / "f.svg")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_plot_field_over_csv_limit_exit_2(tmp_path, capsys):
+    table = tmp_path / "e.csv"
+    table.write_text("estimator,relative_time,coefficient,std_error,ci_low,ci_high,omitted\n"
+                     f"twfe,-1,,,,,1\ntwfe,0,{LONG_FIELD},,,,0\n")
+    out = tmp_path / "f.svg"
+    assert main(["plot", str(table), "--out", str(out)]) == 2
+    assert "line 3: field larger than field limit (131072)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])

@@ -64,9 +64,10 @@ def test_monte_carlo_mean_converges():
     draws = 2000
     t = 1
     total = 0.0
-    for k in range(draws):
+    # derive_seed(11, k) for every k, derived in one pass
+    for seed in stream_seeds(11, 0, draws).tolist():
         panel = simulate(DgpConfig(gamma=0.7, t_min=-2, t_max=1, n_treated=3,
-                                   n_control=3, seed=derive_seed(11, k)))
+                                   n_control=3, seed=seed))
         total += float(panel.outcomes[panel.treated, panel.period_index(t)].mean())
     bound = 4.0 / np.sqrt(draws * cfg.n_treated)
     assert abs(total / draws - cfg.gamma * t) < bound

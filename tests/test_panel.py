@@ -22,7 +22,7 @@ from evstudy import (
 )
 from evstudy import tableio
 from evstudy.cli import main
-from evstudy.panel import InsufficientPeriods, NonFiniteOutcome
+from evstudy.panel import InsufficientPeriods, NonFiniteOutcome, panel_from_columns
 from evstudy.spec import CsvFormatError
 from evstudy.tableio import PANEL_COLUMNS, read_panel_csv, write_panel_csv
 
@@ -438,3 +438,165 @@ def test_time_beyond_int64_in_a_later_block_names_the_missing_cell(tmp_path, far
     with mock.patch.object(tableio, "_BLOCK_ROWS", 2):
         with pytest.raises(UnbalancedPanel, match=re.escape(f"missing cell {missing}")):
             read_panel_csv(tmp_path / "far.csv")
+
+
+# --- the canonical path against the strict loop -----------------------------
+
+
+def build_outcome(columns):
+    """The panel built from a reader's columns, as comparable values, or the
+    error's class and message; None when the reader declined the file."""
+    try:
+        columns = columns()
+        if columns is None:
+            return None
+        panel = panel_from_columns(*columns)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+    return (panel.unit_ids, panel.t_min, panel.t_max, panel.treated.tobytes(),
+            panel.outcomes.tobytes())
+
+
+def set_field(column, value):
+    """Line i's field in ``column`` becomes ``value``, formatted with the old field."""
+    def perturb(lines, i):
+        fields = lines[i][:-2].split(",")
+        fields[column] = value.format(fields[column])
+        lines[i] = ",".join(fields) + "\r\n"
+    return perturb
+
+
+def rename_unit(value, every_unit=False):
+    """Every line of line i's unit (or of every unit) gets the id ``value``,
+    formatted with the old id."""
+    def perturb(lines, i):
+        old = lines[i].split(",", 1)[0]
+        for j in range(1, len(lines)):
+            uid, rest = lines[j].split(",", 1)
+            if every_unit or uid == old:
+                lines[j] = f"{value.format(uid)},{rest}"
+    return perturb
+
+
+def insert_line(text):
+    def perturb(lines, i):
+        lines.insert(i, text)
+    return perturb
+
+
+def line_ends(end, every_line=True):
+    def perturb(lines, i):
+        for j in range(len(lines)) if every_line else [i]:
+            lines[j] = lines[j][:-2] + end
+    return perturb
+
+
+def reorder_columns(lines, i):
+    """Every line, the header too, with its fields in the order outcome, unit, treated, time."""
+    for j, line in enumerate(lines):
+        u, t, d, y = line[:-2].split(",")
+        lines[j] = f"{y},{u},{d},{t}\r\n"
+
+
+def drop_final_terminator(lines, i):
+    lines[-1] = lines[-1][:-2]
+
+
+def invalid_utf8(lines, i):
+    lines[i] = lines[i][:1] + "\udcff" + lines[i][1:]  # written as the byte 0xff
+
+
+TIME, FLAG, OUTCOME = (PANEL_COLUMNS.index(c) for c in ("time", "treated", "outcome"))
+# (name, perturbation, whether the canonical path reads the file: True,
+# False, or None where that depends on the line drawn)
+PERTURBATIONS = [
+    ("none", lambda lines, i: None, True),
+    ("columns in another order", reorder_columns, True),
+    ("quoted id", rename_unit('"{}"'), False),
+    ("quoted id on one line", set_field(0, '"{}"'), False),
+    ("space before id", set_field(0, " {}"), False),
+    ("space after time", set_field(TIME, "{} "), False),
+    ("space before flag", set_field(FLAG, " {}"), False),
+    ("space after outcome", set_field(OUTCOME, "{} "), False),
+    ("time +t", set_field(TIME, "+{}"), None),
+    ("time 0t", set_field(TIME, "0{}"), None),
+    ("time t.0", set_field(TIME, "{}.0"), False),
+    ("time 1_0", set_field(TIME, "1_0"), False),
+    ("time arabic-indic 3", set_field(TIME, "٣"), False),
+    ("time beyond int64", set_field(TIME, str(2**63)), False),
+    ("time under int64", set_field(TIME, str(-(2**63) - 1)), False),
+    ("time past int()'s digit limit", set_field(TIME, "0" * 5000 + "{}"), False),
+    ("flag 01", set_field(FLAG, "0{}"), False),
+    ("flag empty quoted", set_field(FLAG, '""'), False),
+    ("flag 2", set_field(FLAG, "2"), False),
+    ("outcome 1e999", set_field(OUTCOME, "1e999"), True),
+    ("outcome nan", set_field(OUTCOME, "nan"), True),
+    ("outcome infinity", set_field(OUTCOME, "infinity"), True),
+    ("outcome 1_0.5", set_field(OUTCOME, "1_0.5"), False),
+    ("outcome empty", set_field(OUTCOME, ""), False),
+    ("outcome past csv's field limit", set_field(OUTCOME, "0." + "0" * 131072 + "1"), False),
+    ("extra field", set_field(OUTCOME, "{},1"), False),
+    ("missing field", set_field(OUTCOME, "{}\r\nx"), False),
+    ("id of 31 chars", rename_unit("{}".ljust(31, "x")), True),
+    ("id of 32 chars", rename_unit("{}".ljust(32, "x")), False),
+    ("id of 40 chars", rename_unit("{}".ljust(40, "x")), False),
+    ("ids equal in their first 32 chars", rename_unit("x" * 32 + "{}", every_unit=True), False),
+    ("id of 40 chars on one line", set_field(0, "x" * 40), False),
+    ("blank line", insert_line("\r\n"), False),
+    ("whitespace-only line", insert_line(" \r\n"), False),
+    ("LF line ends", line_ends("\n"), False),
+    ("CR line ends", line_ends("\r"), False),
+    ("one LF line end", line_ends("\n", every_line=False), False),
+    ("no final terminator", drop_final_terminator, False),
+    # a fault in the first decoded chunk raises while the header is read, on both paths
+    ("invalid UTF-8", invalid_utf8, None),
+]
+
+
+@given(seed=st.integers(0, 2**32), kind=st.sampled_from(PERTURBATIONS),
+       block=st.sampled_from([1, 2, 7, 40, tableio._CANONICAL_LINES]))
+@example(seed=0, kind=PERTURBATIONS[0], block=tableio._CANONICAL_LINES)
+@settings(max_examples=300, deadline=None)
+def test_canonical_path_matches_the_strict_loop(tmp_path_factory, seed, kind, block):
+    _, perturb, canonical = kind
+    rng = np.random.default_rng(seed)
+    panel = make_fuzz_panel(rng)
+    path = tmp_path_factory.mktemp("canonical") / "p.csv"
+    write_panel_csv(panel, path)
+    lines = path.read_bytes().decode("utf-8").splitlines(keepends=True)
+    perturb(lines, int(rng.integers(1, len(lines))))
+    path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+
+    with mock.patch.object(tableio, "_CANONICAL_LINES", block):  # a fault in a later block
+        fast = build_outcome(lambda: tableio._read_canonical(path))
+    strict = build_outcome(lambda: tableio._read_rows(path))
+    assert strict is not None
+    if canonical is not None:
+        assert (fast is not None) == canonical
+    if fast is not None:
+        assert fast == strict
+
+
+def test_writer_output_takes_the_canonical_path(tmp_path):
+    panel = simulate(DgpConfig(n_treated=5000, n_control=5000, seed=4))
+    path = tmp_path / "p.csv"
+    write_panel_csv(panel, path)
+    rng = np.random.default_rng(20260824)
+    with mock.patch.object(tableio, "_read_rows", side_effect=AssertionError("strict loop")):
+        assert read_panel_csv(path) == panel
+        for k in range(200):
+            small = make_fuzz_panel(rng)
+            write_panel_csv(small, tmp_path / f"{k}.csv")
+            assert read_panel_csv(tmp_path / f"{k}.csv") == small
+
+
+def test_one_quoted_id_reaches_the_strict_loop(tmp_path):
+    path = tmp_path / "p.csv"
+    write_panel_csv(validate_panel(FOUR_CELL_ROWS), path)
+    text = path.read_bytes()
+    assert text.count(b"\r\nb,") == 4
+    path.write_bytes(text.replace(b"\r\nb,", b'\r\n"b",', 1))
+    with mock.patch.object(tableio, "_read_rows", side_effect=AssertionError("strict loop")):
+        with pytest.raises(AssertionError, match="strict loop"):
+            read_panel_csv(path)
+    assert read_panel_csv(path) == validate_panel(FOUR_CELL_ROWS)
