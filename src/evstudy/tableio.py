@@ -14,14 +14,16 @@ copy.
 
 The reader has two paths to those columns. ``_read_rows``, a loop over
 ``csv.reader`` rows with ``int()`` and ``float()``, defines what a panel
-file may hold and words every error. ``_read_canonical`` parses blocks of
-at most 16,384 lines with ``np.loadtxt``; it takes a file only if every
-block is canonical (printable ASCII with no spaces or quotes, CRLF line
-ends, no blank or over-long line, flags 0 or 1, unit ids under 32
-characters), which is what ``write_panel_csv`` writes for plain ids, and
-otherwise the strict loop reads the whole file again. On such files the
-two paths give the same columns, so the fast path accepts nothing the
-strict loop rejects; it takes about 4.3 MiB per block beside the columns.
+file may hold and words every error. ``_read_canonical`` takes a file only
+if the whole of it is canonical (printable ASCII with no spaces or quotes,
+CRLF line ends, no blank or over-long line), which ``write_panel_csv``
+writes for plain ids; it checks that before parsing anything, then parses
+blocks of at most 16,384 lines with ``np.loadtxt`` and declines the file
+if a field is one loadtxt rejects or warns about, a flag is not 0 or 1 or
+a unit id reaches 32 characters. The strict loop reads every declined file
+from the start. On the files it takes, the fast path gives the strict
+loop's columns, so it accepts nothing the strict loop rejects. It takes
+about 3.8 MiB beside the columns at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import os
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -86,8 +89,8 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
 def read_panel_csv(path) -> PanelDataset:
     """Columns in any order, blank lines skipped; errors name the physical line.
 
-    A file whose every block is canonical is parsed by numpy's C tokenizer
-    (``_read_canonical``); any other file is read again from the start by
+    A canonical file is parsed by numpy's C tokenizer
+    (``_read_canonical``); any other file is read from the start by
     ``_read_rows``, the strict loop that defines what a panel file may
     hold. Both fill the same typed columns.
     """
@@ -108,70 +111,97 @@ def _csv_rows(reader):
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
 
 
-def _panel_header(reader) -> list[str]:
-    header = next(_csv_rows(reader), None)
-    if header is None or sorted(header) != sorted(PANEL_COLUMNS):
-        raise CsvFormatError(f"expected columns {PANEL_COLUMNS}, got {header}")
-    return header
-
-
-# Physical lines per block of the canonical path: one block's line strings,
-# their joined text and its parsed records (about 4.3 MiB in all for
-# simulate's lines) are all that exist at a time beside the typed columns.
+# Bytes per chunk of the canonical check: a chunk, its copies cut at a line
+# end and its CR and LF masks (about 1.3 MiB in all) exist one chunk at a time.
+_CHECK_BYTES = 1 << 18
+# Physical lines per block of the canonical path: one block's line strings
+# and its parsed records (about 2.3 MiB in all for simulate's lines) are all
+# that exist at a time beside the typed columns.
 _CANONICAL_LINES = 1 << 14
 # Longest canonical line. Below csv's default field limit (131072) and the
 # 640-digit floor of int()'s digit limit, so a field the fast path reads
 # is one the strict loop reads too. simulate writes lines under 90 chars.
 _CANONICAL_CHARS = 128
-# Every byte but these marks a block as not canonical: printable ASCII
+# Every byte but these marks a file as not canonical: printable ASCII
 # without space or '"', and the line ends.
 _CANONICAL_BYTES = bytes(c for c in range(0x21, 0x7F) if c != 0x22) + b"\r\n"
 # numpy types per column; a unit id as long as its field may be truncated.
 _CANONICAL_TYPES = {"unit": "S32", "time": "i8", "treated": "S2", "outcome": "f8"}
 
 
+def _is_canonical(path) -> bool:
+    """Whether every byte and line of the file is canonical.
+
+    A canonical file is printable ASCII without spaces or quotes, every
+    line of it ends in CRLF, and none is blank or longer than
+    ``_CANONICAL_CHARS``; csv splits such a line on its commas and nothing
+    else. The whole file is checked, in chunks of ``_CHECK_BYTES`` cut at
+    line ends, before any of it is parsed, so a file declined here is
+    parsed once, by the strict loop.
+    """
+    import numpy as np
+
+    longest = min(_CANONICAL_CHARS, csv.field_size_limit())
+    tail = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_CHECK_BYTES):
+            chunk = tail + chunk
+            cut = chunk.rfind(b"\n") + 1
+            chunk, tail = chunk[:cut], chunk[cut:]
+            byte = np.frombuffer(chunk, np.uint8)
+            cr, lf = byte == ord("\r"), byte == ord("\n")
+            # a chunk starts a line: the length of each line, its CRLF included
+            lengths = np.diff(np.flatnonzero(lf), prepend=-1)
+            # a line longer than a canonical line ends the check before the tail grows
+            if (len(tail) > longest or chunk.translate(None, _CANONICAL_BYTES)
+                    # every CR is followed by LF and every LF but a first byte
+                    # follows CR; a first-byte LF is a line of length 1
+                    or not np.array_equal(cr[:-1], lf[1:])
+                    # no line is blank ("\r\n"), too short or too long
+                    or (len(lengths) and not 2 < lengths.min() <= lengths.max() <= longest)):
+                return False
+    return not tail  # the last line ends in CRLF too
+
+
 def _read_canonical(path):
     """The typed columns of a canonical panel file, or None for any other.
 
-    After a header read by csv, the body goes in blocks of at most
-    ``_CANONICAL_LINES`` lines. A block is canonical when it is printable
-    ASCII without spaces or quotes, no line is longer than
-    ``_CANONICAL_CHARS`` or blank, and every line ends in CRLF; such a
-    block splits on commas exactly as csv splits it. ``np.loadtxt`` then
-    parses it with ``PyOS_string_to_double``, as ``float()`` does, and
-    with an int64 parse that agrees with ``int()`` on signs and digits.
-    Anything the strict loop might read differently or reject (a
-    non-canonical block, a flag other than 0 or 1, a unit id as long as
-    its field, anything loadtxt rejects) returns None.
+    ``_is_canonical`` checks the file's bytes and lines first. The header
+    is then the first line split on commas, and the body goes in blocks of
+    at most ``_CANONICAL_LINES`` lines through ``np.loadtxt``, which parses
+    floats with ``PyOS_string_to_double``, as ``float()`` does, and int64s
+    as ``int()`` does on signs and digits. Anything the strict loop might
+    read differently or reject returns None: a header that is not the
+    panel's columns, a field loadtxt rejects or warns about (some numpy
+    releases read an integer field such as ``3.7`` through a float,
+    truncating it, and only warn), a flag other than 0 or 1, a unit id as
+    long as its field.
     """
+    # a pipe can be read only once, so only the strict loop reads it
+    if not os.path.isfile(path) or not _is_canonical(path):
+        return None
+
+    import warnings
+
     import numpy as np
 
     from .panel import _code_units
 
     units, times, treated, outcomes = _new_columns()
     codes: dict[str, int] = {}
-    longest = min(_CANONICAL_CHARS, csv.field_size_limit())
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = _panel_header(csv.reader(fh))
+    with open(path, newline="", encoding="ascii") as fh:
+        header = fh.readline()[:-2].split(",")
+        if sorted(header) != sorted(PANEL_COLUMNS):
+            return None
         dtype = np.dtype([(name, _CANONICAL_TYPES[name]) for name in header])
         width = dtype["unit"].itemsize
-        while True:
+        while lines := list(islice(fh, _CANONICAL_LINES)):
             try:
-                lines = list(islice(fh, _CANONICAL_LINES))
-            except UnicodeDecodeError:
-                return None
-            if not lines:
-                break
-            text = "".join(lines)
-            if (not text.isascii() or text.encode().translate(None, _CANONICAL_BYTES)
-                    # lines split at CR, LF and CRLF: one CRLF per line ends each in it
-                    or text.count("\r\n") != len(lines)
-                    or text[0] == "\r" or "\n\r" in text  # a blank line
-                    or max(map(len, lines)) > longest):
-                return None
-            try:
-                block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            except ValueError:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                       ndmin=1)
+            except (ValueError, Warning):
                 return None
             flags = block["treated"]
             is_one = flags == b"1"
@@ -214,7 +244,9 @@ def _read_rows(path):
     extend_times = times.fromlist  # leaves times unchanged when it raises
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = _panel_header(reader)
+        header = next(_csv_rows(reader), None)
+        if header is None or sorted(header) != sorted(PANEL_COLUMNS):
+            raise CsvFormatError(f"expected columns {PANEL_COLUMNS}, got {header}")
         pick = operator.itemgetter(*map(header.index, PANEL_COLUMNS))
         rows = filter(None, _csv_rows(reader))  # skips blank lines
         while True:
