@@ -183,7 +183,7 @@ def derive_seed(master_seed: int, index: int) -> int:
     SeedSequence([master_seed, k]).generate_state(1, np.uint64) is the
     documented derivation rule for Monte Carlo draws and bootstrap
     replicates; distinct (master, k) pairs yield statistically independent
-    streams regardless of schedule. This is the one-stream case of
-    ``stream_seeds``, which derives a block of streams in one pass.
+    streams regardless of schedule. One stream is cheapest by the rule
+    itself; ``stream_seeds`` derives a block of streams in one pass.
     """
-    return int(stream_seeds(master_seed, index, int(index) + 1)[0])
+    return int(np.random.SeedSequence([int(master_seed), int(index)]).generate_state(1, np.uint64)[0])

@@ -90,31 +90,43 @@ def estimate(panel: PanelDataset, tag: str) -> EventStudyEstimate:
     return estimate_many(panel, [tag])[0]
 
 
-def _fe_solve(z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares unit and period effects of each (n, T) layer of ``z`` over ``mask``.
+class _FixedEffects:
+    """The unit-and-period-effects least-squares fit over the cells of one mask.
 
-    Fits z_it = alpha_i + lambda_t on the cells where ``mask`` is true and
-    returns ``alpha`` of shape (..., n) and ``lam`` of shape (..., T), the
+    Fits z_it = alpha_i + lambda_t on the cells where ``mask`` is true, the
     earliest period's effect pinned to 0. The unit block of the normal
     equations is diagonal, so the unit effects are eliminated exactly; what
     is left is the (T-1) x (T-1) system in the period effects with matrix
     S = diag(c_T) - W' diag(1/c_n) W, where W is the 0/1 cell matrix and
-    c_n, c_T count its cells per unit and per period.
+    c_n, c_T count its cells per unit and per period. S and its rank check
+    depend on the mask alone, so they are built once and serve every layer
+    fitted over that mask.
     """
-    w = mask.astype(float)
-    c_n = w.sum(axis=1)
-    if not c_n.all():
-        raise SingularDesign("a unit has no cell in the fixed-effects fit")
-    zw = z * w
-    unit_sums = zw.sum(axis=-1)
-    rhs = zw.sum(axis=-2) - (unit_sums / c_n) @ w
-    S = (np.diag(w.sum(axis=0)) - w.T @ (w / c_n[:, None]))[1:, 1:]
-    if np.linalg.matrix_rank(S) < S.shape[0]:
-        raise SingularDesign("fixed-effects normal equations are rank deficient")
-    lam = np.zeros(rhs.shape)
-    lam[..., 1:] = np.linalg.solve(S, rhs[..., 1:].T).T
-    alpha = (unit_sums - lam @ w.T) / c_n
-    return alpha, lam
+
+    def __init__(self, mask: np.ndarray):
+        self.w = mask.astype(float)
+        self.c_n = self.w.sum(axis=1)
+        if not self.c_n.all():
+            raise SingularDesign("a unit has no cell in the fixed-effects fit")
+        w = self.w
+        self.S = (np.diag(w.sum(axis=0)) - w.T @ (w / self.c_n[:, None]))[1:, 1:]
+        if np.linalg.matrix_rank(self.S) < self.S.shape[0]:
+            raise SingularDesign("fixed-effects normal equations are rank deficient")
+
+    def fit(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``alpha`` of shape (n,) and ``lam`` of shape (T,) of the (n, T) layer ``z``."""
+        zw = z * self.w
+        unit_sums = zw.sum(axis=1)
+        rhs = zw.sum(axis=0) - (unit_sums / self.c_n) @ self.w
+        lam = np.zeros(rhs.shape)
+        lam[1:] = np.linalg.solve(self.S, rhs[1:])
+        alpha = (unit_sums - self.w @ lam) / self.c_n
+        return alpha, lam
+
+    def residual(self, z: np.ndarray) -> np.ndarray:
+        """The (n, T) layer ``z`` with its effects partialled out; 0 off the mask."""
+        alpha, lam = self.fit(z)
+        return (z - alpha[:, None] - lam) * self.w
 
 
 def _scaled_outcomes(panel: PanelDataset) -> tuple[np.ndarray, int]:
@@ -128,25 +140,36 @@ def _scaled_outcomes(panel: PanelDataset) -> tuple[np.ndarray, int]:
     return np.ldexp(panel.outcomes, -e), e
 
 
-def _fwl(panel: PanelDataset, periods, mask: np.ndarray) -> dict[int, float]:
-    """Event-time coefficients of a least-squares fit over the cells in ``mask``.
+def _fwl(panel: PanelDataset, periods, fe: _FixedEffects, y: np.ndarray) -> np.ndarray:
+    """Event-time coefficients of a least-squares fit of ``y`` over the cells of ``fe``.
 
-    Y_it is regressed on unit effects, period effects and a treated x period
-    indicator for each t in ``periods``; the result maps r = t - 1 to the
-    indicator's coefficient. Frisch-Waugh-Lovell: the effects are partialled
-    out of the outcome and of every indicator, and the residual outcome is
-    regressed on the residual indicators.
+    ``y`` is regressed on unit effects, period effects and the indicator
+    D_j = treated x period t_j for each t_j in ``periods``; the result is
+    the indicators' coefficients in that order. Frisch-Waugh-Lovell: the
+    effects are partialled out of ``y`` and of one D_j at a time, M being
+    the projection off the effects, and the K x K normal equations
+    X'MX beta = X'My are solved. Entry (i, j) of X'MX is D_i' M D_j, the
+    treated rows' sum of D_j's residual at period t_i, and X'My is read off
+    the residual of ``y`` the same way, so only one (n, T) layer exists at a
+    time.
     """
     cols = [panel.period_index(t) for t in periods]
-    y, e = _scaled_outcomes(panel)
-    z = np.concatenate([y[None],
-                        panel.treated[None, :, None] * np.eye(panel.n_periods)[cols][:, None, :]])
-    alpha, lam = _fe_solve(z, mask)
-    resid = (z - alpha[..., None] - lam[:, None, :])[:, mask]
-    beta, _, rank, _ = np.linalg.lstsq(resid[1:].T, resid[0], rcond=None)
-    if rank < len(cols):
+    treated = panel.treated.astype(float)
+    xtmy = (treated @ fe.residual(y))[cols]
+    xtmx = np.empty((len(cols), len(cols)))
+    d = np.zeros(y.shape)
+    for j, col in enumerate(cols):
+        d[:, col] = treated
+        xtmx[:, j] = (treated @ fe.residual(d))[cols]
+        d[:, col] = 0.0
+    # D_i is 0/1, so X'MX is on the scale of the indicators' cell counts; a
+    # tolerance relative to X'MX itself would accept a matrix of round-off,
+    # as when every unit is treated and the period effects absorb each D_j.
+    counts = (treated @ fe.w)[cols]
+    tol = len(cols) * np.finfo(float).eps * counts.max(initial=0.0)
+    if np.linalg.matrix_rank(xtmx, tol=tol) < len(cols):
         raise SingularDesign("event-time design is rank deficient given the fixed effects")
-    return {t - 1: b for t, b in zip(periods, np.ldexp(beta, e).tolist())}
+    return np.linalg.solve(xtmx, xtmy)
 
 
 def twfe_regression(panel: PanelDataset) -> EventStudyEstimate:
@@ -158,8 +181,11 @@ def twfe_regression(panel: PanelDataset) -> EventStudyEstimate:
     coefficients on the indicators.
     """
     periods = [t for t in range(panel.t_min, panel.t_max + 1) if t != 0]
-    coefs = _fwl(panel, periods, np.ones(panel.outcomes.shape, dtype=bool))
-    return EventStudyEstimate("twfe", coefs, frozenset({-1}))
+    y, e = _scaled_outcomes(panel)
+    fe = _FixedEffects(np.ones(y.shape, dtype=bool))
+    beta = np.ldexp(_fwl(panel, periods, fe, y), e)
+    return EventStudyEstimate("twfe", dict(zip((t - 1 for t in periods), beta.tolist())),
+                              frozenset({-1}))
 
 
 def _untreated_mask(panel: PanelDataset) -> np.ndarray:
@@ -173,17 +199,19 @@ def bjs_imputation(panel: PanelDataset) -> EventStudyEstimate:
     Post coefficients average the imputed effects tau_it at each lag. Pre
     coefficients come from a dynamic TWFE regression on untreated cells with
     indicators for periods until treatment, earliest pre period normalized
-    to zero.
+    to zero. One fixed-effects system over the untreated cells serves both.
     """
-    mask = _untreated_mask(panel)
     y, e = _scaled_outcomes(panel)
-    alpha, lam = _fe_solve(y, mask)
-    post = range(TREATMENT_DATE, panel.t_max + 1)
+    fe = _FixedEffects(_untreated_mask(panel))
+    # Pre side first: an untreated-cell regression with treated x period
+    # indicators for t in [t_min + 1, 0] (relative times t_min .. -1). Its
+    # rank check rejects a panel without treated units before the post side
+    # could average over none.
+    pre = _fwl(panel, range(panel.t_min + 1, TREATMENT_DATE), fe, y)
+    # Post side: relative times 0 .. t_max - 1.
+    alpha, lam = fe.fit(y)
     j = panel.period_index(TREATMENT_DATE)
     tau = y[panel.treated, j:] - alpha[panel.treated, None] - lam[j:]
-    coefs = dict(zip((t - 1 for t in post), np.ldexp(tau.mean(axis=0), e).tolist()))
-
-    # Pre side: untreated-cell regression with treated x period indicators
-    # for t in [t_min + 1, 0] (relative times t_min .. -1).
-    coefs.update(_fwl(panel, range(panel.t_min + 1, TREATMENT_DATE), mask))
-    return EventStudyEstimate("bjs", dict(sorted(coefs.items())), frozenset({panel.t_min - 1}))
+    beta = np.ldexp(np.concatenate([pre, tau.mean(axis=0)]), e)
+    coefs = dict(zip(range(panel.t_min, panel.t_max), beta.tolist()))
+    return EventStudyEstimate("bjs", coefs, frozenset({panel.t_min - 1}))

@@ -65,7 +65,9 @@ def _replicate_gaps(panel: PanelDataset, B: int, seed: int) -> np.ndarray:
 
     Replicate k draws its treated rows from stream 2k and its control rows
     from stream 2k + 1; only one replicate's indices and one block of
-    stream words exist at a time.
+    stream words exist at a time. Within a block, every treated mean is
+    taken before any control mean is subtracted, so each group's rows stay
+    in cache across its streams.
     """
     y1 = panel.outcomes[panel.treated]
     y0 = panel.outcomes[~panel.treated]
@@ -75,9 +77,18 @@ def _replicate_gaps(panel: PanelDataset, B: int, seed: int) -> np.ndarray:
         raise ValueError(f"replications={B}: the ({B}, {panel.n_periods}) bootstrap gap array"
                          f" needs {_size_text(8 * B * panel.n_periods)}, more than can be"
                          " allocated") from None
-    streams = (words for seeds in seed_blocks(seed, 2 * B) for words in pcg64_words(seeds))
-    for k in range(B):
-        gaps[k] = _resampled_mean(y1, next(streams)) - _resampled_mean(y0, next(streams))
+    start = 0
+    for seeds in seed_blocks(seed, 2 * B):
+        words = pcg64_words(seeds)
+        stop = start + len(words)
+        # Stream s belongs to replicate s // 2, as its treated draw when s is
+        # even. A block may start or end between a replicate's two streams;
+        # the treated stream always comes first.
+        for s in range(start + start % 2, stop, 2):
+            gaps[s // 2] = _resampled_mean(y1, words[s - start])
+        for s in range(start + 1 - start % 2, stop, 2):
+            gaps[s // 2] -= _resampled_mean(y0, words[s - start])
+        start = stop
     return gaps
 
 
