@@ -66,7 +66,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 _DGP_KEYS = tuple(f.name for f in fields(DgpConfig))
-# Monte Carlo draw k is seeded by derive_seed(master_seed, k), so no seed key.
+# Monte Carlo draw k is seeded by SeedSequence([master_seed, k]).generate_state(1,
+# np.uint64)[0] (dgp.stream_seeds), so no seed key.
 _MC_KEYS = tuple(k for k in _DGP_KEYS if k != "seed") + ("draws", "master_seed")
 _INT_KEYS = {"t_min", "t_max", "n_treated", "n_control", "seed", "draws", "master_seed"}
 # BootstrapConfig field -> the estimate flag that sets it.
@@ -250,19 +251,12 @@ def _cmd_plot(args) -> int:
             raise EmptyTable(f"no non-omitted coefficients for {tag}")
         overlay = _overlay_for(tag, gamma, tag_rows)
         if tag == "bjs" and args.split_bjs:
-            halves = [
-                ("pre", [p for p in points if p[0] < 0]),
-                ("post", [p for p in points if p[0] >= 0]),
-            ]
-            for part, part_points in halves:
-                if not part_points:
-                    continue
-                part_overlay = None
-                if overlay is not None:
-                    keep = (lambda r: r < 0) if part == "pre" else (lambda r: r >= 0)
-                    part_overlay = [(r, v) for r, v in overlay if keep(r)]
-                figures[_plot_path(args.out, tag, multi, part)] = event_study_svg(
-                    f"bjs ({part}-treatment)", part_points, part_overlay)
+            for part, keep in (("pre", lambda r: r < 0), ("post", lambda r: r >= 0)):
+                part_points = [p for p in points if keep(p[0])]
+                if part_points:
+                    part_overlay = None if overlay is None else [(r, v) for r, v in overlay if keep(r)]
+                    figures[_plot_path(args.out, tag, multi, part)] = event_study_svg(
+                        f"bjs ({part}-treatment)", part_points, part_overlay)
         else:
             figures[_plot_path(args.out, tag, multi)] = event_study_svg(tag, points, overlay)
     for path, svg in figures.items():

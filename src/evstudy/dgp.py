@@ -9,6 +9,8 @@ baseline construction, not of the data.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .panel import PanelDataset, check_outcome_bound
@@ -22,7 +24,18 @@ GENERATOR_ID = (
 )
 
 
-def draw_outcomes(config: DgpConfig, seeds: list[int]) -> np.ndarray:
+def _allocate(shape: tuple[int, ...], name: str, prefix: str = "") -> np.ndarray:
+    """``np.empty(shape)``, or a ValueError that the ``name`` array needs more than can be allocated."""
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
+        nbytes = 8 * math.prod(shape)
+        k = min(max(1, (nbytes.bit_length() - 1) // 10), 6)  # KiB .. EiB
+        raise ValueError(f"{prefix}the {shape} {name} array needs {nbytes / 1024**k:.1f}"
+                         f" {'KMGTPE'[k - 1]}iB, more than can be allocated") from None
+
+
+def draw_outcomes(config: DgpConfig, seeds: list[int], out: np.ndarray | None = None) -> np.ndarray:
     """The (len(seeds), n_treated + n_control, T) outcome matrices of the draws keyed by ``seeds``.
 
     Philox is counter-based, so a seed alone fixes its draw: draw d is the
@@ -30,25 +43,27 @@ def draw_outcomes(config: DgpConfig, seeds: list[int]) -> np.ndarray:
     block; seeds are below 2**64, as ``DgpConfig`` and ``stream_seeds``
     ensure. Each noise matrix is filled row-major with treated units first,
     which pins the draw order independent of any execution schedule.
-    ``config.seed`` is not read. Outcomes that overflow come back as inf or
+    ``config.seed`` is not read; the draws fill ``out`` if given (of that
+    shape), else a new array. Outcomes that overflow come back as inf or
     nan, unwarned, for the caller to reject.
     """
-    n = config.n_treated + config.n_control
+    if out is None:
+        n, T = config.n_treated + config.n_control, config.t_max - config.t_min + 1
+        out = _allocate((len(seeds), n, T), "outcome")
     times = np.arange(config.t_min, config.t_max + 1)
-    outcomes = np.empty((len(seeds), n, times.size))
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
-    for out, seed in zip(outcomes, seeds):
+    for row, seed in zip(out, seeds):
         # Re-keying the one generator leaves it as Philox(key=seed) would
         # start, without the entropy SeedSequence its constructor builds.
         bitgen.state = {"bit_generator": "Philox",
                         "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
                         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        rng.standard_normal(out=out)
+        rng.standard_normal(out=row)
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes *= config.error_sd
-        outcomes[:, : config.n_treated] += config.gamma * times
-    return outcomes
+        out *= config.error_sd
+        out[:, : config.n_treated] += config.gamma * times
+    return out
 
 
 def simulate(config: DgpConfig) -> PanelDataset:
@@ -80,8 +95,8 @@ _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 _POOL = 4
-# Streams derived per call: large enough to amortise the numpy calls, small
-# enough that memory does not grow with the number of draws or replicates.
+# Draws or replicates per stream_seeds call: large enough to amortise the
+# numpy calls, small enough that memory does not grow with their number.
 SEED_BLOCK = 1024
 
 
@@ -139,8 +154,9 @@ def _seed_sequence_state(entropy: list, n_words: int) -> np.ndarray:
 
 
 def stream_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
-    """``derive_seed(master_seed, k)`` for k in range(start, stop), as a uint64 array.
+    """Seeds of streams start..stop-1: ``SeedSequence([master_seed, k]).generate_state(1, np.uint64)[0]``.
 
+    Every Monte Carlo draw and bootstrap stream is seeded by this rule.
     SeedSequence reads k as one uint32 word per 32 bits, so the lanes are
     hashed in runs that share every word but the lowest: one run per
     multiple of 2**32 the range crosses.
@@ -159,12 +175,6 @@ def stream_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     return np.concatenate(runs)[:, 0]
 
 
-def seed_blocks(master_seed: int, count: int):
-    """``stream_seeds(master_seed, 0, count)`` as successive blocks of at most SEED_BLOCK."""
-    for start in range(0, count, SEED_BLOCK):
-        yield stream_seeds(master_seed, start, min(count, start + SEED_BLOCK))
-
-
 def pcg64_words(seeds: np.ndarray) -> np.ndarray:
     """(N, 4) ``SeedSequence(s).generate_state(4, np.uint64)`` of uint64 ``seeds``.
 
@@ -176,14 +186,3 @@ def pcg64_words(seeds: np.ndarray) -> np.ndarray:
     return _seed_sequence_state([(seeds & np.uint64(_MASK32)).astype(np.uint32),
                                  (seeds >> np.uint64(32)).astype(np.uint32)], 4)
 
-
-def derive_seed(master_seed: int, index: int) -> int:
-    """Seed for an independent stream k of a master seed.
-
-    SeedSequence([master_seed, k]).generate_state(1, np.uint64) is the
-    documented derivation rule for Monte Carlo draws and bootstrap
-    replicates; distinct (master, k) pairs yield statistically independent
-    streams regardless of schedule. One stream is cheapest by the rule
-    itself; ``stream_seeds`` derives a block of streams in one pass.
-    """
-    return int(np.random.SeedSequence([int(master_seed), int(index)]).generate_state(1, np.uint64)[0])

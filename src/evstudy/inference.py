@@ -3,16 +3,16 @@
 Units are resampled with replacement within their treatment group, so every
 replicate keeps the original group sizes and no replicate can lose a group.
 Replicate k draws its treated resample indices with
-np.random.default_rng(derive_seed(seed, 2k)) and its control indices with
-default_rng(derive_seed(seed, 2k + 1)); results are therefore reproducible
-and independent of any execution schedule. The stream seeds, and the PCG64
-words ``default_rng`` would hash from each, are derived a block at a time
-(``dgp.seed_blocks``, ``dgp.pcg64_words``): bit for bit the same streams,
-without two SeedSequence constructions per stream. Each replicate is
-reduced at once to its (T,) treated-minus-control gap, so the replicates
-take O(n + B * T) memory; the (B, T) gaps then go through
-``kernels.baseline_coefs`` as a point estimate's gap does, and one set of
-replicates serves every estimator of a call.
+np.random.default_rng(s_2k) and its control indices with
+default_rng(s_2k+1), s_i being stream i's seed ``SeedSequence([seed,
+i]).generate_state(1, np.uint64)[0]`` (``dgp.stream_seeds``), so results are
+reproducible and independent of any execution schedule. The seeds, and the
+PCG64 words ``default_rng`` would hash from each (``dgp.pcg64_words``), are
+derived a block of replicates at a time, without two SeedSequence
+constructions per stream. Each replicate is reduced at once to its (T,)
+treated-minus-control gap, so the replicates take O(n + B * T) memory; the
+(B, T) gaps then go through ``kernels.baseline_coefs`` as a point estimate's
+gap does, and one set of replicates serves every estimator of a call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import kernels
-from .dgp import pcg64_words, seed_blocks
+from .dgp import SEED_BLOCK, _allocate, pcg64_words, stream_seeds
 from .estimators import TAG_CODES, EventStudyEstimate, estimate_many
 from .panel import PanelDataset
 from .spec import BootstrapConfig
@@ -51,44 +51,25 @@ def _resampled_mean(y: np.ndarray, words: np.ndarray) -> np.ndarray:
     return np.bincount(idx, minlength=n) @ y / n
 
 
-def _size_text(nbytes: int) -> str:
-    size, unit = nbytes / 1024, "KiB"
-    for bigger in ("MiB", "GiB", "TiB", "PiB", "EiB"):
-        if size < 1024:
-            break
-        size, unit = size / 1024, bigger
-    return f"{size:.1f} {unit}"
-
-
 def _replicate_gaps(panel: PanelDataset, B: int, seed: int) -> np.ndarray:
     """(B, T) treated-minus-control gaps of B stratified resamples.
 
     Replicate k draws its treated rows from stream 2k and its control rows
     from stream 2k + 1; only one replicate's indices and one block of
-    stream words exist at a time. Within a block, every treated mean is
-    taken before any control mean is subtracted, so each group's rows stay
-    in cache across its streams.
+    SEED_BLOCK replicates' stream words exist at a time. Within a block,
+    every treated mean is taken before any control mean is subtracted, so
+    each group's rows stay in cache across its streams.
     """
     y1 = panel.outcomes[panel.treated]
     y0 = panel.outcomes[~panel.treated]
-    try:
-        gaps = np.empty((B, panel.n_periods))
-    except MemoryError:
-        raise ValueError(f"replications={B}: the ({B}, {panel.n_periods}) bootstrap gap array"
-                         f" needs {_size_text(8 * B * panel.n_periods)}, more than can be"
-                         " allocated") from None
-    start = 0
-    for seeds in seed_blocks(seed, 2 * B):
-        words = pcg64_words(seeds)
-        stop = start + len(words)
-        # Stream s belongs to replicate s // 2, as its treated draw when s is
-        # even. A block may start or end between a replicate's two streams;
-        # the treated stream always comes first.
-        for s in range(start + start % 2, stop, 2):
-            gaps[s // 2] = _resampled_mean(y1, words[s - start])
-        for s in range(start + 1 - start % 2, stop, 2):
-            gaps[s // 2] -= _resampled_mean(y0, words[s - start])
-        start = stop
+    gaps = _allocate((B, panel.n_periods), "bootstrap gap", f"replications={B}: ")
+    for lo in range(0, B, SEED_BLOCK):
+        hi = min(B, lo + SEED_BLOCK)
+        words = pcg64_words(stream_seeds(seed, 2 * lo, 2 * hi))
+        for gap, treated_words in zip(gaps[lo:hi], words[0::2]):
+            gap[:] = _resampled_mean(y1, treated_words)
+        for gap, control_words in zip(gaps[lo:hi], words[1::2]):
+            gap -= _resampled_mean(y0, control_words)
     return gaps
 
 

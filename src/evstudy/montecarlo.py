@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dgp import DgpConfig, draw_outcomes, seed_blocks
+from .dgp import SEED_BLOCK, DgpConfig, _allocate, draw_outcomes, stream_seeds
 from .estimators import TAG_CODES, UnknownEstimator
 from .oracle import population_curve
 
@@ -34,10 +34,10 @@ class McReport:
 def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) -> McReport:
     """Average each estimator over ``draws`` independent simulated panels.
 
-    Draw k has the outcomes ``simulate`` gives with seed
-    ``derive_seed(master_seed, k)``, the rule SeedSequence([master_seed, k]);
-    the seeds are derived a block at a time (``dgp.seed_blocks``) and the
-    draws drawn and reduced in blocks of at most BLOCK_CELLS outcome cells,
+    Draw k has the outcomes ``simulate`` gives with stream k's seed
+    ``SeedSequence([master_seed, k]).generate_state(1, np.uint64)[0]``
+    (``dgp.stream_seeds``), derived SEED_BLOCK draws at a time; the draws
+    are drawn and reduced in blocks of at most BLOCK_CELLS outcome cells,
     so memory does not grow with ``draws``. Each draw's coefficients are
     added to the sums in draw order, so the report is bit-identical to a
     draw-by-draw loop. Raises ValueError when the sums overflow.
@@ -51,23 +51,27 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
             raise UnknownEstimator(f"unknown estimator {tag!r}")
 
     codes = [TAG_CODES[tag] for tag in estimators]
-    n1 = dgp.n_treated
-    per_block = max(1, BLOCK_CELLS // ((n1 + dgp.n_control) * (dgp.t_max - dgp.t_min + 1)))
+    n1, n, T = dgp.n_treated, dgp.n_treated + dgp.n_control, dgp.t_max - dgp.t_min + 1
+    per_block = max(1, BLOCK_CELLS // (n * T))
+    # Every block of draws fills this buffer, allocated before anything sized by T.
+    block = _allocate((per_block, n, T), "outcome")
     r0 = dgp.t_min - 1  # column j holds relative time r0 + j
     population = {tag: population_curve(tag, dgp.gamma, dgp.t_min, dgp.t_max)
                   for tag in estimators}
     # The spread is summed about the population values (0 in omitted columns),
     # not about 0, so it keeps its digits however large the coefficients are.
-    pop = np.zeros((len(codes), dgp.t_max - dgp.t_min + 1))
+    pop = np.zeros((len(codes), T))
     for e, tag in enumerate(estimators):
         pop[e, [r - r0 for r in population[tag]]] = list(population[tag].values())
     total = np.zeros_like(pop)
     dev_sq = np.zeros_like(pop)
     # A design too large for float64 sums to inf or nan; that is rejected below, unwarned.
     with np.errstate(over="ignore", invalid="ignore"):
-        for seeds in seed_blocks(master_seed, draws):
-            for lo in range(0, seeds.size, per_block):
-                y = draw_outcomes(dgp, seeds[lo : lo + per_block].tolist())  # treated rows first
+        for start in range(0, draws, SEED_BLOCK):
+            seeds = stream_seeds(master_seed, start, min(draws, start + SEED_BLOCK)).tolist()
+            for lo in range(0, len(seeds), per_block):
+                part = seeds[lo : lo + per_block]
+                y = draw_outcomes(dgp, part, block[: len(part)])  # treated rows first
                 gaps = y[:, :n1].mean(axis=1) - y[:, n1:].mean(axis=1)
                 sel = kernels.baseline_coefs(gaps, -dgp.t_min)[codes]
                 dev = sel - pop[:, None]

@@ -12,18 +12,9 @@ reader fills typed columns (integer unit codes, times, flags and outcomes)
 one block at a time, which ``panel.panel_from_columns`` reads without a
 copy.
 
-The reader has two paths to those columns. ``_read_rows``, a loop over
-``csv.reader`` rows with ``int()`` and ``float()``, defines what a panel
-file may hold and words every error. ``_read_canonical`` takes a file only
-if the whole of it is canonical (printable ASCII with no spaces or quotes,
-CRLF line ends, no blank or over-long line), which ``write_panel_csv``
-writes for plain ids; it checks that before parsing anything, then parses
-blocks of at most 16,384 lines with ``np.loadtxt`` and declines the file
-if a field is one loadtxt rejects or warns about, a flag is not 0 or 1 or
-a unit id reaches 32 characters. The strict loop reads every declined file
-from the start. On the files it takes, the fast path gives the strict
-loop's columns, so it accepts nothing the strict loop rejects. It takes
-about 3.8 MiB beside the columns at a time.
+The reader has two paths to those columns, ``_read_canonical`` for the
+files ``write_panel_csv`` writes and the strict ``_read_rows`` for every
+other; ``read_panel_csv`` says how they share the work.
 """
 
 from __future__ import annotations
@@ -32,6 +23,7 @@ import csv
 import math
 import operator
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -109,6 +101,34 @@ def _csv_rows(reader):
         yield from reader
     except csv.Error as exc:
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+
+
+@contextmanager
+def _utf8_text(path):
+    """``path`` opened as UTF-8 text with its line ends kept; a byte that is
+    not UTF-8 raises a CsvFormatError naming the file and the byte's line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(_undecodable(path, exc)) from None
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> str:
+    """"path:line: ..." for the first byte of ``path`` that is not UTF-8, found in
+    its bytes as text files decode ahead: no UTF-8 character holds an LF, and
+    CR, LF and CRLF each end a line, as in text mode."""
+    line = 1
+    if os.path.isfile(path):  # a pipe cannot be read again
+        with open(path, "rb") as fh:
+            for raw in fh:
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    line += raw.count(b"\r", 0, bad.start)
+                    return f"{path}:{line}: byte {raw[bad.start]:#04x} is not UTF-8 ({bad.reason})"
+                line += 1 + raw.count(b"\r") - raw.endswith(b"\r\n")
+    return f"{path}: {exc}"
 
 
 # Bytes per chunk of the canonical check: a chunk, its copies cut at a line
@@ -242,7 +262,7 @@ def _read_rows(path):
     codes: dict[str, int] = {}
     units, times, treated, outcomes = _new_columns()
     extend_times = times.fromlist  # leaves times unchanged when it raises
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         header = next(_csv_rows(reader), None)
         if header is None or sorted(header) != sorted(PANEL_COLUMNS):
@@ -332,7 +352,7 @@ def read_estimate_table(path) -> list[TableRow]:
     once, a row with ``omitted=0`` needs a coefficient and a row with
     ``omitted=1`` carries no numbers.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         header = next(_csv_rows(reader), None)
         if header != ESTIMATE_COLUMNS:
@@ -372,7 +392,7 @@ def parse_config_file(path) -> dict[str, tuple[str, int]]:
     error naming both lines.
     """
     values: dict[str, tuple[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -26,3 +26,8 @@ def max_coef_diff(a, b) -> float:
     """Largest absolute difference between two coefficient maps on shared keys."""
     assert set(a.coefficients) == set(b.coefficients)
     return max(abs(a.coefficients[r] - b.coefficients[r]) for r in a.coefficients)
+
+
+def reference_seed(master_seed: int, index: int) -> int:
+    """Stream ``index``'s seed of ``master_seed`` by numpy's own SeedSequence."""
+    return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])

@@ -120,7 +120,7 @@ def test_montecarlo_flags_override_config_file(tmp_path, capsys):
     ("simulate", "gamma=0.25\ngama=0.9\n", 2, "gama"),
     ("simulate", "draws=3\n", 1, "draws"),
     ("montecarlo", "# design\ngamma=0.5\n\nmaster_sed=4\n", 4, "master_sed"),
-    # Draw k is seeded by derive_seed(master_seed, k); a seed key would be ignored.
+    # Draw k is seeded by stream k of master_seed; a seed key would be ignored.
     ("montecarlo", "draws=3\nseed=7\n", 2, "seed"),
 ])
 def test_config_unknown_key_exit_2(tmp_path, capsys, command, body, line, key):
@@ -344,6 +344,49 @@ def test_estimate_unallocatable_replications_exit_2(tmp_path, capsys):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"replications={10**14}: the ({10**14}, 26) bootstrap gap array needs 18.5 PiB" in err
+    assert not out.exists()
+
+
+# Outcome blocks of 1.8 and 14.2 PiB, beyond any 47-bit address space, so
+# each request fails at once, before anything else sized by the design.
+WIDE = f"(1, {10**13 + 50}, 26) outcome array needs 1.8 PiB"
+LONG = f"(1, 100, {2 * 10**13 + 1}) outcome array needs 14.2 PiB"
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("simulate", ["--n-treated", str(10**13)], WIDE),
+    ("montecarlo", ["--n-treated", str(10**13), "--draws", "2"], WIDE),
+    ("simulate", ["--t-min", str(-(10**13)), "--t-max", str(10**13)], LONG),
+    ("montecarlo", ["--t-min", str(-(10**13)), "--t-max", str(10**13), "--draws", "2"], LONG),
+], ids=["simulate-units", "montecarlo-units", "simulate-periods", "montecarlo-periods"])
+def test_unallocatable_design_exit_2(tmp_path, capsys, command, flags, message):
+    out = tmp_path / "out.csv"
+    assert main([command, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: the {message}, more than can be allocated"]
+    assert not out.exists()
+
+
+ESTIMATE_HEADER = b"estimator,relative_time,coefficient,std_error,ci_low,ci_high,omitted\r\n"
+
+
+@pytest.mark.parametrize("command, body, message", [
+    # past the text reader's decode-ahead chunks and the byte rescan's pieces
+    ("estimate", b"unit,time,treated,outcome\r\n" + b"a,-1,1,0.5\r\n" * 30000 + b"a,0,1,\xff1\r\n",
+     "30002: byte 0xff is not UTF-8 (invalid start byte)"),
+    ("plot", ESTIMATE_HEADER + b"twfe,-1,,,,,1\r\n\r\ntwfe,0,\xc3(,,,,0\r\n",
+     "4: byte 0xc3 is not UTF-8 (invalid continuation byte)"),
+    # LF, CRLF and CR each end a line
+    ("simulate", b"# design\ngamma=0.5\r\n\rn_treated=\xff3\n",
+     "4: byte 0xff is not UTF-8 (invalid start byte)"),
+], ids=["panel", "estimate-table", "config"])
+def test_undecodable_file_names_path_and_line(tmp_path, capsys, command, body, message):
+    path = tmp_path / "in.txt"
+    path.write_bytes(body)
+    out = tmp_path / "out"
+    source = ["--config", str(path)] if command == "simulate" else [str(path)]
+    assert main([command, *source, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:{message}"]
     assert not out.exists()
 
 

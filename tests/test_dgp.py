@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evstudy import DgpConfig, InvalidConfig, simulate
-from evstudy import dgp
-from evstudy.dgp import derive_seed, draw_outcomes, pcg64_words, seed_blocks, stream_seeds
+from evstudy.dgp import draw_outcomes, pcg64_words, stream_seeds
+from helpers import reference_seed
 
 
 def test_reproducible_bit_exact():
@@ -51,10 +51,10 @@ def test_invalid_config(bad):
         DgpConfig(**bad)
 
 
-def test_derive_seed_distinct_and_stable():
-    seeds = {derive_seed(7, k) for k in range(100)}
-    assert len(seeds) == 100
-    assert derive_seed(7, 3) == derive_seed(7, 3)
+def test_stream_seeds_distinct_and_stable():
+    seeds = stream_seeds(7, 0, 100).tolist()
+    assert len(set(seeds)) == 100
+    assert stream_seeds(7, 3, 4).tolist() == [seeds[3]]
 
 
 def test_monte_carlo_mean_converges():
@@ -64,7 +64,6 @@ def test_monte_carlo_mean_converges():
     draws = 2000
     t = 1
     total = 0.0
-    # derive_seed(11, k) for every k, derived in one pass
     for seed in stream_seeds(11, 0, draws).tolist():
         panel = simulate(DgpConfig(gamma=0.7, t_min=-2, t_max=1, n_treated=3,
                                    n_control=3, seed=seed))
@@ -74,10 +73,6 @@ def test_monte_carlo_mean_converges():
 
 
 # --- block seed derivation against numpy's SeedSequence -----------------------
-
-
-def _reference_seed(master_seed, index):
-    return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
 # A master seed of w uint32 words, w = 1..7; 0 is one word.
@@ -99,28 +94,20 @@ STARTS = st.one_of(st.integers(0, 5000), st.integers(2**32 - 60, 2**32 + 10),
 def test_stream_seeds_are_the_seed_sequence_rule(master_seed, start, count):
     got = stream_seeds(master_seed, start, start + count)
     assert got.dtype == np.uint64
-    assert got.tolist() == [_reference_seed(master_seed, k) for k in range(start, start + count)]
+    assert got.tolist() == [reference_seed(master_seed, k) for k in range(start, start + count)]
 
 
 @pytest.mark.parametrize("master_seed, index", [(0, 0), (7, 3), (2**32, 2**32 - 1),
                                                 (2**200, 2**32), (5, 2**64 + 7)])
-def test_derive_seed_is_the_seed_sequence_rule(master_seed, index):
-    assert derive_seed(master_seed, index) == _reference_seed(master_seed, index)
+def test_one_stream_seed_is_the_seed_sequence_rule(master_seed, index):
+    assert stream_seeds(master_seed, index, index + 1).tolist() == [reference_seed(master_seed, index)]
 
 
 def test_negative_seeds_and_indices_rejected():
     with pytest.raises(ValueError):
-        derive_seed(-1, 0)
+        stream_seeds(-1, 0, 2)
     with pytest.raises(ValueError):
         stream_seeds(0, -1, 2)
-
-
-def test_seed_blocks_split_the_streams_in_order(monkeypatch):
-    monkeypatch.setattr(dgp, "SEED_BLOCK", 3)
-    blocks = list(seed_blocks(2**40, 11))
-    assert [b.size for b in blocks] == [3, 3, 3, 2]
-    assert np.concatenate(blocks).tolist() == [_reference_seed(2**40, k) for k in range(11)]
-    assert list(seed_blocks(1, 0)) == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,12 +17,13 @@ from evstudy import (
     simulate,
     twfe_regression,
 )
-from evstudy import dgp, inference, kernels
+from evstudy import inference, kernels
 from evstudy.cli import main
-from evstudy.dgp import derive_seed, stream_seeds
+from evstudy.dgp import SEED_BLOCK, stream_seeds
 from evstudy.estimators import TAG_CODES, TAGS
 from evstudy.oracle import matching_base_spec
 from evstudy.panel import NonFiniteOutcome, panel_from_columns
+from helpers import reference_seed
 
 
 def small_panel(seed=4, sd=1.0):
@@ -113,7 +114,7 @@ def _gather_reps(panel, B, seed, n_pre=None):
     for k in range(B):
         means = []
         for stream, y in ((0, y1), (1, y0)):
-            rng = np.random.default_rng(derive_seed(seed, 2 * k + stream))
+            rng = np.random.default_rng(reference_seed(seed, 2 * k + stream))
             idx = rng.integers(0, y.shape[0], size=y.shape[0])
             means.append(y[idx].mean(axis=0))
         gaps.append(means[0] - means[1])
@@ -263,7 +264,7 @@ def test_estimate_all_draws_resamples_once(tmp_path, monkeypatch):
         derived.extend(range(start, stop))
         return stream_seeds(master_seed, start, stop)
 
-    monkeypatch.setattr(dgp, "stream_seeds", recording)
+    monkeypatch.setattr(inference, "stream_seeds", recording)
     panel_csv = tmp_path / "panel.csv"
     assert main(["simulate", "--n-treated", "4", "--n-control", "3", "--t-min", "-3",
                  "--t-max", "2", "--out", str(panel_csv)]) == 0
@@ -286,9 +287,8 @@ def _reference_gaps(panel, B, seed):
     for k in range(B):
         means = []
         for stream, y in ((2 * k, y1), (2 * k + 1, y0)):
-            stream_seed = int(np.random.SeedSequence([seed, stream]).generate_state(1, np.uint64)[0])
             n = y.shape[0]
-            idx = np.random.default_rng(stream_seed).integers(0, n, size=n)
+            idx = np.random.default_rng(reference_seed(seed, stream)).integers(0, n, size=n)
             means.append(np.bincount(idx, minlength=n) @ y / n)
         gaps[k] = means[0] - means[1]
     return gaps
@@ -309,10 +309,17 @@ def test_replicate_gaps_equal_one_default_rng_per_stream(n1, n0, t_min, t_max, B
 
 @pytest.mark.parametrize("block", [1, 3, 4])
 def test_replicate_gaps_do_not_depend_on_the_seed_block(monkeypatch, block):
-    # An odd block puts streams 2k and 2k + 1 in different blocks.
+    # 5 replicates in blocks of 1, 3 or 4: each size but 1 leaves a short last block.
     panel = _panel(3, 4, -2, 2, data_seed=6)
-    monkeypatch.setattr(dgp, "SEED_BLOCK", block)
+    monkeypatch.setattr(inference, "SEED_BLOCK", block)
     assert np.array_equal(inference._replicate_gaps(panel, 5, 2**70), _reference_gaps(panel, 5, 2**70))
+
+
+def test_replicate_gaps_across_real_seed_blocks():
+    # Two full blocks of SEED_BLOCK replicates and a last block of one.
+    panel = _panel(2, 3, -2, 1, data_seed=7)
+    B = 2 * SEED_BLOCK + 1
+    assert np.array_equal(inference._replicate_gaps(panel, B, 2**70), _reference_gaps(panel, B, 2**70))
 
 
 def test_replicate_gaps_equal_one_default_rng_per_stream_10k_units():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from evstudy import DgpConfig, PanelDataset, UnknownEstimator, run_mc, simulate
 from evstudy import dgp as dgp_module
 from evstudy import montecarlo
-from evstudy.dgp import derive_seed
 from evstudy.estimators import TAG_CODES
 from evstudy.kernels import coef_matrix
+from helpers import reference_seed
 
 SMALL = DgpConfig(gamma=0.5, t_min=-4, t_max=3, n_treated=10, n_control=10)
 ALL_TAGS = ["twfe", "cs_dcdh_default", "cs_dcdh_universal", "bjs"]
@@ -96,7 +96,7 @@ def _assert_is_the_draw_by_draw_report(report, dgp, master_seed):
     total = dev_sq = 0.0
     draws = report.draws
     for k in range(draws):
-        panel = simulate(replace(dgp, seed=derive_seed(master_seed, k)))
+        panel = simulate(replace(dgp, seed=reference_seed(master_seed, k)))
         sel = coef_matrix(panel.outcomes, panel.treated, panel.t_min)[codes]
         total = total + sel
         dev_sq = dev_sq + (sel - pop) * (sel - pop)
@@ -111,10 +111,10 @@ def _assert_is_the_draw_by_draw_report(report, dgp, master_seed):
 @pytest.mark.parametrize("draws_per_block, seed_block", [(1, 1024), (2, 5), (3, 4), (40, 7)])
 def test_blocks_do_not_change_the_report(monkeypatch, draws_per_block, seed_block):
     # 13 draws in fill blocks of 1, 2, 3 or 40 draws within seed blocks of 1024,
-    # 5, 4 or 7 streams: each size leaves a short last block.
+    # 5, 4 or 7 draws: each size leaves a short last block.
     dgp = DgpConfig(gamma=0.4, t_min=-3, t_max=2, n_treated=3, n_control=2, error_sd=0.9)
     monkeypatch.setattr(montecarlo, "BLOCK_CELLS", draws_per_block * 5 * 6 + 4)
-    monkeypatch.setattr(dgp_module, "SEED_BLOCK", seed_block)
+    monkeypatch.setattr(montecarlo, "SEED_BLOCK", seed_block)
     _assert_is_the_draw_by_draw_report(run_mc(dgp, ALL_TAGS, 13, 2**64 + 1), dgp, 2**64 + 1)
 
 
