@@ -238,6 +238,15 @@ def _cmd_plot(args) -> int:
         raise EmptyTable(f"no rows in {args.input}")
     if args.split_bjs and "bjs" not in by_tag:
         raise UsageError(f"--split-bjs needs bjs rows in {args.input}")
+    # An overlay has a point per relative time in its tag's span, so a jump,
+    # which estimate never writes, would make it as long as the jump.
+    if gamma is not None:
+        for tag, tag_rows in by_tag.items():
+            rel = sorted(row.relative_time for row in tag_rows)
+            gap = next(((a, b) for a, b in zip(rel, rel[1:]) if b > a + 1), None)
+            if gap:
+                raise CsvFormatError(f"{args.input}: {tag} relative times jump from {gap[0]}"
+                                     f" to {gap[1]}; --overlay-population needs them consecutive")
     multi = len(by_tag) > 1
     # Every figure is rendered before any is written, so an error writes none.
     figures: dict[Path, str] = {}
@@ -301,17 +310,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"usage error: {exc}"
     except UnknownEstimator as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"error: {exc}"
     except (PanelError, InvalidConfig, CsvFormatError, EmptyTable, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code, message = EXIT_VALIDATION, f"error: {exc}"
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_IO, f"i/o error: {exc}"
+    # One stderr line, also when the message quotes a unit id holding a line break.
+    print(message.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -5,13 +5,15 @@ over the inclusive integer range [t_min, t_max] with t_min <= -1 and
 t_max >= 1. Relative time is r = t - 1, so r < 0 is pre-treatment and
 r >= 0 is post-treatment.
 
-``panel_from_columns`` is the one place rows become a ``PanelDataset``:
-``validate_panel`` (rows as tuples) and ``tableio.read_panel_csv`` (rows
-as typed columns) both code their units to first-seen integers and call it.
+``panel_from_columns`` is the one place rows become a ``PanelDataset``.
+``validate_panel`` and ``tableio.read_panel_csv`` append each row, as they
+check it, to the typed columns of ``new_columns``, with units coded to
+first-seen integers; a time outside int64 fails at its row.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,26 +110,21 @@ def validate_panel(rows) -> PanelDataset:
     time; any gap or duplicate is an error. Idempotent: validating the rows
     of an emitted dataset reproduces it exactly.
     """
-    units, times, treated, outcomes = [], [], [], []
+    codes: dict[str, int] = {}
+    units, times, treated, outcomes = new_columns()
     for unit_id, time, d, y in rows:
-        units.append(str(unit_id))
-        times.append(_as_int_time(time))
+        unit, t = str(unit_id), _as_int_time(time)
+        try:
+            times.append(t)
+        except OverflowError:
+            raise UnbalancedPanel(f"unit {unit}: time {t} is outside int64") from None
         # ``in`` compares by value, so True, numpy ints and 1.0 pass; 0.5, nan and '1' do not.
         if d not in (0, 1):
-            raise InconsistentTreatment(f"unit {units[-1]}: treated={d!r} not 0/1")
-        treated.append(int(d))
+            raise InconsistentTreatment(f"unit {unit}: treated={d!r} not 0/1")
         outcomes.append(float(y))
-    codes: dict[str, int] = {}
-    unit_codes = _code_units(codes, units)
-    return panel_from_columns(list(codes), unit_codes, times, treated, outcomes)
-
-
-def _code_units(codes: dict[str, int], units) -> list[int]:
-    """The code of each of ``units``; ids not yet in ``codes`` get the next
-    codes in first-seen order, so ``list(codes)`` names the codes in order."""
-    for unit in dict.fromkeys(units):
-        codes.setdefault(unit, len(codes))
-    return list(map(codes.__getitem__, units))
+        units.append(codes.setdefault(unit, len(codes)))
+        treated.append(int(d))
+    return panel_from_columns(list(codes), units, times, treated, outcomes)
 
 
 def check_outcome_bound(outcomes: np.ndarray, t_min: int) -> None:
@@ -149,14 +146,21 @@ def check_outcome_bound(outcomes: np.ndarray, t_min: int) -> None:
         )
 
 
+def new_columns():
+    """Empty typed columns: unit codes and times as ``array('q')``, flags as a
+    ``bytearray``, outcomes as ``array('d')``, about 25 bytes a row. Appending
+    a time outside int64 raises OverflowError."""
+    return array("q"), array("q"), bytearray(), array("d")
+
+
 def panel_from_columns(names, units, times, treated, outcomes) -> PanelDataset:
     """Check row-aligned columns and gather them into a PanelDataset.
 
     Row r is unit ``names[units[r]]`` at time ``times[r]``, with treatment
     flag ``treated[r]`` (0/1) and outcome ``outcomes[r]``; unit codes number
-    the units in first-seen order. The columns may be lists or the typed
-    ``array('q')``, ``bytearray`` and ``array('d')`` the CSV reader fills,
-    which are read without a copy. Rows as many as the cells are scattered
+    the units in first-seen order, and every time fits int64. The columns
+    may be lists or those of ``new_columns``, which are read without a
+    copy. Rows as many as the cells are scattered
     into the outcome matrix by their cell index, so nothing sized by the
     time range is allocated unless the rows fill it; only a panel with a
     missing or repeated cell is sorted, to name the first one.
@@ -176,22 +180,19 @@ def panel_from_columns(names, units, times, treated, outcomes) -> PanelDataset:
     bad = np.flatnonzero(d != d[first][u])
     if bad.size:
         raise InconsistentTreatment(f"unit {names[u[bad[0]]]} switches treatment group")
-    try:
-        t = np.asarray(times, dtype=np.int64)
-    except OverflowError:  # a time beyond int64: the grid cannot be complete
-        t = np.array(times, dtype=object)
+    t = np.asarray(times, dtype=np.int64)
     t_min, t_max = int(t.min()), int(t.max())
     n_periods = t_max - t_min + 1
     # Rows as many as cells fill the grid unless a cell repeats and leaves a hole.
     if len(u) != n * n_periods:
-        raise _grid_fault(names, u, t, times, t_min, n_periods)
+        raise _grid_fault(names, u, t, t_min, n_periods)
     grid = np.full((n, n_periods), np.nan)
     cells = grid.ravel()
     for lo in range(0, len(u), _SCATTER_ROWS):
         rows = slice(lo, lo + _SCATTER_ROWS)
         cells[t[rows] - t_min + u[rows] * n_periods] = y[rows]
     if np.isnan(grid).any():
-        raise _grid_fault(names, u, t, times, t_min, n_periods)
+        raise _grid_fault(names, u, t, t_min, n_periods)
 
     is_treated = d[first]
     if is_treated.all() or not is_treated.any():
@@ -210,7 +211,7 @@ def panel_from_columns(names, units, times, treated, outcomes) -> PanelDataset:
     )
 
 
-def _grid_fault(names, u, t, times, t_min, n_periods) -> UnbalancedPanel:
+def _grid_fault(names, u, t, t_min, n_periods) -> UnbalancedPanel:
     """The first repeated cell in row order, else the first missing cell in unit order."""
     # Rows by (unit, time), ties in row order: a repeat follows its first copy.
     order = np.lexsort((t, u))
@@ -218,7 +219,7 @@ def _grid_fault(names, u, t, times, t_min, n_periods) -> UnbalancedPanel:
     bad = order[1:][(u_s[1:] == u_s[:-1]) & (t_s[1:] == t_s[:-1])]
     if bad.size:
         r = bad.min()
-        return UnbalancedPanel(f"duplicate cell {(names[u[r]], times[r])}")
+        return UnbalancedPanel(f"duplicate cell {(names[u[r]], int(t[r]))}")
     # A unit's k-th row is in place if its time is t_min + k; those rows are a prefix.
     k = np.arange(len(order)) - np.searchsorted(u_s, u_s)
     filled = np.bincount(u_s[t_s - t_min == k], minlength=len(names))

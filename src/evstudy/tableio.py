@@ -8,9 +8,8 @@ targets.
 
 Panel files take memory in proportion to their cells, not their rows'
 Python objects: the writer formats one block of units at a time, and the
-reader fills typed columns (integer unit codes, times, flags and outcomes)
-one block at a time, which ``panel.panel_from_columns`` reads without a
-copy.
+reader appends each row as it reads it to the typed columns of
+``panel.new_columns``, so a time outside int64 fails at its line.
 
 The reader has two paths to those columns, ``_read_canonical`` for the
 files ``write_panel_csv`` writes and the strict ``_read_rows`` for every
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .spec import CsvFormatError, NonIntegerTime
+from .spec import CsvFormatError, NonIntegerTime, UnbalancedPanel
 
 if TYPE_CHECKING:
     from .estimators import EventStudyEstimate
@@ -44,9 +43,9 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
-# Rows per block of the panel writer and reader: the Python objects of one
-# block are all that exist at a time beside the typed columns.
-_BLOCK_ROWS = 1 << 16
+# Rows per block of the panel writer: one block's lines are all that exist
+# at a time beside the panel.
+_BLOCK_ROWS = 1 << 12
 
 
 class _Echo:
@@ -205,10 +204,10 @@ def _read_canonical(path):
 
     import numpy as np
 
-    from .panel import _code_units
+    from .panel import new_columns
 
-    units, times, treated, outcomes = _new_columns()
     codes: dict[str, int] = {}
+    units, times, treated, outcomes = new_columns()
     with open(path, newline="", encoding="ascii") as fh:
         header = fh.readline()[:-2].split(",")
         if sorted(header) != sorted(PANEL_COLUMNS):
@@ -232,7 +231,7 @@ def _read_canonical(path):
             head_ids = ids[heads].tolist()
             if max(map(len, head_ids)) >= width:
                 return None
-            head_codes = _code_units(codes, [uid.decode() for uid in head_ids])
+            head_codes = [codes.setdefault(uid.decode(), len(codes)) for uid in head_ids]
             runs = np.diff(heads, append=len(block))
             units.frombytes(np.repeat(np.array(head_codes, dtype=np.int64), runs).tobytes())
             times.frombytes(block["time"].tobytes())
@@ -241,62 +240,43 @@ def _read_canonical(path):
     return list(codes), units, times, treated, outcomes
 
 
-def _new_columns():
-    """Empty typed columns: unit codes and times as ``array('q')``, flags as a
-    ``bytearray``, outcomes as ``array('d')``, about 25 bytes a row."""
-    # array loads here: estimate tables and configs do not need it
-    from array import array
-
-    return array("q"), array("q"), bytearray(), array("d")
-
-
 def _read_rows(path):
     """The typed columns of a panel file, read row by row through csv.
 
-    This loop defines what a panel file may hold. Each block of rows is
-    flushed into the typed columns, so memory grows by about 25 bytes per
+    This loop defines what a panel file may hold. Each row goes into the
+    typed columns as it is checked, so memory grows by about 25 bytes per
     row, not by Python objects.
     """
-    from .panel import _code_units
+    from .panel import new_columns
 
     codes: dict[str, int] = {}
-    units, times, treated, outcomes = _new_columns()
-    extend_times = times.fromlist  # leaves times unchanged when it raises
+    units, times, treated, outcomes = new_columns()
+    code, add_unit, add_time, add_flag, add_outcome = (
+        codes.setdefault, units.append, times.append, treated.append, outcomes.append)
     with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         header = next(_csv_rows(reader), None)
         if header is None or sorted(header) != sorted(PANEL_COLUMNS):
             raise CsvFormatError(f"expected columns {PANEL_COLUMNS}, got {header}")
         pick = operator.itemgetter(*map(header.index, PANEL_COLUMNS))
-        rows = filter(None, _csv_rows(reader))  # skips blank lines
-        while True:
-            u_blk, t_blk, d_blk, y_blk = [], [], [], []
-            for row in islice(rows, _BLOCK_ROWS):
-                if len(row) != len(PANEL_COLUMNS):
-                    raise CsvFormatError(f"line {reader.line_num}: wrong number of fields")
-                unit, time, d, y = pick(row)
-                try:
-                    t_blk.append(int(time))
-                except ValueError:
-                    raise NonIntegerTime(f"line {reader.line_num}: time {time!r}") from None
-                if d not in ("0", "1"):
-                    raise CsvFormatError(f"line {reader.line_num}: treated must be 0 or 1")
-                try:
-                    y_blk.append(float(y))
-                except ValueError:
-                    raise CsvFormatError(f"line {reader.line_num}: bad outcome {y!r}") from None
-                u_blk.append(unit)
-                d_blk.append(d == "1")
-            if not u_blk:
-                break
-            units.fromlist(_code_units(codes, u_blk))
+        for row in filter(None, _csv_rows(reader)):  # skips blank lines
+            if len(row) != len(PANEL_COLUMNS):
+                raise CsvFormatError(f"line {reader.line_num}: wrong number of fields")
+            unit, time, d, y = pick(row)
             try:
-                extend_times(t_blk)
-            except OverflowError:  # a time beyond int64; keep exact ints to name it
-                times = [*times, *t_blk]
-                extend_times = times.extend
-            treated += bytes(d_blk)
-            outcomes.fromlist(y_blk)
+                add_time(int(time))
+            except ValueError:
+                raise NonIntegerTime(f"line {reader.line_num}: time {time!r}") from None
+            except OverflowError:
+                raise UnbalancedPanel(f"line {reader.line_num}: time {time!r} is outside int64") from None
+            if d not in ("0", "1"):
+                raise CsvFormatError(f"line {reader.line_num}: treated must be 0 or 1")
+            try:
+                add_outcome(float(y))
+            except ValueError:
+                raise CsvFormatError(f"line {reader.line_num}: bad outcome {y!r}") from None
+            add_unit(code(unit, len(codes)))
+            add_flag(d == "1")
     return list(codes), units, times, treated, outcomes
 
 

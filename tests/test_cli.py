@@ -8,6 +8,8 @@ import pytest
 from evstudy import BootstrapConfig, DgpConfig, bootstrap_many, estimate_many, simulate
 from evstudy.cli import main
 from evstudy.tableio import (
+    ESTIMATE_COLUMNS,
+    PANEL_COLUMNS,
     estimate_table_rows,
     read_estimate_table,
     read_panel_csv,
@@ -570,6 +572,50 @@ def test_plot_overflowing_span_exit_2(tmp_path, capsys):
     assert main(["plot", str(table), "--out", str(out)]) == 2
     assert "twfe: the padded y-axis span overflows" in capsys.readouterr().err
     assert not out.exists()
+
+
+TABLE_HEADER = "estimator,relative_time,coefficient,std_error,ci_low,ci_high,omitted\n"
+
+
+def test_plot_overlay_on_a_relative_time_jump_exit_2(tmp_path, capsys):
+    # One polyline point per relative time of the span would be 100,001 points.
+    table = tmp_path / "e.csv"
+    table.write_text(TABLE_HEADER + "twfe,-1,,,,,1\ntwfe,0,0.5,,,,0\ntwfe,100000,1.5,,,,0\n")
+    out = tmp_path / "fig.svg"
+    assert main(["plot", str(table), "--overlay-population", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {table}: twfe relative times jump from 0 to 100000;"
+                   " --overlay-population needs them consecutive\n")
+    assert not list(tmp_path.glob("*.svg"))
+    assert main(["plot", str(table), "--out", str(out)]) == 0  # points alone are fine
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["estimate", "{panel}", "--bjs-pre", "9"], 3, "--bjs-pre must be in [1, 3] for this panel"),
+    (["estimate", "{panel}", "--estimator", "twfe,,bjs"], 0, None),
+    (["plot", "{omitted}"], 2, "no non-omitted coefficients for twfe"),
+    (["plot", "{header}"], 2, f"expected columns {ESTIMATE_COLUMNS}, got ['estimator', 'r']"),
+    (["plot", "{panel}"], 2, f"expected columns {ESTIMATE_COLUMNS}, got {PANEL_COLUMNS}"),
+    (["simulate", "--config", "{config}"], 2, "c.cfg:1: expected key=value, got 'gamma 0.5'"),
+], ids=["bjs-pre-beyond-t-min", "empty-estimator-item", "only-omitted-rows", "table-header",
+        "panel-as-table", "config-line-without-equals"])
+def test_rarely_taken_branches(tmp_path, capsys, argv, code, message):
+    files = {"panel": GOLDEN / "panel_small.csv", "omitted": tmp_path / "omitted.csv",
+             "header": tmp_path / "header.csv", "config": tmp_path / "c.cfg"}
+    files["omitted"].write_text(TABLE_HEADER + "twfe,-1,,,,,1\n")
+    files["header"].write_text("estimator,r\ntwfe,0\n")
+    files["config"].write_text("gamma 0.5\n")
+    out = tmp_path / "out" / "o.csv"
+    out.parent.mkdir()
+    argv = [arg.format(**files) for arg in argv]
+    assert main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == ""
+        assert out.exists()
+    else:
+        assert err.count("\n") == 1 and message in err
+        assert not any(out.parent.iterdir())
 
 
 def test_plot_deterministic(tmp_path):

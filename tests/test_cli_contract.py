@@ -1,0 +1,117 @@
+"""The CLI contract under fuzzing.
+
+argv is drawn from ``build_parser()``'s own commands and flags, with values
+from a pool of edge tokens, over malformed panel files and estimate tables.
+Whatever is drawn, ``main`` returns 0, 2, 3 or 4, raises nothing, writes at
+most one line to stderr and no warning, and a failed command leaves no
+output file.
+"""
+
+import argparse
+import io
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from evstudy.spec import TAGS
+from evstudy.cli import build_parser, main
+from evstudy.tableio import write_panel_csv
+
+from helpers import make_fuzz_panel
+from test_panel import PERTURBATIONS
+
+# Flag values. Each design they make is small (the defaults below), invalid,
+# or, through 2**64, beyond any address space, so no example allocates much.
+EDGE_TOKENS = ["0", "-1", "-1e-3", str(2**64), "1e308", "nan", "-inf", "", "abc"]
+# A small design the drawn flags override (argparse keeps a flag's last value).
+SMALL_DESIGN = ["--n-treated", "3", "--n-control", "2", "--t-min", "-3", "--t-max", "2"]
+DEFAULTS = {"simulate": SMALL_DESIGN, "montecarlo": [*SMALL_DESIGN, "--draws", "5"]}
+CONFIGS = {
+    "small.cfg": "n_treated = 3\nn_control = 2\n",
+    "no_equals.cfg": "gamma 0.5\n",
+    "unknown_key.cfg": "delta = 1\n",
+    "bad_value.cfg": "gamma = abc\n",
+}
+TABLE_HEADER = "estimator,relative_time,coefficient,std_error,ci_low,ci_high,omitted\n"
+# Estimate tables, and a panel whose error message quotes a unit id holding a line break.
+FILES = {
+    "table.csv": TABLE_HEADER + "twfe,-2,0.25,0.5,-0.75,1.25,0\ntwfe,-1,,,,,1\n"
+                                "twfe,0,1.5,0.5,0.5,2.5,0\nbjs,0,1.0,,,,0\nbjs,1,2.0,,,,0\n",
+    "gap_table.csv": TABLE_HEADER + "twfe,-1,,,,,1\ntwfe,0,0.5,,,,0\ntwfe,7,1.5,,,,0\n",
+    "line_break_id.csv": "unit,time,treated,outcome\n" + "".join(
+        f'"a\nb",{t},{t % 2},0\nc,{t},0,0\n' for t in (-1, 0, 1)),
+}
+PANELS = [f"panel_{k}.csv" for k in range(len(PERTURBATIONS))]
+
+PARSER = build_parser()
+COMMANDS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def value_pool(action) -> list[str]:
+    """The values drawn for a flag: edge tokens, plus its choices or files."""
+    if action.dest == "config":
+        return [*EDGE_TOKENS, *(f"@{name}" for name in CONFIGS)]
+    if action.dest == "estimator":
+        return [*EDGE_TOKENS, *TAGS, "all", "twfe,,bjs"]
+    if action.dest == "draws":
+        # montecarlo streams its draws in bounded memory, so 2**64 draws
+        # would run for ever rather than fail
+        return [token for token in EDGE_TOKENS if token != str(2**64)]
+    return [*EDGE_TOKENS, *(action.choices or ())]
+
+
+@st.composite
+def argvs(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    actions = [a for a in COMMANDS[name]._actions if a.dest not in ("help", "out")]
+    argv = [name, *DEFAULTS.get(name, [])]
+    if any(not a.option_strings for a in actions):  # the input file
+        inputs = [*PANELS, *FILES]
+        argv.append(draw(st.sampled_from([*(f"@{f}" for f in inputs), *EDGE_TOKENS])))
+    flags = [a for a in actions if a.option_strings]
+    for action in draw(st.lists(st.sampled_from(flags), max_size=4)):
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            argv.append(draw(st.sampled_from(value_pool(action))))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Paths by "@name": the perturbed panel files of test_panel, the tables
+    and the configs."""
+    folder = tmp_path_factory.mktemp("inputs")
+    for k, (_, perturb, _) in enumerate(PERTURBATIONS):
+        rng = np.random.default_rng(k)
+        path = folder / PANELS[k]
+        write_panel_csv(make_fuzz_panel(rng), path)
+        lines = path.read_bytes().decode("utf-8").splitlines(keepends=True)
+        perturb(lines, int(rng.integers(1, len(lines))))
+        path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+    for name, text in {**CONFIGS, **FILES}.items():
+        (folder / name).write_text(text)
+    return {f"@{name}": str(folder / name) for name in [*PANELS, *FILES, *CONFIGS]}
+
+
+@given(argv=argvs())
+@example(argv=["estimate", "@line_break_id.csv"])
+@example(argv=["plot", "@gap_table.csv", "--overlay-population", "0.5"])
+@settings(max_examples=250, deadline=None)
+def test_any_argv_keeps_the_exit_code_contract(tmp_path_factory, inputs, argv):
+    out = tmp_path_factory.mktemp("out") / "out.csv"
+    argv = [inputs.get(arg, arg) for arg in argv]
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr), \
+            redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 2, 3, 4)
+    assert err.count("\n") <= 1 and err.endswith("\n") == (err != "")
+    assert not caught
+    if code != 0:
+        assert not any(out.parent.iterdir())
