@@ -100,7 +100,9 @@ class _FixedEffects:
     S = diag(c_T) - W' diag(1/c_n) W, where W is the 0/1 cell matrix and
     c_n, c_T count its cells per unit and per period. S and its rank check
     depend on the mask alone, so they are built once and serve every layer
-    fitted over that mask.
+    fitted over that mask. A layer enters the fit only through its sums
+    over the mask per unit and per period, so ``effects`` fits any number
+    of layers from their sums with one solve.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -113,20 +115,25 @@ class _FixedEffects:
         if np.linalg.matrix_rank(self.S) < self.S.shape[0]:
             raise SingularDesign("fixed-effects normal equations are rank deficient")
 
+    def effects(self, unit_sums: np.ndarray, period_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``alpha`` (n, k) and ``lam`` (T, k) of k layers from their sums over the mask.
+
+        Column l of ``unit_sums`` (n, k) and of ``period_sums`` (T, k) holds
+        layer l's sums per unit and per period over the mask's cells.
+        """
+        rhs = period_sums - self.w.T @ (unit_sums / self.c_n[:, None])
+        lam = np.zeros(rhs.shape)
+        lam[1:] = np.linalg.solve(self.S, rhs[1:])
+        alpha = self.w @ lam
+        np.subtract(unit_sums, alpha, out=alpha)
+        alpha /= self.c_n[:, None]
+        return alpha, lam
+
     def fit(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``alpha`` of shape (n,) and ``lam`` of shape (T,) of the (n, T) layer ``z``."""
         zw = z * self.w
-        unit_sums = zw.sum(axis=1)
-        rhs = zw.sum(axis=0) - (unit_sums / self.c_n) @ self.w
-        lam = np.zeros(rhs.shape)
-        lam[1:] = np.linalg.solve(self.S, rhs[1:])
-        alpha = (unit_sums - self.w @ lam) / self.c_n
-        return alpha, lam
-
-    def residual(self, z: np.ndarray) -> np.ndarray:
-        """The (n, T) layer ``z`` with its effects partialled out; 0 off the mask."""
-        alpha, lam = self.fit(z)
-        return (z - alpha[:, None] - lam) * self.w
+        alpha, lam = self.effects(zw.sum(axis=1)[:, None], zw.sum(axis=0)[:, None])
+        return alpha[:, 0], lam[:, 0]
 
 
 def _scaled_outcomes(panel: PanelDataset) -> tuple[np.ndarray, int]:
@@ -140,32 +147,55 @@ def _scaled_outcomes(panel: PanelDataset) -> tuple[np.ndarray, int]:
     return np.ldexp(panel.outcomes, -e), e
 
 
+def _projection(fe: _FixedEffects, treated: np.ndarray, cols: list[int],
+                y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X'MX, X'My, counts) for the indicators D_j = treated x e_cols[j] over ``fe``'s cells.
+
+    M is the projection off the fixed effects and ``counts`` the number of
+    cells of each D_j. D_j's unit sums over the mask are column cols[j] of
+    the treated rows of W, and its only period sum is counts[j], at
+    cols[j]; with y's own sums these give the effects of y and of every
+    D_j from one ``effects`` solve, and no (n, T) layer of any D_j is
+    built. D_i' M z = D_i' z - sum of alpha_z over D_i's cells -
+    counts[i] * lam_z[cols[i]], which reads X'MX and X'My off the (n, 1 + K)
+    unit effects and the K rows of period effects at ``cols``.
+    """
+    d = treated.astype(float)
+    k = len(cols)
+    # Column 0 holds y's sums, column 1 + j D_j's. Indexing W at column 0
+    # too gives the block its shape; y's unit sums overwrite that column.
+    unit_sums = fe.w[:, [0, *cols]]
+    unit_sums *= d[:, None]
+    counts = unit_sums[:, 1:].sum(axis=0)
+    yw = y * fe.w
+    unit_sums[:, 0] = yw.sum(axis=1)
+    period_sums = np.zeros((y.shape[1], 1 + k))
+    period_sums[:, 0] = yw.sum(axis=0)
+    period_sums[cols, range(1, 1 + k)] = counts
+    direct = np.zeros((k, 1 + k))  # D_i' y and D_i' D_j over the mask
+    direct[:, 0] = (d @ yw)[cols]
+    direct[:, 1:] = np.diag(counts)
+    del yw
+    alpha, lam = fe.effects(unit_sums, period_sums)
+    proj = direct - (unit_sums.T @ alpha)[1:] - counts[:, None] * lam[cols]
+    return proj[:, 1:], proj[:, 0], counts
+
+
 def _fwl(panel: PanelDataset, periods, fe: _FixedEffects, y: np.ndarray) -> np.ndarray:
     """Event-time coefficients of a least-squares fit of ``y`` over the cells of ``fe``.
 
     ``y`` is regressed on unit effects, period effects and the indicator
     D_j = treated x period t_j for each t_j in ``periods``; the result is
-    the indicators' coefficients in that order. Frisch-Waugh-Lovell: the
-    effects are partialled out of ``y`` and of one D_j at a time, M being
-    the projection off the effects, and the K x K normal equations
-    X'MX beta = X'My are solved. Entry (i, j) of X'MX is D_i' M D_j, the
-    treated rows' sum of D_j's residual at period t_i, and X'My is read off
-    the residual of ``y`` the same way, so only one (n, T) layer exists at a
-    time.
+    the indicators' coefficients in that order. Frisch-Waugh-Lovell: with M
+    the projection off the effects, the K x K normal equations
+    X'MX beta = X'My are solved, their entries taken from one batched fit
+    of y and all K indicators (``_projection``) in O(n K) memory.
     """
     cols = [panel.period_index(t) for t in periods]
-    treated = panel.treated.astype(float)
-    xtmy = (treated @ fe.residual(y))[cols]
-    xtmx = np.empty((len(cols), len(cols)))
-    d = np.zeros(y.shape)
-    for j, col in enumerate(cols):
-        d[:, col] = treated
-        xtmx[:, j] = (treated @ fe.residual(d))[cols]
-        d[:, col] = 0.0
+    xtmx, xtmy, counts = _projection(fe, panel.treated, cols, y)
     # D_i is 0/1, so X'MX is on the scale of the indicators' cell counts; a
     # tolerance relative to X'MX itself would accept a matrix of round-off,
     # as when every unit is treated and the period effects absorb each D_j.
-    counts = (treated @ fe.w)[cols]
     tol = len(cols) * np.finfo(float).eps * counts.max(initial=0.0)
     if np.linalg.matrix_rank(xtmx, tol=tol) < len(cols):
         raise SingularDesign("event-time design is rank deficient given the fixed effects")

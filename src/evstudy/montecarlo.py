@@ -14,6 +14,10 @@ from .oracle import population_curve
 # Outcome cells drawn per block: the draws of a block share one pass of the
 # scaling, the group means and the baseline transform, in bounded memory.
 BLOCK_CELLS = 2**16
+# The most outcome cells (draws x units x periods) one run may draw: at about
+# 20 ns a cell, some 6 hours. Memory does not grow with the draws, so without
+# this limit a huge --draws would run on without a word.
+MAX_CELLS = 2**40
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,8 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
     are drawn and reduced in blocks of at most BLOCK_CELLS outcome cells,
     so memory does not grow with ``draws``. Each draw's coefficients are
     added to the sums in draw order, so the report is bit-identical to a
-    draw-by-draw loop. Raises ValueError when the sums overflow.
+    draw-by-draw loop. Raises ValueError when the sums overflow, or when
+    draws x units x periods exceeds MAX_CELLS.
     """
     if draws < 2:
         raise ValueError("need at least 2 Monte Carlo draws")
@@ -55,6 +60,10 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
     per_block = max(1, BLOCK_CELLS // (n * T))
     # Every block of draws fills this buffer, allocated before anything sized by T.
     block = _allocate((per_block, n, T), "outcome")
+    # Checked after the allocation, so a block that cannot be allocated is named by its size.
+    if draws * n * T > MAX_CELLS:
+        raise ValueError(f"draws x units x periods = {draws} x {n} x {T} is more than"
+                         f" the limit of 2**40 drawn outcome cells")
     r0 = dgp.t_min - 1  # column j holds relative time r0 + j
     population = {tag: population_curve(tag, dgp.gamma, dgp.t_min, dgp.t_max)
                   for tag in estimators}

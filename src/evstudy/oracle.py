@@ -3,17 +3,20 @@
 The population functions give each estimator's probability limit under the
 linear-trend-violation DGP (treated trend gamma per period, no effects).
 ``brute_force_did`` recomputes any single coefficient from plain sums over
-the panel's rows, with no code shared with the estimators module, so the two
-can falsify each other in tests. It makes one pass over a panel's rows,
-collecting every (period, group) sum and each group's mean of unit
-pre-period averages, and answers each coefficient by lookup; the pass of
-the last panel asked about is cached, keyed on that object's identity
-through a weak reference.
+the panel's outcomes, with no code shared with the estimators module and no
+numpy, so the two can falsify each other in tests. It makes one pass over a
+panel's units, reading each unit's outcomes as one list and adding it into
+its group's per-period totals and pre-period mean, and answers each
+coefficient by lookup; the pass of the last panel asked about is cached,
+keyed on that object's identity through a weak reference. Every sum adds in
+the order of a literal row-by-row scan, so every value is bit-identical to
+one, in O(T) memory beside the panel.
 """
 
 from __future__ import annotations
 
 import weakref
+from operator import add
 from typing import TYPE_CHECKING
 
 from .spec import TimeOutOfRange
@@ -81,61 +84,65 @@ _last_scan = None
 
 
 def _scan(panel: PanelDataset):
-    """(periods, cells, pre) of ``panel`` from one pass over its rows.
+    """``_tally(panel)``, cached for the last panel asked about.
 
-    ``cells`` maps (period, group) to the (total, count) of its outcomes and
-    ``pre`` maps each group to the (sum, count) of its units' means over
-    t <= 0. Sums are divided at lookup, so an empty group raises as a
-    per-call scan would. Rows are added in unit-major order from 0.0, the
-    order of a literal per-cell scan, so every value is bit-identical to it.
-    The last panel's result is cached, keyed on the panel's identity through
-    a weak reference: panels are immutable, and a dead reference never
-    matches.
+    The cache is keyed on the panel's identity through a weak reference:
+    panels are immutable, and a dead reference never matches.
     """
     global _last_scan
     last = _last_scan
     if last is not None and last[0]() is panel:
         return last[1]
-    cells: dict[tuple[int, int], list] = {}
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    groups: dict[str, int] = {}
-    for uid, time, treat, y in panel.to_rows():
-        cell = cells.setdefault((time, treat), [0.0, 0])
-        cell[0] += y
-        cell[1] += 1
-        groups[uid] = treat
-        if time <= 0:
-            # Group means of unit-level averages over t <= 0.
-            sums[uid] = sums.get(uid, 0.0) + y
-            counts[uid] = counts.get(uid, 0) + 1
-    pre = {}
-    for d in (0, 1):
-        vals = [sums[u] / counts[u] for u in sums if groups[u] == d]
-        pre[d] = (sum(vals), len(vals))
-    scan = (sorted({t for t, _ in cells}), cells, pre)
+    scan = _tally(panel)
     _last_scan = (weakref.ref(panel), scan)
     return scan
 
 
+def _tally(panel: PanelDataset):
+    """(times, totals, units, pre) of ``panel`` from one pass over its units.
+
+    ``totals[d]`` lists group d's outcome total at each period and
+    ``units[d]`` counts its units, which is each period's count in a
+    balanced panel; ``pre[d]`` is the total of group d's unit means over
+    t <= 0. Each unit's outcomes are read as one list, and sums are divided
+    at lookup, so an empty group raises as a per-call scan would. Every sum
+    starts from 0.0 and adds one value at a time in unit-major, then time,
+    order, the order of a literal per-cell scan over the rows, so every value
+    is bit-identical to it.
+    """
+    times = range(panel.t_min, panel.t_max + 1)
+    n_pre = 1 - panel.t_min  # periods t_min .. 0
+    totals = [[0.0] * len(times), [0.0] * len(times)]
+    units = [0, 0]
+    pre = [0.0, 0.0]
+    for d, row in zip(panel.treated.tolist(), panel.outcomes):
+        ys = row.tolist()
+        totals[d] = list(map(add, totals[d], ys))
+        units[d] += 1
+        unit_sum = 0.0
+        for y in ys[:n_pre]:
+            unit_sum += y
+        pre[d] += unit_sum / n_pre
+    return times, totals, units, pre
+
+
 def brute_force_did(panel: PanelDataset, r_target: int, base_spec) -> float:
-    """DiD for relative time ``r_target`` from plain sums over the panel's rows.
+    """DiD for relative time ``r_target`` from plain sums over the panel's outcomes.
 
     ``base_spec`` is one of ``("period", t0)``, ``("pre_mean",)`` or
     ``("prior_period",)``. Deliberately shares no code with the estimators:
-    one pass over the row list accumulates every (period, group) sum and
-    every unit's pre-period sum in plain dicts, and each call is a lookup.
+    one pass over the units accumulates every (period, group) total and
+    every unit's pre-period mean in plain lists, and each call is a lookup.
     Only the last panel's pass is kept (see ``_scan``), so asking for every
-    coefficient of one panel scans its rows once.
+    coefficient of one panel passes over its units once.
     """
-    times, cells, pre = _scan(panel)
+    times, totals, units, pre = _scan(panel)
     t_hi = r_target + 1
     if t_hi not in times:
         raise TimeOutOfRange(f"period {t_hi} not in panel")
 
     def mean_at(t, d):
-        total, count = cells.get((t, d), (0.0, 0))
-        return total / count
+        return totals[d][t - times.start] / units[d]
 
     kind = base_spec[0]
     if kind == "period":
@@ -149,8 +156,7 @@ def brute_force_did(panel: PanelDataset, r_target: int, base_spec) -> float:
             raise TimeOutOfRange(f"base period {t0} not in panel")
         base = mean_at(t0, 1) - mean_at(t0, 0)
     elif kind == "pre_mean":
-        (s1, n1), (s0, n0) = pre[1], pre[0]
-        base = s1 / n1 - s0 / n0
+        base = pre[1] / units[1] - pre[0] / units[0]
     else:
         raise ValueError(f"unknown base spec {base_spec!r}")
 

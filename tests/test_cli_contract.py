@@ -57,10 +57,6 @@ def value_pool(action) -> list[str]:
         return [*EDGE_TOKENS, *(f"@{name}" for name in CONFIGS)]
     if action.dest == "estimator":
         return [*EDGE_TOKENS, *TAGS, "all", "twfe,,bjs"]
-    if action.dest == "draws":
-        # montecarlo streams its draws in bounded memory, so 2**64 draws
-        # would run for ever rather than fail
-        return [token for token in EDGE_TOKENS if token != str(2**64)]
     return [*EDGE_TOKENS, *(action.choices or ())]
 
 
@@ -100,6 +96,7 @@ def inputs(tmp_path_factory):
 @given(argv=argvs())
 @example(argv=["estimate", "@line_break_id.csv"])
 @example(argv=["plot", "@gap_table.csv", "--overlay-population", "0.5"])
+@example(argv=["montecarlo", *DEFAULTS["montecarlo"], "--draws", str(2**64)])
 @settings(max_examples=250, deadline=None)
 def test_any_argv_keeps_the_exit_code_contract(tmp_path_factory, inputs, argv):
     out = tmp_path_factory.mktemp("out") / "out.csv"

@@ -33,6 +33,15 @@ def test_too_few_draws():
         run_mc(SMALL, ["twfe"], draws=1, master_seed=0)
 
 
+def test_too_many_drawn_cells(monkeypatch):
+    with pytest.raises(ValueError, match=r"= 18446744073709551616 x 20 x 8 is more than the limit of 2\*\*40"):
+        run_mc(SMALL, ["twfe"], draws=2**64, master_seed=0)
+    monkeypatch.setattr(montecarlo, "MAX_CELLS", 3 * 20 * 8)  # SMALL has 20 units, 8 periods
+    assert run_mc(SMALL, ["twfe"], draws=3, master_seed=0).draws == 3
+    with pytest.raises(ValueError, match="limit"):
+        run_mc(SMALL, ["twfe"], draws=4, master_seed=0)
+
+
 def test_zero_gamma_means_near_zero():
     cfg = DgpConfig(gamma=0.0, t_min=-4, t_max=3, n_treated=10, n_control=10)
     report = run_mc(cfg, ALL_TAGS, draws=500, master_seed=5)
