@@ -10,11 +10,12 @@ in the baseline used for each relative time r (period t = r + 1):
   * ``bjs``              -- pre periods compared to the earliest period, post
     periods to the unit-level pre-treatment mean; earliest r omitted.
 
-The closed forms are rows of ``kernels.coef_matrix``; the rules themselves
-are written once, in ``kernels.baseline_coefs``. ``twfe_regression`` and
-``bjs_imputation`` run the genuine least-squares / imputation algorithms and
-must agree with the closed forms; the tests use that agreement as a
-cross-check.
+The closed forms are rows of ``kernels.coef_matrix``, in ``spec.TAGS`` order
+(``kernels.tag_rows``); the rules themselves are written once, in
+``kernels.baseline_coefs``. ``twfe_regression`` and ``bjs_imputation`` run
+the genuine least-squares / imputation algorithms, each with one
+fixed-effects solve, and must agree with the closed forms; the tests use
+that agreement as a cross-check.
 """
 
 from __future__ import annotations
@@ -26,13 +27,6 @@ import numpy as np
 from . import kernels
 from .panel import TREATMENT_DATE, PanelDataset
 from .spec import TAGS, UnknownEstimator
-
-TAG_CODES = {
-    "twfe": kernels.TWFE,
-    "cs_dcdh_default": kernels.CS_DEFAULT,
-    "cs_dcdh_universal": kernels.CS_UNIVERSAL,
-    "bjs": kernels.BJS,
-}
 
 
 class SingularDesign(RuntimeError):
@@ -62,9 +56,7 @@ def estimate_many(panel: PanelDataset, tags: list[str], n_pre: int | None = None
     BJS pre coefficients, the earlier periods pooling into the BJS pre
     baseline; it needs ``bjs`` among ``tags`` and leaves the others as they are.
     """
-    for tag in tags:
-        if tag not in TAG_CODES:
-            raise UnknownEstimator(f"unknown estimator {tag!r}; choose from {TAGS}")
+    rows = kernels.tag_rows(tags)
     if n_pre is not None:
         if "bjs" not in tags:
             raise ValueError("n_pre applies to the bjs estimator only")
@@ -73,8 +65,7 @@ def estimate_many(panel: PanelDataset, tags: list[str], n_pre: int | None = None
     mat = kernels.coef_matrix(panel.outcomes, panel.treated, panel.t_min, n_pre)
     rel_times = range(panel.t_min - 1, panel.t_max)
     out = []
-    for tag in tags:
-        row = mat[TAG_CODES[tag]]
+    for tag, row in zip(tags, mat[rows]):
         coefs = {r: float(v) for r, v in zip(rel_times, row) if not np.isnan(v)}
         omitted = frozenset(r for r, v in zip(rel_times, row) if np.isnan(v))
         out.append(EventStudyEstimate(tag, coefs, omitted))
@@ -129,12 +120,6 @@ class _FixedEffects:
         alpha /= self.c_n[:, None]
         return alpha, lam
 
-    def fit(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``alpha`` of shape (n,) and ``lam`` of shape (T,) of the (n, T) layer ``z``."""
-        zw = z * self.w
-        alpha, lam = self.effects(zw.sum(axis=1)[:, None], zw.sum(axis=0)[:, None])
-        return alpha[:, 0], lam[:, 0]
-
 
 def _scaled_outcomes(panel: PanelDataset) -> tuple[np.ndarray, int]:
     """(outcomes * 2**-e, e), every scaled outcome below 1 in magnitude.
@@ -147,16 +132,16 @@ def _scaled_outcomes(panel: PanelDataset) -> tuple[np.ndarray, int]:
     return np.ldexp(panel.outcomes, -e), e
 
 
-def _projection(fe: _FixedEffects, treated: np.ndarray, cols: list[int],
-                y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(X'MX, X'My, counts) for the indicators D_j = treated x e_cols[j] over ``fe``'s cells.
+def _projection(fe: _FixedEffects, treated: np.ndarray, cols: list[int], y: np.ndarray):
+    """(X'MX, X'My, counts, alpha_y, lam_y) for the indicators D_j = treated x e_cols[j].
 
-    M is the projection off the fixed effects and ``counts`` the number of
-    cells of each D_j. D_j's unit sums over the mask are column cols[j] of
-    the treated rows of W, and its only period sum is counts[j], at
-    cols[j]; with y's own sums these give the effects of y and of every
-    D_j from one ``effects`` solve, and no (n, T) layer of any D_j is
-    built. D_i' M z = D_i' z - sum of alpha_z over D_i's cells -
+    M is the projection off the fixed effects over ``fe``'s cells,
+    ``counts`` the number of cells of each D_j, and alpha_y (n,) and lam_y
+    (T,) y's own fixed effects over those cells. D_j's unit sums over the
+    mask are column cols[j] of the treated rows of W, and its only period
+    sum is counts[j], at cols[j]; with y's own sums these give the effects
+    of y and of every D_j from one ``effects`` solve, and no (n, T) layer of
+    any D_j is built. D_i' M z = D_i' z - sum of alpha_z over D_i's cells -
     counts[i] * lam_z[cols[i]], which reads X'MX and X'My off the (n, 1 + K)
     unit effects and the K rows of period effects at ``cols``.
     """
@@ -178,28 +163,30 @@ def _projection(fe: _FixedEffects, treated: np.ndarray, cols: list[int],
     del yw
     alpha, lam = fe.effects(unit_sums, period_sums)
     proj = direct - (unit_sums.T @ alpha)[1:] - counts[:, None] * lam[cols]
-    return proj[:, 1:], proj[:, 0], counts
+    return proj[:, 1:], proj[:, 0], counts, alpha[:, 0], lam[:, 0]
 
 
-def _fwl(panel: PanelDataset, periods, fe: _FixedEffects, y: np.ndarray) -> np.ndarray:
-    """Event-time coefficients of a least-squares fit of ``y`` over the cells of ``fe``.
+def _fwl(panel: PanelDataset, periods, fe: _FixedEffects, y: np.ndarray):
+    """(beta, alpha_y, lam_y): a least-squares fit of ``y`` over the cells of ``fe``.
 
     ``y`` is regressed on unit effects, period effects and the indicator
-    D_j = treated x period t_j for each t_j in ``periods``; the result is
-    the indicators' coefficients in that order. Frisch-Waugh-Lovell: with M
+    D_j = treated x period t_j for each t_j in ``periods``; beta is the
+    indicators' coefficients in that order. Frisch-Waugh-Lovell: with M
     the projection off the effects, the K x K normal equations
     X'MX beta = X'My are solved, their entries taken from one batched fit
-    of y and all K indicators (``_projection``) in O(n K) memory.
+    of y and all K indicators (``_projection``) in O(n K) memory. That fit
+    also gives y's own effects alpha_y (n,) and lam_y (T,), passed on so
+    that no caller solves for them again.
     """
     cols = [panel.period_index(t) for t in periods]
-    xtmx, xtmy, counts = _projection(fe, panel.treated, cols, y)
+    xtmx, xtmy, counts, alpha, lam = _projection(fe, panel.treated, cols, y)
     # D_i is 0/1, so X'MX is on the scale of the indicators' cell counts; a
     # tolerance relative to X'MX itself would accept a matrix of round-off,
     # as when every unit is treated and the period effects absorb each D_j.
     tol = len(cols) * np.finfo(float).eps * counts.max(initial=0.0)
     if np.linalg.matrix_rank(xtmx, tol=tol) < len(cols):
         raise SingularDesign("event-time design is rank deficient given the fixed effects")
-    return np.linalg.solve(xtmx, xtmy)
+    return np.linalg.solve(xtmx, xtmy), alpha, lam
 
 
 def twfe_regression(panel: PanelDataset) -> EventStudyEstimate:
@@ -213,7 +200,7 @@ def twfe_regression(panel: PanelDataset) -> EventStudyEstimate:
     periods = [t for t in range(panel.t_min, panel.t_max + 1) if t != 0]
     y, e = _scaled_outcomes(panel)
     fe = _FixedEffects(np.ones(y.shape, dtype=bool))
-    beta = np.ldexp(_fwl(panel, periods, fe, y), e)
+    beta = np.ldexp(_fwl(panel, periods, fe, y)[0], e)
     return EventStudyEstimate("twfe", dict(zip((t - 1 for t in periods), beta.tolist())),
                               frozenset({-1}))
 
@@ -229,7 +216,7 @@ def bjs_imputation(panel: PanelDataset) -> EventStudyEstimate:
     Post coefficients average the imputed effects tau_it at each lag. Pre
     coefficients come from a dynamic TWFE regression on untreated cells with
     indicators for periods until treatment, earliest pre period normalized
-    to zero. One fixed-effects system over the untreated cells serves both.
+    to zero. One fixed-effects solve over the untreated cells serves both.
     """
     y, e = _scaled_outcomes(panel)
     fe = _FixedEffects(_untreated_mask(panel))
@@ -237,9 +224,9 @@ def bjs_imputation(panel: PanelDataset) -> EventStudyEstimate:
     # indicators for t in [t_min + 1, 0] (relative times t_min .. -1). Its
     # rank check rejects a panel without treated units before the post side
     # could average over none.
-    pre = _fwl(panel, range(panel.t_min + 1, TREATMENT_DATE), fe, y)
-    # Post side: relative times 0 .. t_max - 1.
-    alpha, lam = fe.fit(y)
+    pre, alpha, lam = _fwl(panel, range(panel.t_min + 1, TREATMENT_DATE), fe, y)
+    # Post side, relative times 0 .. t_max - 1, from the effects of y that
+    # the pre side's fit solved for alongside the indicators'.
     j = panel.period_index(TREATMENT_DATE)
     tau = y[panel.treated, j:] - alpha[panel.treated, None] - lam[j:]
     beta = np.ldexp(np.concatenate([pre, tau.mean(axis=0)]), e)

@@ -25,7 +25,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import kernels
 from .dgp import SEED_BLOCK, _allocate, pcg64_words, stream_seeds
-from .estimators import TAG_CODES, EventStudyEstimate, estimate_many
+from .estimators import EventStudyEstimate, estimate_many
 from .panel import PanelDataset
 from .spec import BootstrapConfig
 
@@ -92,8 +92,8 @@ def bootstrap_many(
 
     gaps = _replicate_gaps(panel, config.replications, config.seed)
     reps = kernels.baseline_coefs(gaps, -panel.t_min, n_pre)
-    return [_with_intervals(point, reps[TAG_CODES[point.estimator]], panel, config)
-            for point in points]
+    return [_with_intervals(point, reps[row], panel, config)
+            for point, row in zip(points, kernels.tag_rows(tags))]
 
 
 def _with_intervals(point, reps, panel, config) -> EventStudyEstimate:

@@ -1,9 +1,10 @@
 """The baseline transform and per-panel coefficients.
 
 ``baseline_coefs`` is the one place the four baseline rules are written: it
-maps group gaps of any leading shape to every estimator's coefficients.
-``coef_matrix`` applies it to one panel's gap; the bootstrap applies it to
-its (B, T) replicate gaps and the Monte Carlo to each block of draws' gaps.
+maps group gaps of any leading shape to every estimator's coefficients, one
+row per tag in ``spec.TAGS`` order (``tag_rows``). ``coef_matrix`` applies
+it to the gaps of one panel's (n, T) outcomes or of a Monte Carlo block's
+(k, n, T); the bootstrap applies it to its (B, T) replicate gaps.
 
 Coefficient layout: for a panel over periods [t_min, t_max] with
 T = t_max - t_min + 1 periods, kernels return length-T vectors indexed by
@@ -15,19 +16,26 @@ from __future__ import annotations
 
 import numpy as np
 
-# Estimator codes shared with the estimators module.
-TWFE = 0
-CS_DEFAULT = 1
-CS_UNIVERSAL = 2
-BJS = 3
+from .spec import TAGS, UnknownEstimator
+
+# Rows of baseline_coefs' output, in spec.TAGS order.
+TWFE, CS_DEFAULT, CS_UNIVERSAL, BJS = range(4)
+
+
+def tag_rows(tags) -> list[int]:
+    """Each tag's row in ``baseline_coefs``' output; UnknownEstimator names the choices."""
+    for tag in tags:
+        if tag not in TAGS:
+            raise UnknownEstimator(f"unknown estimator {tag!r}; choose from {TAGS}")
+    return [TAGS.index(tag) for tag in tags]
 
 
 def baseline_coefs(g: np.ndarray, j0: int, n_pre: int | None = None) -> np.ndarray:
     """All four estimators' coefficients from group gaps ``g`` of shape (..., T).
 
-    Returns shape (4, ..., T), rows ordered (TWFE, CS_DEFAULT, CS_UNIVERSAL,
-    BJS). ``n_pre`` (default ``j0``) is the number of BJS pre coefficients;
-    the earlier periods pool into the BJS pre baseline.
+    Returns shape (4, ..., T), one row per tag of ``spec.TAGS``. ``n_pre``
+    (default ``j0``) is the number of BJS pre coefficients; the earlier
+    periods pool into the BJS pre baseline.
     """
     n_pool = 1 if n_pre is None else j0 - n_pre + 1
     out = np.empty((4,) + g.shape)
@@ -47,11 +55,10 @@ def baseline_coefs(g: np.ndarray, j0: int, n_pre: int | None = None) -> np.ndarr
 
 
 def coef_matrix(y: np.ndarray, treated: np.ndarray, t_min: int, n_pre: int | None = None) -> np.ndarray:
-    """All four estimators' coefficient vectors for one panel, shape (4, T).
+    """All four estimators' coefficients from outcomes ``y`` of shape (..., n, T).
 
-    Rows are ordered (TWFE, CS_DEFAULT, CS_UNIVERSAL, BJS); ``n_pre`` is as
-    in ``baseline_coefs``.
+    ``treated`` is the (n,) mask of treated units. Returns shape (4, ..., T),
+    rows in ``spec.TAGS`` order; ``n_pre`` is as in ``baseline_coefs``.
     """
-    g = y[treated].mean(axis=0) - y[~treated].mean(axis=0)
+    g = y[..., treated, :].mean(axis=-2) - y[..., ~treated, :].mean(axis=-2)
     return baseline_coefs(g, -t_min, n_pre)
-

@@ -1,4 +1,8 @@
-"""Repeated-simulation driver comparing mean estimates to population curves."""
+"""Repeated-simulation driver comparing mean estimates to population curves.
+
+Each block of draws goes through ``kernels.coef_matrix``, the same group
+gaps and baseline transform as a point estimate, on its (k, n, T) outcomes.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +12,10 @@ import numpy as np
 
 from . import kernels
 from .dgp import SEED_BLOCK, DgpConfig, _allocate, draw_outcomes, stream_seeds
-from .estimators import TAG_CODES, UnknownEstimator
 from .oracle import population_curve
 
 # Outcome cells drawn per block: the draws of a block share one pass of the
-# scaling, the group means and the baseline transform, in bounded memory.
+# scaling and of ``kernels.coef_matrix``, in bounded memory.
 BLOCK_CELLS = 2**16
 # The most outcome cells (draws x units x periods) one run may draw: at about
 # 20 ns a cell, some 6 hours. Memory does not grow with the draws, so without
@@ -44,19 +47,17 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
     are drawn and reduced in blocks of at most BLOCK_CELLS outcome cells,
     so memory does not grow with ``draws``. Each draw's coefficients are
     added to the sums in draw order, so the report is bit-identical to a
-    draw-by-draw loop. Raises ValueError when the sums overflow, or when
-    draws x units x periods exceeds MAX_CELLS.
+    draw-by-draw loop. Raises UnknownEstimator as ``kernels.tag_rows``
+    does, and ValueError when the sums overflow, or when draws x units x
+    periods exceeds MAX_CELLS.
     """
     if draws < 2:
         raise ValueError("need at least 2 Monte Carlo draws")
     if master_seed < 0:
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed}")
-    for tag in estimators:
-        if tag not in TAG_CODES:
-            raise UnknownEstimator(f"unknown estimator {tag!r}")
+    rows = kernels.tag_rows(estimators)
 
-    codes = [TAG_CODES[tag] for tag in estimators]
-    n1, n, T = dgp.n_treated, dgp.n_treated + dgp.n_control, dgp.t_max - dgp.t_min + 1
+    n, T = dgp.n_treated + dgp.n_control, dgp.t_max - dgp.t_min + 1
     per_block = max(1, BLOCK_CELLS // (n * T))
     # Every block of draws fills this buffer, allocated before anything sized by T.
     block = _allocate((per_block, n, T), "outcome")
@@ -64,12 +65,13 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
     if draws * n * T > MAX_CELLS:
         raise ValueError(f"draws x units x periods = {draws} x {n} x {T} is more than"
                          f" the limit of 2**40 drawn outcome cells")
+    treated = np.arange(n) < dgp.n_treated  # draw_outcomes puts the treated rows first
     r0 = dgp.t_min - 1  # column j holds relative time r0 + j
     population = {tag: population_curve(tag, dgp.gamma, dgp.t_min, dgp.t_max)
                   for tag in estimators}
     # The spread is summed about the population values (0 in omitted columns),
     # not about 0, so it keeps its digits however large the coefficients are.
-    pop = np.zeros((len(codes), T))
+    pop = np.zeros((len(rows), T))
     for e, tag in enumerate(estimators):
         pop[e, [r - r0 for r in population[tag]]] = list(population[tag].values())
     total = np.zeros_like(pop)
@@ -80,12 +82,11 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
             seeds = stream_seeds(master_seed, start, min(draws, start + SEED_BLOCK)).tolist()
             for lo in range(0, len(seeds), per_block):
                 part = seeds[lo : lo + per_block]
-                y = draw_outcomes(dgp, part, block[: len(part)])  # treated rows first
-                gaps = y[:, :n1].mean(axis=1) - y[:, n1:].mean(axis=1)
-                sel = kernels.baseline_coefs(gaps, -dgp.t_min)[codes]
+                y = draw_outcomes(dgp, part, block[: len(part)])
+                sel = kernels.coef_matrix(y, treated, dgp.t_min)[rows]
                 dev = sel - pop[:, None]
                 dev *= dev
-                for d in range(gaps.shape[0]):
+                for d in range(len(part)):
                     total += sel[:, d]
                     dev_sq += dev[:, d]
 

@@ -98,7 +98,7 @@ def _as_int_time(value) -> int:
         raise NonIntegerTime(f"time {value!r} is not an integer")
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, float) and value.is_integer():
+    if isinstance(value, (float, np.floating)) and value.is_integer():
         return int(value)
     raise NonIntegerTime(f"time {value!r} is not an integer")
 

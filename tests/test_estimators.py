@@ -33,9 +33,16 @@ def scale_panel(panel, c):
                         panel.t_max, panel.outcomes * c)
 
 
+def fe_fit(fe, z):
+    """``alpha`` (n,) and ``lam`` (T,) of the (n, T) layer ``z`` fitted alone over ``fe``'s cells."""
+    zw = z * fe.w
+    alpha, lam = fe.effects(zw.sum(axis=1)[:, None], zw.sum(axis=0)[:, None])
+    return alpha[:, 0], lam[:, 0]
+
+
 def untreated_fit(panel):
     """(alpha, lam) of the fixed-effects fit on the untreated cells, as bjs_imputation fits it."""
-    return _FixedEffects(_untreated_mask(panel)).fit(panel.outcomes)
+    return fe_fit(_FixedEffects(_untreated_mask(panel)), panel.outcomes)
 
 
 # --- hand fixture values -------------------------------------------------
@@ -222,12 +229,28 @@ def test_twins_10k_units_bounded_memory(twin, tag):
     finally:
         tracemalloc.stop()
     assert max_coef_diff(est, estimate(panel, tag)) < 1e-8
-    # 8.2 MiB measured for twfe_regression and 7.4 MiB for bjs_imputation:
-    # the scaled outcomes, the cell mask and weights, y times the weights,
-    # and (n, 1 + K) blocks of unit sums and unit effects. Partialling out
-    # one (n, T) indicator layer at a time took 10.2 MiB, and a
-    # (1 + K, n, T) stack of every indicator 163 MiB.
+    # 8.2 MiB measured for twfe_regression and 7.4 MiB for bjs_imputation,
+    # each with its one fixed-effects solve: the scaled outcomes, the cell
+    # mask and weights, y times the weights, and (n, 1 + K) blocks of unit
+    # sums and unit effects. Partialling out one (n, T) indicator layer at
+    # a time took 10.2 MiB, and a (1 + K, n, T) stack of every indicator
+    # 163 MiB.
     assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("twin", [twfe_regression, bjs_imputation])
+def test_each_twin_makes_one_fixed_effects_solve(monkeypatch, default_panel, twin):
+    # bjs_imputation's post side reads y's effects off its pre side's fit.
+    calls = []
+    effects = _FixedEffects.effects
+
+    def counted(self, unit_sums, period_sums):
+        calls.append(1)
+        return effects(self, unit_sums, period_sums)
+
+    monkeypatch.setattr(_FixedEffects, "effects", counted)
+    twin(default_panel)
+    assert len(calls) == 1
 
 
 # --- the batched indicator projection ------------------------------------
@@ -235,7 +258,7 @@ def test_twins_10k_units_bounded_memory(twin, tag):
 
 def fe_residual(fe, z):
     """The (n, T) layer ``z`` with its fixed effects partialled out; 0 off the mask."""
-    alpha, lam = fe.fit(z)
+    alpha, lam = fe_fit(fe, z)
     return (z - alpha[:, None] - lam) * fe.w
 
 
@@ -274,11 +297,14 @@ def test_batched_projection_matches_one_layer_at_a_time(n1, n0, t_min, t_max, ki
     mask, periods = twin_design(panel, kind)
     fe = _FixedEffects(mask)
     cols = [panel.period_index(t) for t in periods]
-    xtmx, xtmy, counts = _projection(fe, panel.treated, cols, panel.outcomes)
+    xtmx, xtmy, counts, alpha, lam = _projection(fe, panel.treated, cols, panel.outcomes)
     ref_xtmx, ref_xtmy = per_layer_projection(fe, panel.treated, cols, panel.outcomes)
+    ref_alpha, ref_lam = fe_fit(fe, panel.outcomes)
     tol = 1e-12 * max(1.0, np.abs(panel.outcomes).max())
     assert np.abs(xtmx - ref_xtmx).max() <= tol
     assert np.abs(xtmy - ref_xtmy).max() <= tol
+    assert np.abs(alpha - ref_alpha).max() <= tol
+    assert np.abs(lam - ref_lam).max() <= tol
     assert counts.tolist() == mask[panel.treated][:, cols].sum(axis=0).tolist()
 
 
@@ -288,7 +314,7 @@ def test_batched_projection_without_treated_units_is_zero(kind):
                          np.random.default_rng(0).standard_normal((3, 5)))
     mask, periods = twin_design(panel, kind)
     cols = [panel.period_index(t) for t in periods]
-    xtmx, xtmy, counts = _projection(_FixedEffects(mask), panel.treated, cols, panel.outcomes)
+    xtmx, xtmy, counts, _, _ = _projection(_FixedEffects(mask), panel.treated, cols, panel.outcomes)
     assert not xtmx.any() and not xtmy.any() and not counts.any()
 
 

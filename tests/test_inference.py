@@ -20,7 +20,7 @@ from evstudy import (
 from evstudy import inference, kernels
 from evstudy.cli import main
 from evstudy.dgp import SEED_BLOCK, stream_seeds
-from evstudy.estimators import TAG_CODES, TAGS
+from evstudy.estimators import TAGS
 from evstudy.oracle import matching_base_spec
 from evstudy.panel import NonFiniteOutcome, panel_from_columns
 from helpers import reference_seed
@@ -141,8 +141,7 @@ def _check_against_gather(panel, B, seed, n_pre=None):
     # The replicate loop's gaps through the one baseline transform give the
     # same replicates.
     got = kernels.baseline_coefs(inference._replicate_gaps(panel, B, seed), -panel.t_min, n_pre)
-    for tag in TAGS:
-        row = got[TAG_CODES[tag]]
+    for tag, row in zip(TAGS, got[kernels.tag_rows(TAGS)]):
         assert np.array_equal(np.isnan(row), np.isnan(reps[tag]))
         assert np.nanmax(np.abs(row - reps[tag]), initial=0.0) <= 1e-12
     # And the public path's se / percentile ci are those of the gathered replicates.

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from evstudy import estimate
+from evstudy import BootstrapConfig, DgpConfig, UnknownEstimator, bootstrap_many, estimate, estimate_many, run_mc
 from evstudy import kernels
+from evstudy.spec import TAGS
 
 TAG_ROWS = [("twfe", 0), ("cs_dcdh_default", 1), ("cs_dcdh_universal", 2), ("bjs", 3)]
 
@@ -17,3 +20,43 @@ def test_coef_matrix_matches_estimators(default_panel):
         for r in est.omitted:
             assert np.isnan(mat[row, r - offset])
 
+
+def test_rows_follow_spec_tags():
+    constants = dict(zip(TAGS, [kernels.TWFE, kernels.CS_DEFAULT, kernels.CS_UNIVERSAL, kernels.BJS]))
+    for tag, row in TAG_ROWS:
+        assert constants[tag] == TAGS.index(tag) == row
+        assert kernels.tag_rows([tag]) == [row]
+    assert kernels.tag_rows(["bjs", "twfe", "bjs"]) == [3, 0, 3]
+
+
+def test_unknown_tag_raises_one_message_everywhere(four_cell):
+    calls = [
+        lambda: kernels.tag_rows(["twfe", "sdid"]),
+        lambda: estimate_many(four_cell, ["twfe", "sdid"]),
+        lambda: bootstrap_many(four_cell, ["sdid"], BootstrapConfig(replications=2)),
+        lambda: run_mc(DgpConfig(), ["twfe", "sdid"], draws=2, master_seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownEstimator) as info:
+            call()
+        assert str(info.value) == f"unknown estimator 'sdid'; choose from {TAGS}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 4), n1=st.integers(1, 5), n0=st.integers(1, 5), t_min=st.integers(-5, -1),
+       t_max=st.integers(1, 4), pool=st.integers(0, 5), data_seed=st.integers(0, 2**32))
+@example(k=3, n1=1, n0=1, t_min=-1, t_max=1, pool=0, data_seed=0)
+@example(k=2, n1=1, n0=3, t_min=-1, t_max=3, pool=1, data_seed=1)
+@example(k=1, n1=4, n0=1, t_min=-4, t_max=2, pool=2, data_seed=2)
+def test_coef_matrix_on_a_block_is_each_panel_in_turn(k, n1, n0, t_min, t_max, pool, data_seed):
+    # Treated rows anywhere among the units, not only first as draw_outcomes puts them.
+    rng = np.random.default_rng(data_seed)
+    treated = rng.permutation(np.arange(n1 + n0) < n1)
+    T = t_max - t_min + 1
+    y = 3 * rng.standard_normal((k, n1 + n0, T))
+    n_pre = None if pool == 0 else min(pool, -t_min)
+    block = kernels.coef_matrix(y, treated, t_min, n_pre)
+    assert block.shape == (4, k, T)
+    for d in range(k):
+        assert np.array_equal(block[:, d], kernels.coef_matrix(y[d], treated, t_min, n_pre),
+                              equal_nan=True)

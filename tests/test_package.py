@@ -60,6 +60,14 @@ def test_version_matches_pyproject():
     assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == evstudy.__version__
 
 
+def test_console_script_resolves_to_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"evstudy": "evstudy.cli:main"}
+    module, _, attr = scripts["evstudy"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
+
+
 def test_dir_lists_every_export():
     assert set(evstudy.__all__) <= set(dir(evstudy))
 

@@ -103,6 +103,20 @@ def test_time_true_is_not_an_integer_and_3_0_is_3():
     assert type(panel.t_max) is int
 
 
+@pytest.mark.parametrize("ftype", [np.float16, np.float32, np.float64])
+def test_integer_valued_numpy_float_times_are_integers(ftype):
+    rows = [(u, t, d, 0.0) for u, d in (("a", 1), ("b", 0)) for t in (-1, 0, 1, 2)]
+    panel = validate_panel([(u, ftype(t), d, y) for u, t, d, y in rows])
+    assert panel == validate_panel(rows)
+    assert type(panel.t_min) is int
+    with pytest.raises(NonIntegerTime, match=re.escape("is not an integer")):
+        validate_panel([("a", ftype(0.5), 1, 0.0), *rows])
+    with pytest.raises(NonIntegerTime, match=re.escape("time np.float32(0.5) is not an integer")):
+        validate_panel([("a", np.float32(0.5), 1, 0.0), *rows])
+    with pytest.raises(NonIntegerTime, match=re.escape("time True is not an integer")):
+        validate_panel([("a", True, 1, 0.0), *rows])
+
+
 def test_non_finite_outcome_rejected():
     rows = [("a", t, 1, 0.0) for t in (-1, 0)] + [("a", 1, 1, float("nan"))] + [
         ("b", t, 0, 0.0) for t in (-1, 0, 1)
