@@ -315,6 +315,8 @@ def main(argv=None) -> int:
         code, message = EXIT_USAGE, f"error: {exc}"
     except (PanelError, InvalidConfig, CsvFormatError, EmptyTable, ValueError) as exc:
         code, message = EXIT_VALIDATION, f"error: {exc}"
+    except MemoryError as exc:  # numpy's text names the array's size and shape
+        code, message = EXIT_VALIDATION, f"error: {str(exc) or 'out of memory'}"
     except OSError as exc:
         code, message = EXIT_IO, f"i/o error: {exc}"
     # One stderr line, also when the message quotes a unit id holding a line break.

@@ -35,7 +35,20 @@ def _allocate(shape: tuple[int, ...], name: str, prefix: str = "") -> np.ndarray
                          f" {'KMGTPE'[k - 1]}iB, more than can be allocated") from None
 
 
-def draw_outcomes(config: DgpConfig, seeds: list[int], out: np.ndarray | None = None) -> np.ndarray:
+# The most outcome cells (draws x units x periods) a montecarlo run may draw,
+# a power of two for its message: some 6 hours at about 20 ns a cell. Memory
+# does not grow with the draws, so without it a huge --draws would run on.
+MAX_CELLS = 2**40
+
+
+def _check_cells(draws: int, n: int, T: int) -> None:
+    """A ValueError when ``draws`` x ``n`` units x ``T`` periods is more than MAX_CELLS."""
+    if draws * n * T > MAX_CELLS:
+        raise ValueError(f"draws x units x periods = {draws} x {n} x {T} is more than the"
+                         f" limit of 2**{MAX_CELLS.bit_length() - 1} drawn outcome cells")
+
+
+def draw_outcomes(config: DgpConfig, seeds: list[int]) -> np.ndarray:
     """The (len(seeds), n_treated + n_control, T) outcome matrices of the draws keyed by ``seeds``.
 
     Philox is counter-based, so a seed alone fixes its draw: draw d is the
@@ -43,13 +56,11 @@ def draw_outcomes(config: DgpConfig, seeds: list[int], out: np.ndarray | None = 
     block; seeds are below 2**64, as ``DgpConfig`` and ``stream_seeds``
     ensure. Each noise matrix is filled row-major with treated units first,
     which pins the draw order independent of any execution schedule.
-    ``config.seed`` is not read; the draws fill ``out`` if given (of that
-    shape), else a new array. Outcomes that overflow come back as inf or
+    ``config.seed`` is not read. Outcomes that overflow come back as inf or
     nan, unwarned, for the caller to reject.
     """
-    if out is None:
-        n, T = config.n_treated + config.n_control, config.t_max - config.t_min + 1
-        out = _allocate((len(seeds), n, T), "outcome")
+    n, T = config.n_treated + config.n_control, config.t_max - config.t_min + 1
+    out = _allocate((len(seeds), n, T), "outcome")
     times = np.arange(config.t_min, config.t_max + 1)
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)

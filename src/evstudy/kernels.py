@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dgp import _allocate
 from .spec import TAGS, UnknownEstimator
 
 # Rows of baseline_coefs' output, in spec.TAGS order.
@@ -38,7 +39,7 @@ def baseline_coefs(g: np.ndarray, j0: int, n_pre: int | None = None) -> np.ndarr
     periods pool into the BJS pre baseline.
     """
     n_pool = 1 if n_pre is None else j0 - n_pre + 1
-    out = np.empty((4,) + g.shape)
+    out = _allocate((4,) + g.shape, "coefficient")
     out[TWFE] = g - g[..., j0, None]
     out[TWFE, ..., j0] = np.nan
     out[CS_UNIVERSAL] = out[TWFE]

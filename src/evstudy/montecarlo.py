@@ -11,30 +11,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dgp import SEED_BLOCK, DgpConfig, _allocate, draw_outcomes, stream_seeds
+from .dgp import SEED_BLOCK, DgpConfig, _check_cells, draw_outcomes, stream_seeds
 from .oracle import population_curve
 
 # Outcome cells drawn per block: the draws of a block share one pass of the
 # scaling and of ``kernels.coef_matrix``, in bounded memory.
 BLOCK_CELLS = 2**16
-# The most outcome cells (draws x units x periods) one run may draw: at about
-# 20 ns a cell, some 6 hours. Memory does not grow with the draws, so without
-# this limit a huge --draws would run on without a word.
-MAX_CELLS = 2**40
 
 
 @dataclass(frozen=True)
 class McReport:
     """Per-estimator Monte Carlo means against the analytic population values.
 
-    ``mc_se`` is the standard error of each mean coefficient across draws;
-    ``max_abs_dev`` the largest |mean - population| over relative times.
+    ``mc_se`` is the standard error of each mean coefficient across draws.
     """
 
     draws: int
     means: dict[str, dict[int, float]]
     population: dict[str, dict[int, float]]
-    max_abs_dev: dict[str, float]
     mc_se: dict[str, dict[int, float]]
 
 
@@ -48,8 +42,8 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
     so memory does not grow with ``draws``. Each draw's coefficients are
     added to the sums in draw order, so the report is bit-identical to a
     draw-by-draw loop. Raises UnknownEstimator as ``kernels.tag_rows``
-    does, and ValueError when the sums overflow, or when draws x units x
-    periods exceeds MAX_CELLS.
+    does, ValueError when the sums overflow, and, before anything is
+    allocated, ValueError when draws x units x periods exceeds ``dgp.MAX_CELLS``.
     """
     if draws < 2:
         raise ValueError("need at least 2 Monte Carlo draws")
@@ -58,20 +52,15 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
     rows = kernels.tag_rows(estimators)
 
     n, T = dgp.n_treated + dgp.n_control, dgp.t_max - dgp.t_min + 1
+    _check_cells(draws, n, T)
     per_block = max(1, BLOCK_CELLS // (n * T))
-    # Every block of draws fills this buffer, allocated before anything sized by T.
-    block = _allocate((per_block, n, T), "outcome")
-    # Checked after the allocation, so a block that cannot be allocated is named by its size.
-    if draws * n * T > MAX_CELLS:
-        raise ValueError(f"draws x units x periods = {draws} x {n} x {T} is more than"
-                         f" the limit of 2**40 drawn outcome cells")
     treated = np.arange(n) < dgp.n_treated  # draw_outcomes puts the treated rows first
     r0 = dgp.t_min - 1  # column j holds relative time r0 + j
-    population = {tag: population_curve(tag, dgp.gamma, dgp.t_min, dgp.t_max)
-                  for tag in estimators}
     # The spread is summed about the population values (0 in omitted columns),
     # not about 0, so it keeps its digits however large the coefficients are.
     pop = np.zeros((len(rows), T))
+    population = {tag: population_curve(tag, dgp.gamma, dgp.t_min, dgp.t_max)
+                  for tag in estimators}
     for e, tag in enumerate(estimators):
         pop[e, [r - r0 for r in population[tag]]] = list(population[tag].values())
     total = np.zeros_like(pop)
@@ -82,8 +71,7 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
             seeds = stream_seeds(master_seed, start, min(draws, start + SEED_BLOCK)).tolist()
             for lo in range(0, len(seeds), per_block):
                 part = seeds[lo : lo + per_block]
-                y = draw_outcomes(dgp, part, block[: len(part)])
-                sel = kernels.coef_matrix(y, treated, dgp.t_min)[rows]
+                sel = kernels.coef_matrix(draw_outcomes(dgp, part), treated, dgp.t_min)[rows]
                 dev = sel - pop[:, None]
                 dev *= dev
                 for d in range(len(part)):
@@ -103,7 +91,4 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
              for e, tag in enumerate(estimators)}
     mc_se = {tag: {r: float(mc_se_mat[e, r - r0]) for r in population[tag]}
              for e, tag in enumerate(estimators)}
-    max_abs_dev = {tag: max(abs(means[tag][r] - pop) for r, pop in population[tag].items())
-                   for tag in estimators}
-    return McReport(draws=draws, means=means, population=population,
-                    max_abs_dev=max_abs_dev, mc_se=mc_se)
+    return McReport(draws=draws, means=means, population=population, mc_se=mc_se)

@@ -16,6 +16,7 @@ one, in O(T) memory beside the panel.
 from __future__ import annotations
 
 import weakref
+from contextlib import suppress
 from operator import add
 from typing import TYPE_CHECKING
 
@@ -62,20 +63,20 @@ def population_curve(tag: str, gamma: float, t_min: int, t_max: int, n_pool: int
     """Population value beta_r at each non-omitted relative time r of the estimator.
 
     ``n_pool`` is passed to ``population_bjs``; the other estimators ignore it.
+    The relative times whose function raises OmittedCategory are left out.
     """
+    curve = {
+        "twfe": lambda r: population_twfe(gamma, r),
+        "cs_dcdh_universal": lambda r: population_twfe(gamma, r),
+        "cs_dcdh_default": lambda r: population_cs_dcdh(gamma, r, t_min),
+        "bjs": lambda r: population_bjs(gamma, r, t_min, n_pool),
+    }.get(tag)
+    if curve is None:
+        raise ValueError(f"unknown estimator tag {tag!r}")
     values: dict[int, float] = {}
     for r in range(t_min - 1, t_max):
-        if tag == "twfe" or tag == "cs_dcdh_universal":
-            if r != -1:
-                values[r] = population_twfe(gamma, r)
-        elif tag == "cs_dcdh_default":
-            if r != t_min - 1:
-                values[r] = population_cs_dcdh(gamma, r, t_min)
-        elif tag == "bjs":
-            if r >= t_min - 1 + n_pool:
-                values[r] = population_bjs(gamma, r, t_min, n_pool)
-        else:
-            raise ValueError(f"unknown estimator tag {tag!r}")
+        with suppress(OmittedCategory):
+            values[r] = curve(r)
     return values
 
 

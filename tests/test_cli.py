@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from evstudy import BootstrapConfig, DgpConfig, bootstrap_many, estimate_many, simulate
+from evstudy import kernels
 from evstudy.cli import main
 from evstudy.tableio import (
     ESTIMATE_COLUMNS,
@@ -349,23 +350,48 @@ def test_estimate_unallocatable_replications_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-# Outcome blocks of 1.8 and 14.2 PiB, beyond any 47-bit address space, so
-# each request fails at once, before anything else sized by the design.
-WIDE = f"(1, {10**13 + 50}, 26) outcome array needs 1.8 PiB"
-LONG = f"(1, 100, {2 * 10**13 + 1}) outcome array needs 14.2 PiB"
+# simulate's outcome arrays of 1.8 and 14.2 PiB, beyond any 47-bit address
+# space, so each request fails at once, before anything else sized by the
+# design. montecarlo checks the same designs' drawn cells against
+# dgp.MAX_CELLS before it allocates anything.
+WIDE = f"the (1, {10**13 + 50}, 26) outcome array needs 1.8 PiB, more than can be allocated"
+LONG = f"the (1, 100, {2 * 10**13 + 1}) outcome array needs 14.2 PiB, more than can be allocated"
+OVER = "draws x units x periods = 2 x {} is more than the limit of 2**40 drawn outcome cells"
 
 
 @pytest.mark.parametrize("command, flags, message", [
     ("simulate", ["--n-treated", str(10**13)], WIDE),
-    ("montecarlo", ["--n-treated", str(10**13), "--draws", "2"], WIDE),
+    ("montecarlo", ["--n-treated", str(10**13), "--draws", "2"], OVER.format(f"{10**13 + 50} x 26")),
     ("simulate", ["--t-min", str(-(10**13)), "--t-max", str(10**13)], LONG),
-    ("montecarlo", ["--t-min", str(-(10**13)), "--t-max", str(10**13), "--draws", "2"], LONG),
+    ("montecarlo", ["--t-min", str(-(10**13)), "--t-max", str(10**13), "--draws", "2"],
+     OVER.format(f"100 x {2 * 10**13 + 1}")),
 ], ids=["simulate-units", "montecarlo-units", "simulate-periods", "montecarlo-periods"])
 def test_unallocatable_design_exit_2(tmp_path, capsys, command, flags, message):
     out = tmp_path / "out.csv"
     assert main([command, *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == [f"error: the {message}, more than can be allocated"]
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+NUMPY_OOM = "Unable to allocate 1.19 GiB for an array with shape (4, 20000, 2000) and data type float64"
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(NUMPY_OOM), f"error: {NUMPY_OOM}"),
+    (MemoryError(), "error: out of memory"),
+], ids=["numpy", "bare"])
+def test_memory_error_exit_2(tmp_path, capsys, monkeypatch, error, line):
+    panel_csv, out = tmp_path / "panel.csv", tmp_path / "est.csv"
+    assert main(["simulate", *SMALL_DESIGN, "--out", str(panel_csv)]) == 0
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(kernels, "baseline_coefs", fail)
+    assert main(["estimate", str(panel_csv), "--bootstrap", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
     assert not out.exists()
 
 

@@ -4,13 +4,23 @@ argv is drawn from ``build_parser()``'s own commands and flags, with values
 from a pool of edge tokens, over malformed panel files and estimate tables.
 Whatever is drawn, ``main`` returns 0, 2, 3 or 4, raises nothing, writes at
 most one line to stderr and no warning, and a failed command leaves no
-output file.
+output file. The same holds for mid-size designs in a child process whose
+address space is limited, where the allocations themselves fail.
 """
 
 import argparse
 import io
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 import pytest
@@ -112,3 +122,57 @@ def test_any_argv_keeps_the_exit_code_contract(tmp_path_factory, inputs, argv):
     assert not caught
     if code != 0:
         assert not any(out.parent.iterdir())
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# A 3+3-unit panel over 2000 periods: its (20000, 2000) bootstrap gaps take
+# 305 MiB, the (4, 20000, 2000) coefficients 1.2 GiB.
+LONG_PANEL = ["--n-treated", "3", "--n-control", "3", "--t-min", "-1", "--t-max", "1998"]
+BOOTSTRAP = ["--estimator", "twfe", "--bootstrap", "--replications", "20000"]
+
+
+@pytest.fixture(scope="module")
+def limited_env():
+    """The child environment, and its VmSize in bytes once the package is imported."""
+    if resource is None or not Path("/proc/self/status").exists():
+        pytest.skip("needs resource.RLIMIT_AS and /proc/self/status")
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    probe = ("import re, evstudy.cli, evstudy.inference, evstudy.montecarlo\n"
+             "print(re.search(r'VmSize:\\s+(\\d+) kB', open('/proc/self/status').read())[1])")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    return env, int(proc.stdout) * 1024
+
+
+@pytest.mark.parametrize("argv, margin_mib, fragment", [
+    # Past the gaps, short of the coefficients: _allocate names them.
+    (["estimate", "@panel", *BOOTSTRAP],
+     768, "the (4, 20000, 2000) coefficient array needs 1.2 GiB, more than can be allocated"),
+    # Past the coefficients, short of numpy's temporaries after them.
+    (["estimate", "@panel", *BOOTSTRAP, "--method", "percentile"], 1700, "Unable to allocate "),
+    # Under the cell limit, but its (4, T) population columns come before
+    # anything else sized by T.
+    (["montecarlo", "--t-min", str(-(10**11)), "--t-max", str(10**11), "--n-treated", "1",
+      "--n-control", "1", "--draws", "2"], 768, "(4, 200000000001)"),
+], ids=["coefficients", "temporaries", "montecarlo-population"])
+def test_memory_limited_run_exits_2(tmp_path, limited_env, argv, margin_mib, fragment):
+    # The limit is set in the child only, margin_mib above what importing the
+    # package takes there, so it does not depend on the host.
+    env, vm_size = limited_env
+    panel, out = tmp_path / "panel.csv", tmp_path / "out.csv"
+    if "@panel" in argv:
+        with redirect_stdout(io.StringIO()):
+            assert main(["simulate", *LONG_PANEL, "--out", str(panel)]) == 0
+    limit = vm_size + (margin_mib << 20)
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "evstudy.cli", *[str(panel) if a == "@panel" else a for a in argv],
+         "--out", str(out)],
+        env=env, preexec_fn=limit_address_space, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and fragment in proc.stderr, proc.stderr
+    assert not out.exists()

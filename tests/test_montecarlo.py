@@ -35,10 +35,18 @@ def test_too_few_draws():
 def test_too_many_drawn_cells(monkeypatch):
     with pytest.raises(ValueError, match=r"= 18446744073709551616 x 20 x 8 is more than the limit of 2\*\*40"):
         run_mc(SMALL, ["twfe"], draws=2**64, master_seed=0)
-    monkeypatch.setattr(montecarlo, "MAX_CELLS", 3 * 20 * 8)  # SMALL has 20 units, 8 periods
+    # SMALL has 20 units and 8 periods: 3 draws are 480 cells, 4 are 640.
+    monkeypatch.setattr(dgp_module, "MAX_CELLS", 2**9)
     assert run_mc(SMALL, ["twfe"], draws=3, master_seed=0).draws == 3
-    with pytest.raises(ValueError, match="limit"):
+    with pytest.raises(ValueError, match=r"= 4 x 20 x 8 is more than the limit of 2\*\*9 "):
         run_mc(SMALL, ["twfe"], draws=4, master_seed=0)
+
+
+def test_cell_limit_is_2_to_the_40():
+    # The limit itself, unpatched: exactly 2**40 cells pass, one draw more does not.
+    dgp_module._check_cells(2**36, 4, 4)
+    with pytest.raises(ValueError, match=r"= 68719476737 x 4 x 4 is more than the limit of 2\*\*40 "):
+        dgp_module._check_cells(2**36 + 1, 4, 4)
 
 
 def test_zero_gamma_means_near_zero():
@@ -47,7 +55,7 @@ def test_zero_gamma_means_near_zero():
     # CLT bound: per-draw coefficient SD is at most sqrt(4/n1 + 4/n0).
     bound = 4 * np.sqrt(8 / 20) / np.sqrt(500)
     for tag in ALL_TAGS:
-        assert report.max_abs_dev[tag] < bound
+        assert all(abs(mean) < bound for mean in report.means[tag].values())
         assert all(v == 0.0 for v in report.population[tag].values())
 
 

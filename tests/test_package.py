@@ -156,3 +156,17 @@ def test_oracle_shares_no_code_with_the_estimators():
             assert name == ".spec" or (name, type_checking) == (".panel", True), name
         else:
             assert name.partition(".")[0] in sys.stdlib_module_names, name
+
+
+def test_only_dgp_calls_np_empty():
+    # dgp._allocate turns an array too large to allocate into exit 2 naming
+    # it; an np.empty anywhere else could size an array by a user value and
+    # bypass it.
+    callers = set()
+    for path in (SRC / "evstudy").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.empty", "numpy.empty"):
+                callers.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                assert "empty" not in [alias.name for alias in node.names], path.name
+    assert callers == {"dgp.py"}
