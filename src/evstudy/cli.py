@@ -313,7 +313,7 @@ def main(argv=None) -> int:
         code, message = EXIT_USAGE, f"usage error: {exc}"
     except UnknownEstimator as exc:
         code, message = EXIT_USAGE, f"error: {exc}"
-    except (PanelError, InvalidConfig, CsvFormatError, EmptyTable, ValueError) as exc:
+    except (PanelError, ValueError) as exc:  # InvalidConfig, CsvFormatError, EmptyTable too
         code, message = EXIT_VALIDATION, f"error: {exc}"
     except MemoryError as exc:  # numpy's text names the array's size and shape
         code, message = EXIT_VALIDATION, f"error: {str(exc) or 'out of memory'}"

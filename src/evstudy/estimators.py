@@ -10,8 +10,8 @@ in the baseline used for each relative time r (period t = r + 1):
   * ``bjs``              -- pre periods compared to the earliest period, post
     periods to the unit-level pre-treatment mean; earliest r omitted.
 
-The closed forms are rows of ``kernels.coef_matrix``, in ``spec.TAGS`` order
-(``kernels.tag_rows``); the rules themselves are written once, in
+The closed forms are the rows ``kernels.coef_matrix`` returns for the tags
+asked for; the rules themselves are written once, in
 ``kernels.baseline_coefs``. ``twfe_regression`` and ``bjs_imputation`` run
 the genuine least-squares / imputation algorithms, each with one
 fixed-effects solve, and must agree with the closed forms; the tests use
@@ -51,21 +51,21 @@ class EventStudyEstimate:
 def estimate_many(panel: PanelDataset, tags: list[str], n_pre: int | None = None) -> list[EventStudyEstimate]:
     """Closed-form estimates for each named estimator, all from one ``coef_matrix``.
 
-    Each estimate is its estimator's row; the row's NaN positions are the
+    Each estimate is its tag's row; the row's NaN positions are the
     omitted categories. ``n_pre`` (default: all available) is the number of
     BJS pre coefficients, the earlier periods pooling into the BJS pre
     baseline; it needs ``bjs`` among ``tags`` and leaves the others as they are.
     """
-    rows = kernels.tag_rows(tags)
+    kernels.check_tags(tags)
     if n_pre is not None:
         if "bjs" not in tags:
             raise ValueError("n_pre applies to the bjs estimator only")
         if not (1 <= n_pre <= -panel.t_min):
             raise ValueError(f"n_pre must be in [1, {-panel.t_min}], got {n_pre}")
-    mat = kernels.coef_matrix(panel.outcomes, panel.treated, panel.t_min, n_pre)
+    mat = kernels.coef_matrix(panel.outcomes, panel.treated, panel.t_min, tags, n_pre)
     rel_times = range(panel.t_min - 1, panel.t_max)
     out = []
-    for tag, row in zip(tags, mat[rows]):
+    for tag, row in zip(tags, mat):
         coefs = {r: float(v) for r, v in zip(rel_times, row) if not np.isnan(v)}
         omitted = frozenset(r for r, v in zip(rel_times, row) if np.isnan(v))
         out.append(EventStudyEstimate(tag, coefs, omitted))

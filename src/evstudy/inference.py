@@ -12,7 +12,7 @@ derived a block of replicates at a time, without two SeedSequence
 constructions per stream. Each replicate is reduced at once to its (T,)
 treated-minus-control gap, so the replicates take O(n + B * T) memory; the
 (B, T) gaps then go through ``kernels.baseline_coefs`` as a point estimate's
-gap does, and one set of replicates serves every estimator of a call.
+gap does, one (B, T) row per tag of the call, from one set of resamples.
 """
 
 from __future__ import annotations
@@ -91,9 +91,8 @@ def bootstrap_many(
     points = estimate_many(panel, tags, n_pre)
 
     gaps = _replicate_gaps(panel, config.replications, config.seed)
-    reps = kernels.baseline_coefs(gaps, -panel.t_min, n_pre)
-    return [_with_intervals(point, reps[row], panel, config)
-            for point, row in zip(points, kernels.tag_rows(tags))]
+    reps = kernels.baseline_coefs(gaps, -panel.t_min, tags, n_pre)
+    return [_with_intervals(point, rep, panel, config) for point, rep in zip(points, reps)]
 
 
 def _with_intervals(point, reps, panel, config) -> EventStudyEstimate:

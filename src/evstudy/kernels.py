@@ -1,10 +1,10 @@
 """The baseline transform and per-panel coefficients.
 
 ``baseline_coefs`` is the one place the four baseline rules are written: it
-maps group gaps of any leading shape to every estimator's coefficients, one
-row per tag in ``spec.TAGS`` order (``tag_rows``). ``coef_matrix`` applies
-it to the gaps of one panel's (n, T) outcomes or of a Monte Carlo block's
-(k, n, T); the bootstrap applies it to its (B, T) replicate gaps.
+maps group gaps of any leading shape to the coefficients of the estimators
+named by ``tags``, one row per tag in the order given. ``coef_matrix``
+applies it to the gaps of one panel's (n, T) outcomes or of a Monte Carlo
+block's (k, n, T); the bootstrap applies it to its (B, T) replicate gaps.
 
 Coefficient layout: for a panel over periods [t_min, t_max] with
 T = t_max - t_min + 1 periods, kernels return length-T vectors indexed by
@@ -19,47 +19,47 @@ import numpy as np
 from .dgp import _allocate
 from .spec import TAGS, UnknownEstimator
 
-# Rows of baseline_coefs' output, in spec.TAGS order.
-TWFE, CS_DEFAULT, CS_UNIVERSAL, BJS = range(4)
 
-
-def tag_rows(tags) -> list[int]:
-    """Each tag's row in ``baseline_coefs``' output; UnknownEstimator names the choices."""
+def check_tags(tags) -> None:
+    """UnknownEstimator, naming the choices, for the first tag not in ``spec.TAGS``."""
     for tag in tags:
         if tag not in TAGS:
             raise UnknownEstimator(f"unknown estimator {tag!r}; choose from {TAGS}")
-    return [TAGS.index(tag) for tag in tags]
 
 
-def baseline_coefs(g: np.ndarray, j0: int, n_pre: int | None = None) -> np.ndarray:
-    """All four estimators' coefficients from group gaps ``g`` of shape (..., T).
+def baseline_coefs(g: np.ndarray, j0: int, tags, n_pre: int | None = None) -> np.ndarray:
+    """The coefficients of the estimators named by ``tags`` from group gaps ``g`` of shape (..., T).
 
-    Returns shape (4, ..., T), one row per tag of ``spec.TAGS``. ``n_pre``
-    (default ``j0``) is the number of BJS pre coefficients; the earlier
-    periods pool into the BJS pre baseline.
+    Returns shape (len(tags), ..., T), row i for ``tags[i]``, repeats
+    included; raises as ``check_tags`` does. ``n_pre`` (default ``j0``) is
+    the number of BJS pre coefficients; the earlier periods pool into the
+    BJS pre baseline. Each row is written in place, with no (..., T) temporary.
     """
+    check_tags(tags)
     n_pool = 1 if n_pre is None else j0 - n_pre + 1
-    out = _allocate((4,) + g.shape, "coefficient")
-    out[TWFE] = g - g[..., j0, None]
-    out[TWFE, ..., j0] = np.nan
-    out[CS_UNIVERSAL] = out[TWFE]
-    out[CS_DEFAULT, ..., 0] = np.nan
-    out[CS_DEFAULT, ..., 1 : j0 + 1] = g[..., 1 : j0 + 1] - g[..., :j0]
-    out[CS_DEFAULT, ..., j0 + 1 :] = out[TWFE, ..., j0 + 1 :]
-    # sum / n is mean's own reduction and division, with less call overhead.
-    pre_base = g[..., :n_pool].sum(axis=-1, keepdims=True) / n_pool
-    post_base = g[..., : j0 + 1].sum(axis=-1, keepdims=True) / (j0 + 1)
-    out[BJS, ..., :n_pool] = np.nan
-    out[BJS, ..., n_pool : j0 + 1] = g[..., n_pool : j0 + 1] - pre_base
-    out[BJS, ..., j0 + 1 :] = g[..., j0 + 1 :] - post_base
+    out = _allocate((len(tags),) + g.shape, "coefficient")
+    for row, tag in zip(out, tags):
+        if tag == "bjs":  # the pooled earliest periods before, the pre mean after
+            # sum / n is mean's own reduction and division, with less call overhead.
+            pre_base = g[..., :n_pool].sum(axis=-1, keepdims=True) / n_pool
+            post_base = g[..., : j0 + 1].sum(axis=-1, keepdims=True) / (j0 + 1)
+            row[..., :n_pool] = np.nan
+            np.subtract(g[..., n_pool : j0 + 1], pre_base, out=row[..., n_pool : j0 + 1])
+            np.subtract(g[..., j0 + 1 :], post_base, out=row[..., j0 + 1 :])
+        else:  # period 0 throughout for twfe and cs_dcdh_universal, ...
+            np.subtract(g, g[..., j0, None], out=row)
+            row[..., j0] = np.nan
+            if tag == "cs_dcdh_default":  # ... and after it, short differences before
+                row[..., 0] = np.nan
+                np.subtract(g[..., 1 : j0 + 1], g[..., :j0], out=row[..., 1 : j0 + 1])
     return out
 
 
-def coef_matrix(y: np.ndarray, treated: np.ndarray, t_min: int, n_pre: int | None = None) -> np.ndarray:
-    """All four estimators' coefficients from outcomes ``y`` of shape (..., n, T).
+def coef_matrix(y: np.ndarray, treated: np.ndarray, t_min: int, tags, n_pre: int | None = None) -> np.ndarray:
+    """The coefficients of the estimators named by ``tags`` from outcomes ``y`` of shape (..., n, T).
 
-    ``treated`` is the (n,) mask of treated units. Returns shape (4, ..., T),
-    rows in ``spec.TAGS`` order; ``n_pre`` is as in ``baseline_coefs``.
+    ``treated`` is the (n,) mask of treated units. Returns shape
+    (len(tags), ..., T) as ``baseline_coefs`` does, with its ``n_pre``.
     """
     g = y[..., treated, :].mean(axis=-2) - y[..., ~treated, :].mean(axis=-2)
-    return baseline_coefs(g, -t_min, n_pre)
+    return baseline_coefs(g, -t_min, tags, n_pre)

@@ -1,7 +1,7 @@
 """Repeated-simulation driver comparing mean estimates to population curves.
 
-Each block of draws goes through ``kernels.coef_matrix``, the same group
-gaps and baseline transform as a point estimate, on its (k, n, T) outcomes.
+Each block of draws goes through ``kernels.coef_matrix``, as a point estimate
+does: (k, n, T) outcomes in, (len(estimators), k, T) coefficients out.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dgp import SEED_BLOCK, DgpConfig, _check_cells, draw_outcomes, stream_seeds
+from .dgp import SEED_BLOCK, DgpConfig, _allocate, _check_cells, draw_outcomes, stream_seeds
 from .oracle import population_curve
 
 # Outcome cells drawn per block: the draws of a block share one pass of the
@@ -41,7 +41,7 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
     are drawn and reduced in blocks of at most BLOCK_CELLS outcome cells,
     so memory does not grow with ``draws``. Each draw's coefficients are
     added to the sums in draw order, so the report is bit-identical to a
-    draw-by-draw loop. Raises UnknownEstimator as ``kernels.tag_rows``
+    draw-by-draw loop. Raises UnknownEstimator as ``kernels.check_tags``
     does, ValueError when the sums overflow, and, before anything is
     allocated, ValueError when draws x units x periods exceeds ``dgp.MAX_CELLS``.
     """
@@ -49,7 +49,7 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
         raise ValueError("need at least 2 Monte Carlo draws")
     if master_seed < 0:
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed}")
-    rows = kernels.tag_rows(estimators)
+    kernels.check_tags(estimators)
 
     n, T = dgp.n_treated + dgp.n_control, dgp.t_max - dgp.t_min + 1
     _check_cells(draws, n, T)
@@ -58,20 +58,21 @@ def run_mc(dgp: DgpConfig, estimators: list[str], draws: int, master_seed: int) 
     r0 = dgp.t_min - 1  # column j holds relative time r0 + j
     # The spread is summed about the population values (0 in omitted columns),
     # not about 0, so it keeps its digits however large the coefficients are.
-    pop = np.zeros((len(rows), T))
+    pop, total, dev_sq = [_allocate((len(estimators), T), f"Monte Carlo {name}")
+                          for name in ("population", "sum", "squared-deviation")]
+    for sums in (pop, total, dev_sq):
+        sums.fill(0.0)
     population = {tag: population_curve(tag, dgp.gamma, dgp.t_min, dgp.t_max)
                   for tag in estimators}
     for e, tag in enumerate(estimators):
         pop[e, [r - r0 for r in population[tag]]] = list(population[tag].values())
-    total = np.zeros_like(pop)
-    dev_sq = np.zeros_like(pop)
     # A design too large for float64 sums to inf or nan; that is rejected below, unwarned.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, draws, SEED_BLOCK):
             seeds = stream_seeds(master_seed, start, min(draws, start + SEED_BLOCK)).tolist()
             for lo in range(0, len(seeds), per_block):
                 part = seeds[lo : lo + per_block]
-                sel = kernels.coef_matrix(draw_outcomes(dgp, part), treated, dgp.t_min)[rows]
+                sel = kernels.coef_matrix(draw_outcomes(dgp, part), treated, dgp.t_min, estimators)
                 dev = sel - pop[:, None]
                 dev *= dev
                 for d in range(len(part)):

@@ -145,6 +145,7 @@ def test_montecarlo_seed_flag_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("command, body, message", [
     ("simulate", "gamma=0.5\nn_treated=abc\n", "2: n_treated: 'abc' is not an integer"),
     ("simulate", "gamma=steep\n", "1: gamma: 'steep' is not a number"),
+    ("simulate", "gamma=1=2\n", "1: gamma: '1=2' is not a number"),
     ("montecarlo", "draws=2.5\n", "1: draws: '2.5' is not an integer"),
     ("simulate", "seed=3\nseed=4\n", "2: duplicate key 'seed' (first on line 1)"),
 ])
@@ -518,6 +519,14 @@ def test_plot_single_estimator_single_file(tmp_path):
     assert out.read_text().count("<circle") == 3
 
 
+def test_plot_two_estimators_one_file_each(tmp_path):
+    panel_csv, est_csv = tmp_path / "p.csv", tmp_path / "e.csv"
+    write_four_cell(panel_csv)
+    main(["estimate", str(panel_csv), "--estimator", "twfe,bjs", "--out", str(est_csv)])
+    assert main(["plot", str(est_csv), "--out", str(tmp_path / "fig.svg")]) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.svg")) == ["fig_bjs.svg", "fig_twfe.svg"]
+
+
 def test_plot_empty_table_exit_2(tmp_path):
     empty = tmp_path / "e.csv"
     empty.write_text("estimator,relative_time,coefficient,std_error,ci_low,ci_high,omitted\n")
@@ -604,26 +613,30 @@ TABLE_HEADER = "estimator,relative_time,coefficient,std_error,ci_low,ci_high,omi
 
 
 def test_plot_overlay_on_a_relative_time_jump_exit_2(tmp_path, capsys):
-    # One polyline point per relative time of the span would be 100,001 points.
-    table = tmp_path / "e.csv"
-    table.write_text(TABLE_HEADER + "twfe,-1,,,,,1\ntwfe,0,0.5,,,,0\ntwfe,100000,1.5,,,,0\n")
-    out = tmp_path / "fig.svg"
-    assert main(["plot", str(table), "--overlay-population", "0.5", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == (f"error: {table}: twfe relative times jump from 0 to 100000;"
-                   " --overlay-population needs them consecutive\n")
-    assert not list(tmp_path.glob("*.svg"))
-    assert main(["plot", str(table), "--out", str(out)]) == 0  # points alone are fine
+    # One polyline point per relative time of the span would be 100,001
+    # points; a jump over a single relative time is refused too.
+    table, out = tmp_path / "e.csv", tmp_path / "fig.svg"
+    for last in (100000, 2):
+        table.write_text(TABLE_HEADER + f"twfe,-1,,,,,1\ntwfe,0,0.5,,,,0\ntwfe,{last},1.5,,,,0\n")
+        assert main(["plot", str(table), "--overlay-population", "0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {table}: twfe relative times jump from 0 to {last};"
+                       " --overlay-population needs them consecutive\n")
+        assert not list(tmp_path.glob("*.svg"))
+        assert main(["plot", str(table), "--out", str(out)]) == 0  # points alone are fine
+        out.unlink()
 
 
 @pytest.mark.parametrize("argv, code, message", [
     (["estimate", "{panel}", "--bjs-pre", "9"], 3, "--bjs-pre must be in [1, 3] for this panel"),
+    (["estimate", "{panel}", "--bjs-pre", "1"], 0, None),
+    (["estimate", "{panel}", "--bjs-pre", "3"], 0, None),
     (["estimate", "{panel}", "--estimator", "twfe,,bjs"], 0, None),
     (["plot", "{omitted}"], 2, "no non-omitted coefficients for twfe"),
     (["plot", "{header}"], 2, f"expected columns {ESTIMATE_COLUMNS}, got ['estimator', 'r']"),
     (["plot", "{panel}"], 2, f"expected columns {ESTIMATE_COLUMNS}, got {PANEL_COLUMNS}"),
     (["simulate", "--config", "{config}"], 2, "c.cfg:1: expected key=value, got 'gamma 0.5'"),
-], ids=["bjs-pre-beyond-t-min", "empty-estimator-item", "only-omitted-rows", "table-header",
+], ids=["bjs-pre-beyond-t-min", "bjs-pre-1", "bjs-pre-at-t-min", "empty-estimator-item", "only-omitted-rows", "table-header",
         "panel-as-table", "config-line-without-equals"])
 def test_rarely_taken_branches(tmp_path, capsys, argv, code, message):
     files = {"panel": GOLDEN / "panel_small.csv", "omitted": tmp_path / "omitted.csv",
@@ -652,6 +665,14 @@ def test_plot_deterministic(tmp_path):
     main(["plot", str(est_csv), "--out", str(a)])
     main(["plot", str(est_csv), "--out", str(b)])
     assert filecmp.cmp(a, b, shallow=False)
+
+
+def test_montecarlo_master_seed_defaults_to_0(tmp_path):
+    default, zero = tmp_path / "default.csv", tmp_path / "zero.csv"
+    assert main(["montecarlo", *SMALL_DESIGN, "--draws", "20", "--out", str(default)]) == 0
+    assert main(["montecarlo", *SMALL_DESIGN, "--draws", "20", "--master-seed", "0",
+                 "--out", str(zero)]) == 0
+    assert default.read_bytes() == zero.read_bytes()
 
 
 def test_montecarlo_table(tmp_path):

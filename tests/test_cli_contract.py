@@ -125,8 +125,8 @@ def test_any_argv_keeps_the_exit_code_contract(tmp_path_factory, inputs, argv):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# A 3+3-unit panel over 2000 periods: its (20000, 2000) bootstrap gaps take
-# 305 MiB, the (4, 20000, 2000) coefficients 1.2 GiB.
+# A 3+3-unit panel over 2000 periods: its (20000, 2000) bootstrap gaps and
+# one tag's (1, 20000, 2000) coefficients take 305 MiB each.
 LONG_PANEL = ["--n-treated", "3", "--n-control", "3", "--t-min", "-1", "--t-max", "1998"]
 BOOTSTRAP = ["--estimator", "twfe", "--bootstrap", "--replications", "20000"]
 
@@ -144,22 +144,11 @@ def limited_env():
     return env, int(proc.stdout) * 1024
 
 
-@pytest.mark.parametrize("argv, margin_mib, fragment", [
-    # Past the gaps, short of the coefficients: _allocate names them.
-    (["estimate", "@panel", *BOOTSTRAP],
-     768, "the (4, 20000, 2000) coefficient array needs 1.2 GiB, more than can be allocated"),
-    # Past the coefficients, short of numpy's temporaries after them.
-    (["estimate", "@panel", *BOOTSTRAP, "--method", "percentile"], 1700, "Unable to allocate "),
-    # Under the cell limit, but its (4, T) population columns come before
-    # anything else sized by T.
-    (["montecarlo", "--t-min", str(-(10**11)), "--t-max", str(10**11), "--n-treated", "1",
-      "--n-control", "1", "--draws", "2"], 768, "(4, 200000000001)"),
-], ids=["coefficients", "temporaries", "montecarlo-population"])
-def test_memory_limited_run_exits_2(tmp_path, limited_env, argv, margin_mib, fragment):
-    # The limit is set in the child only, margin_mib above what importing the
-    # package takes there, so it does not depend on the host.
+def _run_limited(tmp_path, limited_env, argv, margin_mib):
+    """The CLI run of ``argv`` in a child whose address space is margin_mib above the import's."""
+    # The limit is set in the child only, so it does not depend on the host.
     env, vm_size = limited_env
-    panel, out = tmp_path / "panel.csv", tmp_path / "out.csv"
+    panel = tmp_path / "panel.csv"
     if "@panel" in argv:
         with redirect_stdout(io.StringIO()):
             assert main(["simulate", *LONG_PANEL, "--out", str(panel)]) == 0
@@ -168,11 +157,37 @@ def test_memory_limited_run_exits_2(tmp_path, limited_env, argv, margin_mib, fra
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "evstudy.cli", *[str(panel) if a == "@panel" else a for a in argv],
-         "--out", str(out)],
+         "--out", str(tmp_path / "out.csv")],
         env=env, preexec_fn=limit_address_space, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, margin_mib, fragment", [
+    # Past the gaps, short of the coefficients: _allocate names them.
+    (["estimate", "@panel", *BOOTSTRAP],
+     450, "the (1, 20000, 2000) coefficient array needs 305.2 MiB, more than can be allocated"),
+    # Past the coefficients, short of numpy's temporaries after them.
+    (["estimate", "@panel", *BOOTSTRAP, "--method", "percentile"], 768, "Unable to allocate "),
+    # Under the cell limit, but its (4, T) population values and sums come
+    # before anything else sized by T.
+    (["montecarlo", "--t-min", str(-(10**11)), "--t-max", str(10**11), "--n-treated", "1",
+      "--n-control", "1", "--draws", "2"], 768,
+     "the (4, 200000000001) Monte Carlo population array needs 5.8 TiB, more than can be allocated"),
+], ids=["coefficients", "temporaries", "montecarlo-population"])
+def test_memory_limited_run_exits_2(tmp_path, limited_env, argv, margin_mib, fragment):
+    proc = _run_limited(tmp_path, limited_env, argv, margin_mib)
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: ") and fragment in proc.stderr, proc.stderr
-    assert not out.exists()
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["normal", "percentile"])
+def test_one_tag_bootstrap_fits_where_four_rows_did_not(tmp_path, limited_env, method):
+    # 2000 MiB holds the gaps, one tag's coefficients and the interval
+    # temporaries, but not the four tags' 1.2 GiB of coefficients besides.
+    proc = _run_limited(tmp_path, limited_env, ["estimate", "@panel", *BOOTSTRAP, "--method", method],
+                        2000)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").exists()

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evstudy import DgpConfig, InvalidConfig, simulate
+from evstudy import dgp
 from evstudy.dgp import draw_outcomes, pcg64_words, stream_seeds
 from helpers import reference_seed
 
@@ -27,6 +28,26 @@ def test_paper_design_shape():
     assert panel.n_units == 100
     assert panel.n_periods == 26
     assert int(panel.treated.sum()) == 50
+
+
+def test_unit_ids_are_as_wide_as_the_largest_index():
+    panel = simulate(DgpConfig(n_treated=10, n_control=3))
+    assert panel.unit_ids == tuple(f"t{i}" for i in range(10)) + ("c0", "c1", "c2")
+    panel = simulate(DgpConfig(n_treated=2, n_control=11))
+    assert panel.unit_ids[:3] == ("t00", "t01", "c00") and panel.unit_ids[-1] == "c10"
+
+
+@pytest.mark.parametrize("shape, size", [((64,), "0.5 KiB"), ((2**16,), "512.0 KiB"),
+                                         ((2**17,), "1.0 MiB"), ((3, 2**40), "24.0 TiB"),
+                                         ((2**68,), "2048.0 EiB")])
+def test_unallocatable_array_message_names_its_size(monkeypatch, shape, size):
+    def refuse(shape):
+        raise MemoryError
+
+    monkeypatch.setattr(dgp.np, "empty", refuse)
+    with pytest.raises(ValueError) as info:
+        dgp._allocate(shape, "test")
+    assert str(info.value) == f"the {shape} test array needs {size}, more than can be allocated"
 
 
 def test_near_zero_noise_zero_gamma():

@@ -84,6 +84,7 @@ def test_symmetric_groups_all_zero():
 
 def test_twfe_regression_matches_closed_form_fixture(four_cell):
     assert max_coef_diff(twfe_regression(four_cell), estimate(four_cell, "twfe")) < 1e-8
+    assert twfe_regression(four_cell).omitted == estimate(four_cell, "twfe").omitted
 
 
 def test_twfe_regression_matches_closed_form_simulated(default_panel):

@@ -140,8 +140,8 @@ def _check_against_gather(panel, B, seed, n_pre=None):
     reps = _gather_reps(panel, B, seed, n_pre)
     # The replicate loop's gaps through the one baseline transform give the
     # same replicates.
-    got = kernels.baseline_coefs(inference._replicate_gaps(panel, B, seed), -panel.t_min, n_pre)
-    for tag, row in zip(TAGS, got[kernels.tag_rows(TAGS)]):
+    got = kernels.baseline_coefs(inference._replicate_gaps(panel, B, seed), -panel.t_min, TAGS, n_pre)
+    for tag, row in zip(TAGS, got):
         assert np.array_equal(np.isnan(row), np.isnan(reps[tag]))
         assert np.nanmax(np.abs(row - reps[tag]), initial=0.0) <= 1e-12
     # And the public path's se / percentile ci are those of the gathered replicates.

@@ -7,31 +7,37 @@ from evstudy import BootstrapConfig, DgpConfig, UnknownEstimator, bootstrap_many
 from evstudy import kernels
 from evstudy.spec import TAGS
 
-TAG_ROWS = [("twfe", 0), ("cs_dcdh_default", 1), ("cs_dcdh_universal", 2), ("bjs", 3)]
-
 
 def test_coef_matrix_matches_estimators(default_panel):
-    mat = kernels.coef_matrix(default_panel.outcomes, default_panel.treated, default_panel.t_min)
+    mat = kernels.coef_matrix(default_panel.outcomes, default_panel.treated, default_panel.t_min, TAGS)
     offset = default_panel.t_min - 1
-    for tag, row in TAG_ROWS:
+    for tag, row in zip(TAGS, mat):
         est = estimate(default_panel, tag)
         for r, value in est.coefficients.items():
-            assert mat[row, r - offset] == pytest.approx(value, abs=1e-12)
+            assert row[r - offset] == pytest.approx(value, abs=1e-12)
         for r in est.omitted:
-            assert np.isnan(mat[row, r - offset])
+            assert np.isnan(row[r - offset])
 
 
-def test_rows_follow_spec_tags():
-    constants = dict(zip(TAGS, [kernels.TWFE, kernels.CS_DEFAULT, kernels.CS_UNIVERSAL, kernels.BJS]))
-    for tag, row in TAG_ROWS:
-        assert constants[tag] == TAGS.index(tag) == row
-        assert kernels.tag_rows([tag]) == [row]
-    assert kernels.tag_rows(["bjs", "twfe", "bjs"]) == [3, 0, 3]
+def test_rows_follow_the_tags_asked_for(default_panel):
+    args = default_panel.outcomes, default_panel.treated, default_panel.t_min
+    for n_pre in (None, 1, 3):
+        alone = {tag: kernels.coef_matrix(*args, [tag], n_pre) for tag in TAGS}
+        for tag in TAGS:
+            assert alone[tag].shape == (1, default_panel.n_periods)
+        for tags in (["bjs", "twfe", "bjs"], TAGS[::-1]):
+            got = kernels.coef_matrix(*args, tags, n_pre)
+            assert got.shape == (len(tags), default_panel.n_periods)
+            for row, tag in zip(got, tags):
+                assert np.array_equal(row, alone[tag][0], equal_nan=True)
+        assert np.array_equal(alone["twfe"], alone["cs_dcdh_universal"], equal_nan=True)
+    assert kernels.coef_matrix(*args, []).shape == (0, default_panel.n_periods)
 
 
 def test_unknown_tag_raises_one_message_everywhere(four_cell):
     calls = [
-        lambda: kernels.tag_rows(["twfe", "sdid"]),
+        lambda: kernels.check_tags(["twfe", "sdid"]),
+        lambda: kernels.coef_matrix(four_cell.outcomes, four_cell.treated, four_cell.t_min, ["sdid"]),
         lambda: estimate_many(four_cell, ["twfe", "sdid"]),
         lambda: bootstrap_many(four_cell, ["sdid"], BootstrapConfig(replications=2)),
         lambda: run_mc(DgpConfig(), ["twfe", "sdid"], draws=2, master_seed=0),
@@ -55,8 +61,8 @@ def test_coef_matrix_on_a_block_is_each_panel_in_turn(k, n1, n0, t_min, t_max, p
     T = t_max - t_min + 1
     y = 3 * rng.standard_normal((k, n1 + n0, T))
     n_pre = None if pool == 0 else min(pool, -t_min)
-    block = kernels.coef_matrix(y, treated, t_min, n_pre)
-    assert block.shape == (4, k, T)
+    block = kernels.coef_matrix(y, treated, t_min, TAGS, n_pre)
+    assert block.shape == (len(TAGS), k, T)
     for d in range(k):
-        assert np.array_equal(block[:, d], kernels.coef_matrix(y[d], treated, t_min, n_pre),
+        assert np.array_equal(block[:, d], kernels.coef_matrix(y[d], treated, t_min, TAGS, n_pre),
                               equal_nan=True)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from evstudy import DgpConfig, PanelDataset, UnknownEstimator, run_mc, simulate
 from evstudy import dgp as dgp_module
 from evstudy import montecarlo
-from evstudy.kernels import coef_matrix, tag_rows
+from evstudy.kernels import coef_matrix
 from helpers import reference_seed
 
 SMALL = DgpConfig(gamma=0.5, t_min=-4, t_max=3, n_treated=10, n_control=10)
@@ -103,7 +103,6 @@ def test_draws_are_the_simulated_panels(n_treated, n_control, t_min, t_max, gamm
 
 def _assert_is_the_draw_by_draw_report(report, dgp, master_seed):
     """``report`` equals, bit for bit, the sums of a loop over simulated panels."""
-    rows = tag_rows(ALL_TAGS)
     # The spread is summed about the population values, 0 in omitted columns.
     pop = np.zeros((len(ALL_TAGS), dgp.t_max - dgp.t_min + 1))
     for e, tag in enumerate(ALL_TAGS):
@@ -113,7 +112,7 @@ def _assert_is_the_draw_by_draw_report(report, dgp, master_seed):
     draws = report.draws
     for k in range(draws):
         panel = simulate(replace(dgp, seed=reference_seed(master_seed, k)))
-        sel = coef_matrix(panel.outcomes, panel.treated, panel.t_min)[rows]
+        sel = coef_matrix(panel.outcomes, panel.treated, panel.t_min, ALL_TAGS)
         total = total + sel
         dev_sq = dev_sq + (sel - pop) * (sel - pop)
     mean = total / draws

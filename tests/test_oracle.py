@@ -129,6 +129,17 @@ def test_brute_force_out_of_range(four_cell):
         brute_force_did(four_cell, 5, ("period", 0))
     with pytest.raises(TimeOutOfRange):
         brute_force_did(four_cell, 0, ("period", -9))
+    with pytest.raises(TimeOutOfRange):  # period t_max + 1
+        brute_force_did(four_cell, 1, ("period", 0))
+
+
+def test_unknown_tags_and_base_specs_raise(four_cell):
+    with pytest.raises(ValueError, match="^unknown estimator tag 'sdid'$"):
+        population_curve("sdid", 0.5, -2, 2)
+    with pytest.raises(ValueError, match="^unknown estimator tag 'sdid'$"):
+        matching_base_spec("sdid", 0, -2)
+    with pytest.raises(ValueError, match=r"^unknown base spec \('mean',\)$"):
+        brute_force_did(four_cell, 0, ("mean",))
 
 
 def agrees_with_brute_force(panel, tol=1e-10):

@@ -25,7 +25,7 @@ from evstudy import (
 )
 from evstudy import tableio
 from evstudy.cli import main
-from evstudy.panel import InsufficientPeriods, NonFiniteOutcome, panel_from_columns
+from evstudy.panel import InsufficientPeriods, NonFiniteOutcome, check_outcome_bound, panel_from_columns
 from evstudy.spec import CsvFormatError
 from evstudy.tableio import PANEL_COLUMNS, read_panel_csv, write_panel_csv
 
@@ -129,6 +129,24 @@ def test_missing_post_period_rejected():
     rows = [(u, t, d, 0.0) for (u, d) in (("a", 1), ("b", 0)) for t in (-2, -1, 0)]
     with pytest.raises(InsufficientPeriods):
         validate_panel(rows)
+
+
+def test_missing_pre_period_rejected():
+    # t = 0 alone is before treatment; two pre periods need t_min <= -1.
+    rows = [(u, t, d, 0.0) for (u, d) in (("a", 1), ("b", 0)) for t in (0, 1, 2)]
+    with pytest.raises(InsufficientPeriods):
+        validate_panel(rows)
+
+
+@pytest.mark.parametrize("n_units, n_periods, factor", [(2, 2, 4), (3, 4, 8), (16, 3, 16)])
+def test_outcome_bound_factor_is_units_twice_periods_or_4(n_units, n_periods, factor):
+    # Powers of two, so factor * y lands exactly on the largest float.
+    y = np.zeros((n_units, n_periods))
+    y[-1, -1] = -np.finfo(float).max / factor
+    check_outcome_bound(y, -1)
+    y[-1, -1] *= 2
+    with pytest.raises(NonFiniteOutcome, match=f"period {n_periods - 2}: {factor} \\* max"):
+        check_outcome_bound(y, -1)
 
 
 def test_empty_rejected():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from evstudy.svgplot import event_study_svg
@@ -12,6 +14,14 @@ def test_basic_structure():
     assert svg.count("<circle") == 3
     assert "twfe" in svg
     assert "stroke-dasharray" in svg  # treatment-date reference line
+
+
+@pytest.mark.parametrize("rs, drawn", [((-3, -1), True), ((0, 2), True), ((1, 3), False)],
+                         ids=["pre-only", "post-only", "after-treatment"])
+def test_treatment_line_on_a_split_figure_edge(rs, drawn):
+    # A --split-bjs figure has r = -0.5 at the edge of its x axis.
+    svg = event_study_svg("t", [(r, 1.0, None, None) for r in rs])
+    assert ("stroke-dasharray" in svg) == drawn
 
 
 def test_whiskers_only_where_ci_given():
@@ -39,6 +49,34 @@ def test_single_point():
 def test_title_escaped():
     svg = event_study_svg("a & <b>", [(0, 1.0, None, None)])
     assert "a &amp; &lt;b&gt;" in svg
+
+
+def _tick_labels(svg):
+    """The x and the y axis tick labels of a figure, in drawing order."""
+    return tuple(re.findall(rf'text-anchor="{anchor}" font-family="sans-serif" font-size="11">([^<]*)<', svg)
+                 for anchor in ("middle", "end"))
+
+
+@pytest.mark.parametrize("points, overlay, x_labels, y_labels", [
+    # Steps below 1.
+    ([(-1, -0.08, None, None), (0, 0.05, None, None), (1, 0.1, None, None)], None,
+     ["-1", "0", "1"], ["-0.05", "0", "0.05", "0.1"]),
+    # Steps above 10.
+    ([(r, 0.5 * (r + 1), None, None) for r in range(-100, 50) if r != -1], None,
+     ["-100", "-80", "-60", "-40", "-20", "0", "20", "40"], ["-40", "-20", "0", "20"]),
+    # 12 relative times over 12 ticks: a raw step of exactly 1 is a nice step.
+    ([(r, 0.1 * r, None, None) for r in range(-6, 6)], None,
+     [str(r) for r in range(-6, 6)], ["-0.5", "0", "0.5"]),
+    # Without an overlay, the x axis spans the points' relative times alone.
+    (POINTS, None, ["-2", "-1", "0", "1"], ["-1", "0", "1", "2"]),
+    # An overlay's values set the y axis, never the x axis.
+    (POINTS, [(-2, 10.0), (0, 20.0), (1, 30.0)], ["-2", "-1", "0", "1"], ["0", "10", "20", "30"]),
+    # A table may give one bound of an interval; it still sets the y axis.
+    ([(0, 1.0, None, 5.0), (1, 2.0, -3.0, None)], None, ["0", "1"], ["-2", "0", "2", "4"]),
+], ids=["values-within-0.1", "150-relative-times", "12-relative-times", "no-overlay",
+        "overlay-beyond-the-x-span", "one-sided-intervals"])
+def test_tick_labels(points, overlay, x_labels, y_labels):
+    assert _tick_labels(event_study_svg("t", points, overlay)) == (x_labels, y_labels)
 
 
 def test_empty_rejected():
