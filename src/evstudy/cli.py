@@ -16,6 +16,7 @@ from pathlib import Path
 # modules it needs, so start-up is cheap and ``plot`` never loads numpy.
 from .oracle import population_curve
 from .spec import (
+    METHODS,
     TAGS,
     BootstrapConfig,
     CsvFormatError,
@@ -65,44 +66,54 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-_DGP_KEYS = tuple(f.name for f in fields(DgpConfig))
+# Each setting's name -> its default, which also gives its type.
+_DGP_SETTINGS = {f.name: f.default for f in fields(DgpConfig)}
 # Monte Carlo draw k is seeded by SeedSequence([master_seed, k]).generate_state(1,
 # np.uint64)[0] (dgp.stream_seeds), so no seed key.
-_MC_KEYS = tuple(k for k in _DGP_KEYS if k != "seed") + ("draws", "master_seed")
-_INT_KEYS = {"t_min", "t_max", "n_treated", "n_control", "seed", "draws", "master_seed"}
-# BootstrapConfig field -> the estimate flag that sets it.
-_BOOT_FLAGS = {"replications": "--replications", "seed": "--boot-seed",
-               "level": "--level", "method": "--method"}
+_MC_SETTINGS = {**{k: v for k, v in _DGP_SETTINGS.items() if k != "seed"},
+                "draws": 2000, "master_seed": 0}
+_BOOT_SETTINGS = {f.name: f.default for f in fields(BootstrapConfig)}
+# BootstrapConfig.seed is set by --boot-seed, apart from simulate's --seed.
+_BOOT_RENAMED = {"seed": "--boot-seed"}
 
 
-def _config_values(args, keys) -> dict:
-    """Merge config-file values and flags for the known ``keys``; flags win."""
-    values: dict = {}
-    if args.config:
+def _flag(name: str, renamed: dict) -> str:
+    return renamed.get(name, "--" + name.replace("_", "-"))
+
+
+def _add_setting_flags(p, settings: dict, prefix: str, renamed: dict, choices: dict) -> None:
+    """A flag per setting, typed as its default, None unless given, helped by prefix and default."""
+    for name, default in settings.items():
+        flag = _flag(name, renamed)
+        # A renamed flag's metavar is its own name, not its dest's.
+        metavar = flag[2:].upper().replace("-", "_") if name in renamed else None
+        p.add_argument(flag, dest=name, type=type(default), choices=choices.get(name),
+                       metavar=metavar, help=f"{prefix}(default {default})")
+
+
+def _add_config_flags(p, settings: dict) -> None:
+    p.add_argument("--config", type=Path, help="flat key=value config file; flags override")
+    _add_setting_flags(p, settings, "", {}, {})
+
+
+def _config_values(args, settings: dict) -> dict:
+    """Each setting's value: its default, overridden by the config file, then by its flag."""
+    values = dict(settings)
+    if getattr(args, "config", None):
         for key, (raw, lineno) in parse_config_file(args.config).items():
             where = f"{args.config}:{lineno}"
-            if key not in keys:
+            if key not in settings:
                 raise InvalidConfig(f"{where}: unknown key {key!r}")
-            parse, kind = (int, "an integer") if key in _INT_KEYS else (float, "a number")
+            parse = type(settings[key])
             try:
                 values[key] = parse(raw)
             except ValueError:
+                kind = "an integer" if parse is int else "a number"
                 raise InvalidConfig(f"{where}: {key}: {raw!r} is not {kind}") from None
-    for name in keys:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
+    for name in settings:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
     return values
-
-
-def _add_dgp_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="flat key=value config file; flags override")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--t-min", dest="t_min", type=int)
-    p.add_argument("--t-max", dest="t_max", type=int)
-    p.add_argument("--n-treated", dest="n_treated", type=int)
-    p.add_argument("--n-control", dest="n_control", type=int)
-    p.add_argument("--error-sd", dest="error_sd", type=float)
 
 
 def _parse_tags(raw: list[str]) -> list[str]:
@@ -127,8 +138,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="draw one panel from the trend-violation DGP")
-    _add_dgp_flags(p_sim)
-    p_sim.add_argument("--seed", type=int)
+    _add_config_flags(p_sim, _DGP_SETTINGS)
     p_sim.add_argument("--out", type=Path, required=True, help="panel CSV output path")
 
     p_est = sub.add_parser("estimate", help="run event-study estimators on a panel CSV")
@@ -137,14 +147,8 @@ def build_parser() -> _Parser:
                        help="tag, comma list, or 'all' (default all); repeatable")
     p_est.add_argument("--bootstrap", action="store_true",
                        help="add stratified unit-bootstrap se/ci columns")
-    p_est.add_argument("--replications", type=int,
-                       help=f"with --bootstrap (default {BootstrapConfig.replications})")
-    p_est.add_argument("--boot-seed", dest="seed", type=int, metavar="BOOT_SEED",
-                       help=f"with --bootstrap (default {BootstrapConfig.seed})")
-    p_est.add_argument("--level", type=float,
-                       help=f"with --bootstrap (default {BootstrapConfig.level})")
-    p_est.add_argument("--method", choices=["normal", "percentile"],
-                       help=f"with --bootstrap (default {BootstrapConfig.method})")
+    _add_setting_flags(p_est, _BOOT_SETTINGS, "with --bootstrap ", _BOOT_RENAMED,
+                       {"method": METHODS})
     p_est.add_argument("--bjs-pre", type=int, default=None,
                        help="number of BJS pre coefficients; earlier periods pool into the baseline")
     p_est.add_argument("--out", type=Path, required=True, help="estimate table output path")
@@ -159,10 +163,8 @@ def build_parser() -> _Parser:
                         help="SVG path; with several estimators the tag is appended to the stem")
 
     p_mc = sub.add_parser("montecarlo", help="average estimators over repeated draws vs the population oracle")
-    _add_dgp_flags(p_mc)
+    _add_config_flags(p_mc, _MC_SETTINGS)
     p_mc.add_argument("--estimator", action="append", default=[])
-    p_mc.add_argument("--draws", type=int, help="number of draws (default 2000)")
-    p_mc.add_argument("--master-seed", dest="master_seed", type=int, help="default 0")
     p_mc.add_argument("--out", type=Path, required=True, help="report table output path")
     return parser
 
@@ -170,15 +172,11 @@ def build_parser() -> _Parser:
 def _cmd_simulate(args) -> int:
     from .dgp import GENERATOR_ID, simulate
 
-    config = DgpConfig(**_config_values(args, _DGP_KEYS))
-    panel = simulate(config)
+    values = _config_values(args, _DGP_SETTINGS)
+    panel = simulate(DgpConfig(**values))
     write_panel_csv(panel, args.out)
     print(f"generator: {GENERATOR_ID}")
-    print(
-        f"gamma={config.gamma} t_min={config.t_min} t_max={config.t_max} "
-        f"n_treated={config.n_treated} n_control={config.n_control} "
-        f"error_sd={config.error_sd} seed={config.seed}"
-    )
+    print(" ".join(f"{name}={value}" for name, value in values.items()))
     print(f"wrote {panel.n_units * panel.n_periods} data rows to {args.out}")
     return EXIT_OK
 
@@ -187,16 +185,17 @@ def _cmd_estimate(args) -> int:
     tags = _parse_tags(args.estimator)
     if args.bjs_pre is not None and "bjs" not in tags:
         raise UsageError("--bjs-pre needs the bjs estimator")
-    boot = {key: getattr(args, key) for key in _BOOT_FLAGS if getattr(args, key) is not None}
-    if boot and not args.bootstrap:
-        raise UsageError(f"{', '.join(_BOOT_FLAGS[key] for key in boot)} given without --bootstrap")
+    given = [_flag(name, _BOOT_RENAMED) for name in _BOOT_SETTINGS if getattr(args, name) is not None]
+    if given and not args.bootstrap:
+        raise UsageError(f"{', '.join(given)} given without --bootstrap")
     panel = read_panel_csv(args.input)
     if args.bjs_pre is not None and not (1 <= args.bjs_pre <= -panel.t_min):
         raise UsageError(f"--bjs-pre must be in [1, {-panel.t_min}] for this panel")
     if args.bootstrap:
         from .inference import bootstrap_many
 
-        results = bootstrap_many(panel, tags, BootstrapConfig(**boot), n_pre=args.bjs_pre)
+        config = BootstrapConfig(**_config_values(args, _BOOT_SETTINGS))
+        results = bootstrap_many(panel, tags, config, n_pre=args.bjs_pre)
     else:
         from .estimators import estimate_many
 
@@ -278,10 +277,9 @@ def _cmd_montecarlo(args) -> int:
     from .montecarlo import run_mc
 
     tags = _parse_tags(args.estimator)
-    values = _config_values(args, _MC_KEYS)
-    draws, master_seed = values.pop("draws", 2000), values.pop("master_seed", 0)
-    config = DgpConfig(**values)
-    report = run_mc(config, tags, draws, master_seed)
+    values = _config_values(args, _MC_SETTINGS)
+    draws, master_seed = values.pop("draws"), values.pop("master_seed")
+    report = run_mc(DgpConfig(**values), tags, draws, master_seed)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["estimator", "relative_time", "mean_coefficient",

@@ -90,19 +90,20 @@ def bootstrap_many(
     """
     points = estimate_many(panel, tags, n_pre)
 
-    gaps = _replicate_gaps(panel, config.replications, config.seed)
-    reps = kernels.baseline_coefs(gaps, -panel.t_min, tags, n_pre)
+    # The gaps are released once their coefficients exist, before any interval.
+    reps = kernels.baseline_coefs(_replicate_gaps(panel, config.replications, config.seed),
+                                  -panel.t_min, tags, n_pre)
     return [_with_intervals(point, rep, panel, config) for point, rep in zip(points, reps)]
 
 
 def _with_intervals(point, reps, panel, config) -> EventStudyEstimate:
     """``point`` with se/ci filled from its (B, T) replicate coefficients."""
     rs = sorted(point.coefficients)
-    block = reps[:, [r - panel.t_min + 1 for r in rs]]
+    draws = reps[:, [r - panel.t_min + 1 for r in rs]]  # a copy, scaled in place
     # Scaling each column by a power of two is exact, so se and the quantiles
     # keep every digit, and the squares cannot overflow near the float range.
-    e = np.frexp(np.abs(block).max(axis=0))[1]
-    draws = np.ldexp(block, -e)
+    e = np.frexp(np.maximum(draws.max(axis=0), -draws.min(axis=0)))[1]
+    np.ldexp(draws, -e, out=draws)
     se = dict(zip(rs, np.ldexp(draws.std(axis=0, ddof=1), e).tolist()))
     if config.method == "normal":
         z = NormalDist().inv_cdf(0.5 + config.level / 2)

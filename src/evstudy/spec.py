@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 TAGS = ("twfe", "cs_dcdh_default", "cs_dcdh_universal", "bjs")
+# Bootstrap interval methods, BootstrapConfig.method's choices.
+METHODS = ("normal", "percentile")
 
 
 class PanelError(Exception):
@@ -93,7 +95,7 @@ class BootstrapConfig:
     replications: int = 999
     seed: int = 0
     level: float = 0.95
-    method: str = "normal"  # "normal" | "percentile"
+    method: str = "normal"  # one of METHODS
 
     def __post_init__(self):
         if self.replications < 2:
@@ -102,5 +104,5 @@ class BootstrapConfig:
             raise ValueError(f"bootstrap seed must be a non-negative integer, got {self.seed}")
         if not (0.0 < self.level < 1.0):
             raise ValueError(f"confidence level must be in (0, 1), got {self.level}")
-        if self.method not in ("normal", "percentile"):
-            raise ValueError(f"method must be 'normal' or 'percentile', got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be {' or '.join(map(repr, METHODS))}, got {self.method!r}")

@@ -329,8 +329,8 @@ def read_estimate_table(path) -> list[TableRow]:
     """Rows of an estimate table; errors name the physical line.
 
     Every number must be finite, each (estimator, relative_time) may appear
-    once, a row with ``omitted=0`` needs a coefficient and a row with
-    ``omitted=1`` carries no numbers.
+    once, a row with ``omitted=0`` needs a coefficient and has all or none of
+    std_error, ci_low and ci_high, and a row with ``omitted=1`` carries no numbers.
     """
     with _utf8_text(path) as fh:
         reader = csv.reader(fh)
@@ -355,6 +355,8 @@ def read_estimate_table(path) -> list[TableRow]:
                     raise ValueError("a row with omitted=1 must leave its numbers empty")
                 if omitted == "0" and values[0] is None:
                     raise ValueError("a row with omitted=0 needs a coefficient")
+                if len({v is None for v in values[1:]}) > 1:
+                    raise ValueError("std_error, ci_low and ci_high must be all given or all empty")
                 if key in first_line:
                     raise ValueError(f"repeated row for {estimator} at relative time {key[1]} "
                                      f"(first on line {first_line[key]})")

@@ -6,11 +6,13 @@ from pathlib import Path
 import pytest
 
 from evstudy import BootstrapConfig, DgpConfig, bootstrap_many, estimate_many, simulate
-from evstudy import kernels
+from evstudy import cli, kernels
 from evstudy.cli import main
+from evstudy.oracle import population_curve
 from evstudy.tableio import (
     ESTIMATE_COLUMNS,
     PANEL_COLUMNS,
+    TableRow,
     estimate_table_rows,
     read_estimate_table,
     read_panel_csv,
@@ -34,8 +36,11 @@ def write_four_cell(path):
 
 def test_simulate_row_count_defaults(tmp_path, capsys):
     out = tmp_path / "panel.csv"
-    assert main(["simulate", "--seed", "1", "--out", str(out)]) == 0
-    assert "2600 data rows" in capsys.readouterr().out
+    assert main(["simulate", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert ("\ngamma=0.5 t_min=-15 t_max=10 n_treated=50 n_control=50 error_sd=1.0 seed=1\n"
+            in stdout)
+    assert "2600 data rows" in stdout
     assert len(out.read_text().splitlines()) == 2601
 
 
@@ -499,6 +504,15 @@ def test_plot_overlay_passes_through_pooled_bjs_points(tmp_path):
             assert abs(cx - vx) <= 0.011 and abs(cy - vy) <= 0.011
 
 
+@pytest.mark.parametrize("omitted", [(), (-4, 0)], ids=["none-omitted", "omitted-at-0"])
+def test_plot_overlay_pools_only_omitted_pre_rows(omitted):
+    # Only omitted rows before relative time 0 pool into the BJS pre baseline,
+    # and a table with none is unpooled, as estimate writes it without --bjs-pre.
+    rows = [TableRow("bjs", r, None if r in omitted else 0.0, None, None, None, r in omitted)
+            for r in range(-4, 2)]
+    assert cli._overlay_for("bjs", 0.5, rows) == sorted(population_curve("bjs", 0.5, -3, 2).items())
+
+
 def test_plot_split_bjs_without_bjs_rows_exit_3(tmp_path, capsys):
     panel_csv, est_csv = tmp_path / "p.csv", tmp_path / "e.csv"
     write_four_cell(panel_csv)
@@ -544,9 +558,11 @@ def test_plot_empty_table_exit_2(tmp_path):
     ("twfe,-1,,,,,1\n", "line 3: repeated row for twfe at relative time -1 (first on line 2)"),
     ("twfe,0,,,,,0\n", "line 3: a row with omitted=0 needs a coefficient"),
     ("twfe,0,1.5,,,,1\n", "line 3: a row with omitted=1 must leave its numbers empty"),
+    ("twfe,0,1.5,,1.0,,0\n", "line 3: std_error, ci_low and ci_high must be all given or all empty"),
+    ("twfe,1,2.5,0.3,,,0\n", "line 3: std_error, ci_low and ci_high must be all given or all empty"),
 ], ids=["short-row", "bad-coefficient", "bad-relative-time", "bad-omitted", "inf-coefficient",
         "nan-coefficient", "inf-ci", "repeated-row", "missing-coefficient",
-        "omitted-with-numbers"])
+        "omitted-with-numbers", "half-interval", "se-without-interval"])
 def test_plot_malformed_table_names_line(tmp_path, capsys, row, message):
     table = tmp_path / "e.csv"
     table.write_text("estimator,relative_time,coefficient,std_error,ci_low,ci_high,omitted\n"

@@ -191,3 +191,12 @@ def test_one_tag_bootstrap_fits_where_four_rows_did_not(tmp_path, limited_env, m
                         2000)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out.csv").exists()
+
+
+def test_one_tag_bootstrap_keeps_three_replicate_arrays(tmp_path, limited_env):
+    # 1250 MiB holds one tag's coefficients, the interval step's copy of them
+    # and std's deviations, 305 MiB each, but not also the gaps, |x| and an
+    # unscaled copy: that took 1600 MiB.
+    proc = _run_limited(tmp_path, limited_env, ["estimate", "@panel", *BOOTSTRAP], 1250)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").exists()

@@ -65,7 +65,7 @@ def test_deterministic_trend_term():
 
 @pytest.mark.parametrize("bad", [
     dict(t_min=0), dict(t_max=0), dict(n_treated=0), dict(n_control=0),
-    dict(error_sd=0.0), dict(error_sd=-1.0), dict(seed=-1),
+    dict(error_sd=0.0), dict(error_sd=-1.0), dict(seed=-1), dict(seed=2**64),
 ])
 def test_invalid_config(bad):
     with pytest.raises(InvalidConfig):

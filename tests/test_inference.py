@@ -37,6 +37,8 @@ def test_config_invariants():
     with pytest.raises(ValueError):
         BootstrapConfig(level=1.0)
     with pytest.raises(ValueError):
+        BootstrapConfig(level=0.0)
+    with pytest.raises(ValueError):
         BootstrapConfig(method="wild")
 
 

@@ -1,0 +1,32 @@
+"""tools/mutants.py on a five-line module: it reports exactly the mutants its test misses."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
+
+
+def test_mutants_prints_each_survivor(tmp_path):
+    (tmp_path / "small.py").write_text(
+        "def add(a, b):\n"
+        "    return a + b\n"
+        "\n"
+        "def is_small(x):\n"
+        "    return x < 10\n")
+    (tmp_path / "test_small.py").write_text(
+        "from small import add, is_small\n"
+        "\n"
+        "def test_small():\n"
+        "    assert add(2, 3) == 5\n"
+        "    assert is_small(3) and not is_small(12)\n")
+    proc = subprocess.run([sys.executable, str(TOOL), "small.py", "test_small.py"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    # a - b fails the test; x <= 10 and x < 11 agree with x < 10 on 3 and 12.
+    assert proc.stdout.splitlines() == [
+        "small.py:5: col 13 '<' -> '<=': return x < 10",
+        "small.py:5: col 15 '10' -> '11': return x < 10",
+        "3 mutants, 1 killed, 2 survived",
+    ], proc.stderr
+    assert proc.returncode == 1
+    assert "return x < 10" in (tmp_path / "small.py").read_text()  # the tree is not written

@@ -1,5 +1,6 @@
 """The package surface: lazy exports, which commands load numpy, and what the oracle imports."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -77,8 +78,68 @@ def test_unknown_attribute_raises_attribute_error():
         evstudy.no_such_name
 
 
-def test_cli_dgp_keys_are_the_config_fields():
-    assert cli._DGP_KEYS == tuple(f.name for f in dataclasses.fields(spec.DgpConfig))
+class _Captured(Exception):
+    """Raised in place of the command's work, carrying what the CLI passed on."""
+
+
+def _capture(*args, **kwargs):
+    raise _Captured(args)
+
+
+def _other(value):
+    """A valid value of ``value``'s type that differs from it."""
+    if isinstance(value, str):
+        return next(m for m in spec.METHODS if m != value)
+    return value + 1 if isinstance(value, int) else value / 2
+
+
+_FIELDS = [(f.name, f.default) for f in dataclasses.fields(spec.DgpConfig)]
+_BOOT_FIELDS = [(f.name, f.default) for f in dataclasses.fields(spec.BootstrapConfig)]
+# command -> (its arguments before any setting's flag, the function it hands its
+# settings to, and each setting's (name, default, flag, and where that function
+# receives it: argument index, then attribute or None)).
+_SETTINGS = {
+    "simulate": ([], "evstudy.dgp.simulate", [(n, d, "--" + n, 0, n) for n, d in _FIELDS]),
+    "montecarlo": ([], "evstudy.montecarlo.run_mc",
+                   [(n, d, "--" + n, 0, n) for n, d in _FIELDS if n != "seed"]
+                   + [("draws", 2000, "--draws", 2, None), ("master_seed", 0, "--master_seed", 3, None)]),
+    "estimate": ([str(GOLDEN / "panel_small.csv"), "--bootstrap"], "evstudy.inference.bootstrap_many",
+                 [(n, d, "--boot_seed" if n == "seed" else "--" + n, 2, n) for n, d in _BOOT_FIELDS]),
+}
+# The options that are no setting.
+_NOT_SETTINGS = {"help", "out", "config", "estimator", "bootstrap", "bjs_pre"}
+
+
+def _passed_on(monkeypatch, tmp_path, command, argv, index, attr):
+    """The setting the command hands on at ``index``/``attr`` when run with ``argv``."""
+    head, target, _ = _SETTINGS[command]
+    monkeypatch.setattr(target, _capture)
+    with pytest.raises(_Captured) as captured:
+        main([command, *head, *argv, "--out", str(tmp_path / "out")])
+    arg = captured.value.args[0][index]
+    return arg if attr is None else getattr(arg, attr)
+
+
+@pytest.mark.parametrize("command", sorted(_SETTINGS))
+def test_every_setting_has_a_flag_and_config_key_typed_and_defaulted_as_declared(
+        tmp_path, monkeypatch, command):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[command]._actions}
+    _, _, settings = _SETTINGS[command]
+    flagged = {a.dest for a in actions.values() if a.option_strings} - _NOT_SETTINGS
+    assert flagged == {name for name, *_ in settings}  # no setting more or fewer
+    for name, default, flag, *where in settings:
+        flag = flag.replace("_", "-")
+        assert actions[name].option_strings == [flag]
+        assert actions[name].type is type(default) and actions[name].default is None
+        value = _other(default)
+        cases = [([], default), ([flag, str(value)], value)]
+        if "config" in actions:
+            (tmp_path / f"{name}.cfg").write_text(f"{name} = {value}\n")
+            cases.append((["--config", str(tmp_path / f"{name}.cfg")], value))
+        for argv, expected in cases:
+            got = _passed_on(monkeypatch, tmp_path, command, argv, *where)
+            assert got == expected and type(got) is type(default), (name, argv)
 
 
 def test_estimate_help_unchanged(capsys, monkeypatch):

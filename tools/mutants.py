@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Mutation check: which one-token changes to a module do its tests miss?
+
+    python3 tools/mutants.py src/evstudy/cli.py tests/test_cli.py tests/test_package.py
+
+Run from the project root. The tree under the current directory is copied to
+a temporary directory once; each mutant changes one token of MODULE there:
+
+- ``+``/``-``, ``*``/``/``, ``<``/``<=`` and ``>``/``>=`` swap;
+- an integer literal from 0 to 64 goes up by one.
+
+A mutant that does not compile is skipped. For each of the others, pytest
+runs TESTS with ``-x`` in the copy, with a timeout of 10 s plus three times
+the unmutated run's wall time; a failing or timed-out run kills the mutant.
+Every survivor is printed as ``MODULE:LINE: mutation: source line``, and
+the exit status is 1 when any survived, 2 when the unmutated tests fail.
+Only the standard library is used, and the working tree is never written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+import tokenize
+from pathlib import Path
+
+SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">"}
+
+
+def mutants(source: str):
+    """(line, col, old, new, mutated source) of each one-token change that still compiles."""
+    lines = source.splitlines(keepends=True)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.OP and tok.string in SWAPS:
+            new = SWAPS[tok.string]
+        elif tok.type == tokenize.NUMBER and tok.string.isdigit() and int(tok.string) <= 64:
+            new = str(int(tok.string) + 1)
+        else:
+            continue
+        (row, col), end_col = tok.start, tok.end[1]  # an operator or number spans one line
+        line = lines[row - 1]
+        mutated = lines[: row - 1] + [line[:col] + new + line[end_col:]] + lines[row:]
+        try:
+            compile("".join(mutated), "<mutant>", "exec")
+        except SyntaxError:
+            continue
+        yield row, col, tok.string, new, "".join(mutated)
+
+
+def run_tests(tree: Path, tests: list[str], timeout: float | None) -> bool:
+    """Whether the tests pass in ``tree``; a run past ``timeout`` fails."""
+    # No bytecode cache: a mutant of the same size and mtime second would load the last one's.
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               *tests], cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return False
+    return proc.returncode == 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Print the one-token mutants of MODULE that TESTS miss.")
+    parser.add_argument("module", type=Path, metavar="MODULE", help="path of the module to mutate")
+    parser.add_argument("tests", nargs="+", metavar="TESTS", help="pytest arguments that select its tests")
+    args = parser.parse_args(argv)
+    module, tests = args.module, args.tests
+    root = Path.cwd()
+    source = (root / module).read_text(encoding="utf-8")
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(root, tree, ignore=shutil.ignore_patterns(".*", "__pycache__"))
+        target = tree / module
+        start = time.perf_counter()
+        if not run_tests(tree, tests, None):
+            print("the tests fail before any mutation", file=sys.stderr)
+            return 2
+        timeout = 10 + 3 * (time.perf_counter() - start)
+        lines = source.splitlines()
+        total = survived = 0
+        for row, col, old, new, mutated in mutants(source):
+            total += 1
+            target.write_text(mutated, encoding="utf-8")
+            if run_tests(tree, tests, timeout):
+                survived += 1
+                print(f"{module}:{row}: col {col} {old!r} -> {new!r}: {lines[row - 1].strip()}",
+                      flush=True)
+    print(f"{total} mutants, {total - survived} killed, {survived} survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
