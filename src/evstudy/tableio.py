@@ -11,9 +11,9 @@ Python objects: the writer formats one block of units at a time, and the
 reader appends each row as it reads it to the typed columns of
 ``panel.new_columns``, so a time outside int64 fails at its line.
 
-The reader has two paths to those columns, ``_read_canonical`` for the
-files ``write_panel_csv`` writes and the strict ``_read_rows`` for every
-other; ``read_panel_csv`` says how they share the work.
+The reader fills those columns in one pass, through numpy's tokenizer
+while the file stays canonical and the strict csv loop from there on;
+``read_panel_csv`` says how they share the work.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 from .spec import CsvFormatError, NonIntegerTime, UnbalancedPanel
@@ -80,33 +80,51 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
 def read_panel_csv(path) -> PanelDataset:
     """Columns in any order, blank lines skipped; errors name the physical line.
 
-    A canonical file is parsed by numpy's C tokenizer
-    (``_read_canonical``); any other file is read from the start by
-    ``_read_rows``, the strict loop that defines what a panel file may
-    hold. Both fill the same typed columns.
+    The file is opened once and read in order. After a canonical header,
+    each block of at most ``_CANONICAL_LINES`` lines that ``_canonical_block``
+    takes is parsed by numpy's C tokenizer. The first block it declines, and
+    all that follows, go to ``_strict_rows``, the csv loop that defines what a
+    panel file may hold; a header that is not canonical sends it the whole
+    file. Both append to the same typed columns.
     """
-    from .panel import panel_from_columns
+    import numpy as np
 
-    columns = _read_canonical(path)
-    if columns is None:
-        columns = _read_rows(path)
-    return panel_from_columns(*columns)
+    from .panel import new_columns, panel_from_columns
+
+    codes: dict[str, int] = {}
+    columns = new_columns()
+    with _utf8_text(path) as fh:
+        first = fh.readline()
+        header = first.rstrip("\r\n").split(",")
+        if sorted(header) == sorted(PANEL_COLUMNS):  # csv would read the same names
+            dtype = np.dtype([(name, _CANONICAL_TYPES[name]) for name in header])
+            offset = 1
+            while ((lines := list(islice(fh, _CANONICAL_LINES)))
+                   and _canonical_block(lines, dtype, codes, columns)):
+                offset += len(lines)
+        else:  # csv reads the header too; an empty file has no line
+            header, lines, offset = None, [first] if first else [], 0
+        lines = chain(lines, fh)  # so the block's list is freed once csv has read it
+        _strict_rows(lines, header, offset, codes, columns)
+    return panel_from_columns(list(codes), *columns)
 
 
-def _csv_rows(reader):
+def _csv_rows(reader, offset=0):
     """The rows of a csv.reader; a csv.Error, such as a field over csv's
-    size limit, becomes a CsvFormatError naming the physical line."""
+    size limit, becomes a CsvFormatError naming the physical line, the
+    reader's line number plus ``offset``."""
     try:
         yield from reader
     except csv.Error as exc:
-        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+        raise CsvFormatError(f"line {offset + reader.line_num}: {exc}") from None
 
 
 @contextmanager
 def _utf8_text(path):
-    """``path`` opened as UTF-8 text with its line ends kept; a byte that is
-    not UTF-8 raises a CsvFormatError naming the file and the byte's line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """``path`` opened as UTF-8 text with its line ends kept and a leading
+    byte-order mark skipped; a byte that is not UTF-8 raises a
+    CsvFormatError naming the file and the byte's line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -130,154 +148,113 @@ def _undecodable(path, exc: UnicodeDecodeError) -> str:
     return f"{path}: {exc}"
 
 
-# Bytes per chunk of the canonical check: a chunk, its copies cut at a line
-# end and its CR and LF masks (about 1.3 MiB in all) exist one chunk at a time.
-_CHECK_BYTES = 1 << 18
 # Physical lines per block of the canonical path: one block's line strings
 # and its parsed records (about 2.3 MiB in all for simulate's lines) are all
 # that exist at a time beside the typed columns.
 _CANONICAL_LINES = 1 << 14
-# Longest canonical line. Below csv's default field limit (131072) and the
-# 640-digit floor of int()'s digit limit, so a field the fast path reads
-# is one the strict loop reads too. simulate writes lines under 90 chars.
+# Longest canonical line, its line end included. Below csv's default field
+# limit (131072) and the 640-digit floor of int()'s digit limit, so a field
+# the fast path reads is one the strict loop reads too. simulate writes lines
+# under 90 chars.
 _CANONICAL_CHARS = 128
-# Every byte but these marks a file as not canonical: printable ASCII
+# Every byte but these marks a block as not canonical: printable ASCII
 # without space or '"', and the line ends.
 _CANONICAL_BYTES = bytes(c for c in range(0x21, 0x7F) if c != 0x22) + b"\r\n"
 # numpy types per column; a unit id as long as its field may be truncated.
 _CANONICAL_TYPES = {"unit": "S32", "time": "i8", "treated": "S2", "outcome": "f8"}
 
 
-def _is_canonical(path) -> bool:
-    """Whether every byte and line of the file is canonical.
+def _canonical_block(lines, dtype, codes, columns) -> bool:
+    """Parse a block of canonical lines into ``columns``; False, with
+    ``codes`` and ``columns`` untouched, for any other block.
 
-    A canonical file is printable ASCII without spaces or quotes, every
-    line of it ends in CRLF, and none is blank or longer than
-    ``_CANONICAL_CHARS``; csv splits such a line on its commas and nothing
-    else. The whole file is checked, in chunks of ``_CHECK_BYTES`` cut at
-    line ends, before any of it is parsed, so a file declined here is
-    parsed once, by the strict loop.
+    A canonical line is printable ASCII without spaces or quotes, ends in LF
+    or CRLF, is not blank and is at most ``_CANONICAL_CHARS`` long; csv
+    splits such a line on its commas and nothing else. The block then goes
+    through ``np.loadtxt``, which parses floats with ``PyOS_string_to_double``,
+    as ``float()`` does, and int64s as ``int()`` does on signs and digits.
+    Anything the strict loop might read differently or reject declines the
+    block: a field loadtxt rejects or warns about (some numpy releases read
+    an integer field such as ``3.7`` through a float, truncating it, and
+    only warn), a flag other than 0 or 1, a unit id as long as its field.
     """
-    import numpy as np
-
-    longest = min(_CANONICAL_CHARS, csv.field_size_limit())
-    tail = b""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_CHECK_BYTES):
-            chunk = tail + chunk
-            cut = chunk.rfind(b"\n") + 1
-            chunk, tail = chunk[:cut], chunk[cut:]
-            byte = np.frombuffer(chunk, np.uint8)
-            cr, lf = byte == ord("\r"), byte == ord("\n")
-            # a chunk starts a line: the length of each line, its CRLF included
-            lengths = np.diff(np.flatnonzero(lf), prepend=-1)
-            # a line longer than a canonical line ends the check before the tail grows
-            if (len(tail) > longest or chunk.translate(None, _CANONICAL_BYTES)
-                    # every CR is followed by LF and every LF but a first byte
-                    # follows CR; a first-byte LF is a line of length 1
-                    or not np.array_equal(cr[:-1], lf[1:])
-                    # no line is blank ("\r\n"), too short or too long
-                    or (len(lengths) and not 2 < lengths.min() <= lengths.max() <= longest)):
-                return False
-    return not tail  # the last line ends in CRLF too
-
-
-def _read_canonical(path):
-    """The typed columns of a canonical panel file, or None for any other.
-
-    ``_is_canonical`` checks the file's bytes and lines first. The header
-    is then the first line split on commas, and the body goes in blocks of
-    at most ``_CANONICAL_LINES`` lines through ``np.loadtxt``, which parses
-    floats with ``PyOS_string_to_double``, as ``float()`` does, and int64s
-    as ``int()`` does on signs and digits. Anything the strict loop might
-    read differently or reject returns None: a header that is not the
-    panel's columns, a field loadtxt rejects or warns about (some numpy
-    releases read an integer field such as ``3.7`` through a float,
-    truncating it, and only warn), a flag other than 0 or 1, a unit id as
-    long as its field.
-    """
-    # a pipe can be read only once, so only the strict loop reads it
-    if not os.path.isfile(path) or not _is_canonical(path):
-        return None
-
     import warnings
 
     import numpy as np
 
-    from .panel import new_columns
+    data = "".join(lines).encode()
+    # Text mode with newline="" ends a line at CR, LF or CRLF, so one LF per
+    # line means each ends in LF, with at most one CR before it; a line's
+    # length, its line end included, is then the distance between LFs.
+    lengths = np.diff(np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")), prepend=-1)
+    if (data.translate(None, _CANONICAL_BYTES) or len(lengths) != len(lines)
+            # no line is blank ("\r\n"), too short or too long
+            or not 2 < lengths.min() <= lengths.max() <= min(_CANONICAL_CHARS,
+                                                             csv.field_size_limit())):
+        return False
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return False
+    flags = block["treated"]
+    is_one = flags == b"1"
+    if not (is_one | (flags == b"0")).all():
+        return False
+    ids = block["unit"]
+    heads = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    head_ids = ids[heads].tolist()
+    if max(map(len, head_ids)) >= dtype["unit"].itemsize:
+        return False
+    units, times, treated, outcomes = columns
+    head_codes = [codes.setdefault(uid.decode(), len(codes)) for uid in head_ids]
+    runs = np.diff(heads, append=len(block))
+    units.frombytes(np.repeat(np.array(head_codes, dtype=np.int64), runs).tobytes())
+    times.frombytes(block["time"].tobytes())
+    treated += is_one.tobytes()
+    outcomes.frombytes(block["outcome"].tobytes())
+    return True
 
-    codes: dict[str, int] = {}
-    units, times, treated, outcomes = new_columns()
-    with open(path, newline="", encoding="ascii") as fh:
-        header = fh.readline()[:-2].split(",")
-        if sorted(header) != sorted(PANEL_COLUMNS):
-            return None
-        dtype = np.dtype([(name, _CANONICAL_TYPES[name]) for name in header])
-        width = dtype["unit"].itemsize
-        while lines := list(islice(fh, _CANONICAL_LINES)):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                                       ndmin=1)
-            except (ValueError, Warning):
-                return None
-            flags = block["treated"]
-            is_one = flags == b"1"
-            if not (is_one | (flags == b"0")).all():
-                return None
-            ids = block["unit"]
-            heads = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-            head_ids = ids[heads].tolist()
-            if max(map(len, head_ids)) >= width:
-                return None
-            head_codes = [codes.setdefault(uid.decode(), len(codes)) for uid in head_ids]
-            runs = np.diff(heads, append=len(block))
-            units.frombytes(np.repeat(np.array(head_codes, dtype=np.int64), runs).tobytes())
-            times.frombytes(block["time"].tobytes())
-            treated += is_one.tobytes()
-            outcomes.frombytes(block["outcome"].tobytes())
-    return list(codes), units, times, treated, outcomes
 
+def _strict_rows(lines, header, offset: int, codes, columns) -> None:
+    """Append the rows of ``lines`` to ``columns``, read through csv.
 
-def _read_rows(path):
-    """The typed columns of a panel file, read row by row through csv.
-
-    This loop defines what a panel file may hold. Each row goes into the
-    typed columns as it is checked, so memory grows by about 25 bytes per
-    row, not by Python objects.
+    This loop defines what a panel file may hold and words every error.
+    ``lines`` begin at physical line ``offset + 1``; with ``header`` None
+    their first row is the header. Each row goes into the typed columns as
+    it is checked, so memory grows by about 25 bytes per row, not by Python
+    objects.
     """
-    from .panel import new_columns
-
-    codes: dict[str, int] = {}
-    units, times, treated, outcomes = new_columns()
+    units, times, treated, outcomes = columns
     code, add_unit, add_time, add_flag, add_outcome = (
         codes.setdefault, units.append, times.append, treated.append, outcomes.append)
-    with _utf8_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(_csv_rows(reader), None)
+    reader = csv.reader(lines)
+    rows = _csv_rows(reader, offset)
+    if header is None:
+        header = next(rows, None)
         if header is None or sorted(header) != sorted(PANEL_COLUMNS):
             raise CsvFormatError(f"expected columns {PANEL_COLUMNS}, got {header}")
-        pick = operator.itemgetter(*map(header.index, PANEL_COLUMNS))
-        for row in filter(None, _csv_rows(reader)):  # skips blank lines
-            if len(row) != len(PANEL_COLUMNS):
-                raise CsvFormatError(f"line {reader.line_num}: wrong number of fields")
-            unit, time, d, y = pick(row)
-            try:
-                add_time(int(time))
-            except ValueError:
-                raise NonIntegerTime(f"line {reader.line_num}: time {time!r}") from None
-            except OverflowError:
-                raise UnbalancedPanel(f"line {reader.line_num}: time {time!r} is outside int64") from None
-            if d not in ("0", "1"):
-                raise CsvFormatError(f"line {reader.line_num}: treated must be 0 or 1")
-            try:
-                add_outcome(float(y))
-            except ValueError:
-                raise CsvFormatError(f"line {reader.line_num}: bad outcome {y!r}") from None
-            add_unit(code(unit, len(codes)))
-            add_flag(d == "1")
-    return list(codes), units, times, treated, outcomes
+    pick = operator.itemgetter(*map(header.index, PANEL_COLUMNS))
+    for row in filter(None, rows):  # skips blank lines
+        if len(row) != len(PANEL_COLUMNS):
+            raise CsvFormatError(f"line {offset + reader.line_num}: wrong number of fields")
+        unit, time, d, y = pick(row)
+        try:
+            add_time(int(time))
+        except ValueError:
+            raise NonIntegerTime(f"line {offset + reader.line_num}: time {time!r}") from None
+        except OverflowError:
+            raise UnbalancedPanel(
+                f"line {offset + reader.line_num}: time {time!r} is outside int64") from None
+        if d not in ("0", "1"):
+            raise CsvFormatError(f"line {offset + reader.line_num}: treated must be 0 or 1")
+        try:
+            add_outcome(float(y))
+        except ValueError:
+            raise CsvFormatError(f"line {offset + reader.line_num}: bad outcome {y!r}") from None
+        add_unit(code(unit, len(codes)))
+        add_flag(d == "1")
 
 
 def estimate_table_rows(estimates: list[EventStudyEstimate]) -> list[dict[str, str]]:
@@ -348,7 +325,7 @@ def read_estimate_table(path) -> list[TableRow]:
                     raise ValueError(f"omitted must be 0 or 1, got {omitted!r}")
                 key = (estimator, int(rel))
                 values = [float(v) if v != "" else None for v in numbers]
-                for name, v in zip(ESTIMATE_COLUMNS[2:6], values):
+                for name, v in zip(ESTIMATE_COLUMNS[2:], values):
                     if v is not None and not math.isfinite(v):
                         raise ValueError(f"{name} must be finite, got {v}")
                 if omitted == "1" and any(v is not None for v in values):
@@ -376,7 +353,7 @@ def parse_config_file(path) -> dict[str, tuple[str, int]]:
     values: dict[str, tuple[str, int]] = {}
     with _utf8_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = line.partition("#")[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -1,5 +1,7 @@
 import filecmp
+import os
 import re
+import threading
 import warnings
 from pathlib import Path
 
@@ -215,6 +217,7 @@ def test_estimate_bootstrap_columns(tmp_path):
     [direct] = bootstrap_many(panel, ["twfe"], BootstrapConfig(replications=99, seed=3))
     for r in rows:
         assert r.std_error == pytest.approx(direct.se[r.relative_time], abs=0)
+        assert (r.ci_low, r.ci_high) == direct.ci[r.relative_time]
 
 
 def test_estimate_malformed_csv_exit_2(tmp_path):
@@ -307,7 +310,9 @@ def test_estimate_cross_period_overflow_exit_2(tmp_path, capsys):
     "unit,time,treated,outcome\na,-1,1,0.0\n\na,0,1,0.0\na,1,1,abc\n",
     # a unit id holding a newline spans lines 2-3
     'unit,time,treated,outcome\n"a\nb",-1,1,0.0\na,0,1,0.0\na,1,1,abc\n',
-], ids=["blank-line", "quoted-newline"])
+    # a quoted column name sends the file to csv from line 1
+    '"unit",time,treated,outcome\na,-1,1,0.0\na,0,1,0.0\n\na,1,1,abc\n',
+], ids=["blank-line", "quoted-newline", "quoted-header"])
 def test_panel_csv_error_names_physical_line(tmp_path, capsys, body):
     bad = tmp_path / "bad.csv"
     bad.write_text(body)
@@ -422,6 +427,46 @@ def test_undecodable_file_names_path_and_line(tmp_path, capsys, command, body, m
     assert main([command, *source, "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {path}:{message}"]
     assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes")
+def test_undecodable_pipe_names_the_pipe(tmp_path, capsys):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    body = b"unit,time,treated,outcome\r\na,-1,1,\xff0.5\r\n"
+    position = body.index(0xFF)
+    writer = threading.Thread(target=pipe.write_bytes, args=(body,), daemon=True)
+    writer.start()
+    out = tmp_path / "out"
+    assert main(["estimate", str(pipe), "--out", str(out)]) == 2
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    # a pipe cannot be read again to find the byte's line, so the decoder's words stand
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {pipe}: 'utf-8' codec can't decode byte 0xff in position {position}: "
+        "invalid start byte"]
+    assert not out.exists()
+
+
+BOM = b"\xef\xbb\xbf"  # as Excel's "CSV UTF-8" writes
+
+
+@pytest.mark.parametrize("command", ["estimate", "plot", "simulate"])
+def test_a_byte_order_mark_is_skipped(tmp_path, command):
+    panel, table, config = tmp_path / "panel.csv", tmp_path / "est.csv", tmp_path / "sim.cfg"
+    config.write_text("gamma = 0.25\nn_treated = 3\n")
+    assert main(["simulate", "--config", str(config), "--out", str(panel)]) == 0
+    assert main(["estimate", str(panel), "--estimator", "twfe", "--out", str(table)]) == 0
+    source = {"estimate": panel, "plot": table, "simulate": config}[command]
+    runs = []
+    for name, prefix in (("plain", b""), ("bom", BOM)):
+        copy = tmp_path / f"{name}_{source.name}"
+        copy.write_bytes(prefix + source.read_bytes())
+        out = tmp_path / f"{name}.out"
+        flags = ["--config", str(copy)] if command == "simulate" else [str(copy)]
+        assert main([command, *flags, "--out", str(out)]) == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("argv, config, message", [

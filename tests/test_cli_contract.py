@@ -29,10 +29,8 @@ from hypothesis import strategies as st
 
 from evstudy.spec import TAGS
 from evstudy.cli import build_parser, main
-from evstudy.tableio import write_panel_csv
 
-from helpers import make_fuzz_panel
-from test_panel import PERTURBATIONS
+from test_panel import PERTURBATIONS, write_perturbed_panel
 
 # Flag values. Each design they make is small (the defaults below), invalid,
 # or, through 2**64, beyond any address space, so no example allocates much.
@@ -92,12 +90,7 @@ def inputs(tmp_path_factory):
     and the configs."""
     folder = tmp_path_factory.mktemp("inputs")
     for k, (_, perturb, _) in enumerate(PERTURBATIONS):
-        rng = np.random.default_rng(k)
-        path = folder / PANELS[k]
-        write_panel_csv(make_fuzz_panel(rng), path)
-        lines = path.read_bytes().decode("utf-8").splitlines(keepends=True)
-        perturb(lines, int(rng.integers(1, len(lines))))
-        path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+        write_perturbed_panel(folder / PANELS[k], perturb, np.random.default_rng(k))
     for name, text in {**CONFIGS, **FILES}.items():
         (folder / name).write_text(text)
     return {f"@{name}": str(folder / name) for name in [*PANELS, *FILES, *CONFIGS]}

@@ -1,10 +1,12 @@
 import csv
+import io
 import os
 import re
 import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -25,7 +27,9 @@ from evstudy import (
 )
 from evstudy import tableio
 from evstudy.cli import main
-from evstudy.panel import InsufficientPeriods, NonFiniteOutcome, check_outcome_bound, panel_from_columns
+from evstudy.panel import (
+    InsufficientPeriods, NonFiniteOutcome, check_outcome_bound, new_columns, panel_from_columns,
+)
 from evstudy.spec import CsvFormatError
 from evstudy.tableio import PANEL_COLUMNS, read_panel_csv, write_panel_csv
 
@@ -356,9 +360,10 @@ def test_read_10k_units_bounded_memory(tmp_path):
 
 def test_strict_loop_reads_10k_units_in_bounded_memory(tmp_path):
     panel = simulate(DgpConfig(n_treated=5000, n_control=5000, seed=4))
-    write_panel_csv(panel, tmp_path / "crlf.csv")
-    path = tmp_path / "lf.csv"  # LF line ends take the strict loop
-    path.write_bytes((tmp_path / "crlf.csv").read_bytes().replace(b"\r\n", b"\n"))
+    path = tmp_path / "p.csv"
+    write_panel_csv(panel, path)
+    uid = panel.unit_ids[0]  # a quoted id on line 2 sends the whole body to the strict loop
+    path.write_bytes(path.read_bytes().replace(f"\r\n{uid},".encode(), f'\r\n"{uid}",'.encode(), 1))
     tracemalloc.start()
     try:
         again = read_panel_csv(path)
@@ -366,7 +371,7 @@ def test_strict_loop_reads_10k_units_in_bounded_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert again == panel
-    # 10.3 MiB measured: each row goes into the typed columns as it is read,
+    # 10.8 MiB measured: each row goes into the typed columns as it is read,
     # so no Python object outlives its row.
     assert peak < 12 * 2**20
 
@@ -507,18 +512,57 @@ def test_time_beyond_int64_in_a_later_block_names_the_missing_cell(tmp_path, far
 # --- the canonical path against the strict loop -----------------------------
 
 
-def build_outcome(columns):
-    """The panel built from a reader's columns, as comparable values, or the
-    error's class and message; None when the reader declined the file."""
+def build_outcome(read):
+    """What ``read()`` returns, as comparable values, or the error's class
+    and message."""
     try:
-        columns = columns()
-        if columns is None:
-            return None
-        panel = panel_from_columns(*columns)
+        panel = read()
     except Exception as exc:  # compared by class and message
         return type(exc), str(exc)
-    return (panel.unit_ids, panel.t_min, panel.t_max, panel.treated.tobytes(),
-            panel.outcomes.tobytes())
+    return PanelDataset, (panel.unit_ids, panel.t_min, panel.t_max, panel.treated.tobytes(),
+                          panel.outcomes.tobytes())
+
+
+def strict_read(path):
+    """The panel the strict loop alone reads from ``path``, its header too."""
+    codes, columns = {}, new_columns()
+    with tableio._utf8_text(path) as fh:
+        tableio._strict_rows(fh, None, 0, codes, columns)
+    return panel_from_columns(list(codes), *columns)
+
+
+def traced_read(path):
+    """``read_panel_csv(path)`` with its parsers watched: the outcome as
+    ``build_outcome`` gives it, the lines of the blocks ``_canonical_block``
+    took, the lines csv read (None if the strict loop never ran), whether csv
+    read the header, and how many times ``np.loadtxt`` ran."""
+    trace = SimpleNamespace(taken=[], blocks=0, csv=None, csv_header=False, loadtxt=0)
+    real_block, real_strict, real_loadtxt = tableio._canonical_block, tableio._strict_rows, np.loadtxt
+
+    def canonical_block(lines, *args):
+        taken = real_block(lines, *args)
+        if taken:
+            trace.taken += lines
+            trace.blocks += 1
+        return taken
+
+    def strict_rows(lines, header, *args):
+        trace.csv, trace.csv_header = [], header is None
+
+        def tap():
+            for line in lines:
+                trace.csv.append(line)
+                yield line
+        return real_strict(tap(), header, *args)
+
+    def loadtxt(*args, **kwargs):
+        trace.loadtxt += 1
+        return real_loadtxt(*args, **kwargs)
+
+    with mock.patch.multiple(tableio, _canonical_block=canonical_block, _strict_rows=strict_rows), \
+            mock.patch.object(np, "loadtxt", loadtxt):
+        trace.outcome = build_outcome(lambda: read_panel_csv(path))
+    return trace
 
 
 def set_field(column, value):
@@ -548,9 +592,10 @@ def insert_line(text):
     return perturb
 
 
-def line_ends(end, every_line=True):
+def line_ends(end, every_line=True, first=0):
+    """Line i's CRLF (or that of every line from line ``first`` on) becomes ``end``."""
     def perturb(lines, i):
-        for j in range(len(lines)) if every_line else [i]:
+        for j in range(first, len(lines)) if every_line else [i]:
             lines[j] = lines[j][:-2] + end
     return perturb
 
@@ -569,7 +614,7 @@ def edit_header(old, new):
 
 
 def drop_final_terminator(lines, i):
-    lines[-1] = lines[-1][:-2]
+    lines[-1] = lines[-1].rstrip("\r\n")
 
 
 def invalid_utf8(lines, i):
@@ -577,16 +622,18 @@ def invalid_utf8(lines, i):
 
 
 TIME, FLAG, OUTCOME = (PANEL_COLUMNS.index(c) for c in ("time", "treated", "outcome"))
-# What the canonical path does with the file: reads it, declines it on its
-# bytes and lines before parsing any of it, declines it after parsing, or
-# (None) one of these depending on the line drawn.
+# What the canonical path does with the block the perturbation reaches: takes
+# it, declines it on its bytes and lines before loadtxt parses it, declines
+# it after loadtxt, or (None) one of these depending on the line drawn. A
+# header that is not the panel's, canonical or not, sends the file to csv
+# before any block is parsed.
 READ, UNPARSED, PARSED = "read", "declined unparsed", "declined parsed"
 # (name, perturbation, what the canonical path does)
 PERTURBATIONS = [
     ("none", lambda lines, i: None, READ),
     ("columns in another order", reorder_columns, READ),
     ("quoted column name", edit_header("time", '"time"'), UNPARSED),
-    ("unknown column name", edit_header("time", "period"), PARSED),
+    ("unknown column name", edit_header("time", "period"), UNPARSED),
     ("quoted id", rename_unit('"{}"'), UNPARSED),
     ("quoted id on one line", set_field(0, '"{}"'), UNPARSED),
     ("space before id", set_field(0, " {}"), UNPARSED),
@@ -619,42 +666,52 @@ PERTURBATIONS = [
     ("id of 40 chars on one line", set_field(0, "x" * 40), PARSED),
     ("blank line", insert_line("\r\n"), UNPARSED),
     ("whitespace-only line", insert_line(" \r\n"), UNPARSED),
-    ("LF line ends", line_ends("\n"), UNPARSED),
+    ("LF line ends", line_ends("\n"), READ),
+    ("CRLF header, LF body", line_ends("\n", first=1), READ),
     ("CR line ends", line_ends("\r"), UNPARSED),
-    ("one LF line end", line_ends("\n", every_line=False), UNPARSED),
+    ("one LF line end", line_ends("\n", every_line=False), READ),
+    ("lone CR inside a line", set_field(FLAG, "\r{}"), UNPARSED),
     ("no final terminator", drop_final_terminator, UNPARSED),
+    ("LF line ends, no final terminator",
+     lambda lines, i: (line_ends("\n")(lines, i), drop_final_terminator(lines, i)), UNPARSED),
     ("invalid UTF-8", invalid_utf8, UNPARSED),
 ]
 
 
-@given(seed=st.integers(0, 2**32), kind=st.sampled_from(PERTURBATIONS),
-       block=st.sampled_from([1, 2, 7, 40, tableio._CANONICAL_LINES]),
-       chunk=st.sampled_from([1, 3, 64, tableio._CHECK_BYTES]))
-@example(seed=0, kind=PERTURBATIONS[0], block=tableio._CANONICAL_LINES,
-         chunk=tableio._CHECK_BYTES)
-@settings(max_examples=300, deadline=None)
-def test_canonical_path_matches_the_strict_loop(tmp_path_factory, seed, kind, block, chunk):
-    _, perturb, taken = kind
-    rng = np.random.default_rng(seed)
-    panel = make_fuzz_panel(rng)
-    path = tmp_path_factory.mktemp("canonical") / "p.csv"
-    write_panel_csv(panel, path)
+def write_perturbed_panel(path, perturb, rng):
+    """A fuzz panel as write_panel_csv writes it, with ``perturb`` applied to
+    its lines at a random body line."""
+    write_panel_csv(make_fuzz_panel(rng), path)
     lines = path.read_bytes().decode("utf-8").splitlines(keepends=True)
     perturb(lines, int(rng.integers(1, len(lines))))
     path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
 
-    # a fault in a later block or chunk
-    with mock.patch.multiple(tableio, _CANONICAL_LINES=block, _CHECK_BYTES=chunk):
-        fast = build_outcome(lambda: tableio._read_canonical(path))
-        checked = tableio._is_canonical(path)
-    strict = build_outcome(lambda: tableio._read_rows(path))
-    assert strict is not None
+
+@given(seed=st.integers(0, 2**32), kind=st.sampled_from(PERTURBATIONS),
+       block=st.sampled_from([1, 2, 7, 40, tableio._CANONICAL_LINES]))
+@example(seed=0, kind=PERTURBATIONS[0], block=tableio._CANONICAL_LINES)
+@settings(max_examples=300, deadline=None)
+def test_canonical_path_matches_the_strict_loop(tmp_path_factory, seed, kind, block):
+    _, perturb, taken = kind
+    path = tmp_path_factory.mktemp("canonical") / "p.csv"
+    write_perturbed_panel(path, perturb, np.random.default_rng(seed))
+    with mock.patch.object(tableio, "_CANONICAL_LINES", block):  # a fault in a later block
+        trace = traced_read(path)
+    assert trace.outcome == build_outcome(lambda: strict_read(path))
+    # Each physical line goes into the columns through one parser, in file
+    # order: the header split on commas or read by csv, the blocks loadtxt
+    # took, then csv from the first block declined.
+    text = path.read_bytes().decode("utf-8", "surrogateescape")
+    lines = io.StringIO(text, newline="").readlines()
+    read = ([] if trace.csv_header else lines[:1]) + trace.taken + (trace.csv or [])
+    assert read == lines[:len(read)]
+    if trace.outcome[0] is PanelDataset:
+        assert read == lines
     if taken is not None:
-        assert (fast is not None) == (taken == READ)
-        # a file declined on its bytes and lines is never parsed twice
-        assert checked == (taken != UNPARSED)
-    if fast is not None:
-        assert fast == strict
+        # only what the canonical path declines reaches a csv row ...
+        assert (trace.csv == []) == (taken == READ)
+        # ... and a block declined on its bytes and lines never reaches loadtxt
+        assert trace.loadtxt - trace.blocks == (taken == PARSED)
 
 
 def test_writer_output_takes_the_canonical_path(tmp_path):
@@ -662,24 +719,29 @@ def test_writer_output_takes_the_canonical_path(tmp_path):
     path = tmp_path / "p.csv"
     write_panel_csv(panel, path)
     rng = np.random.default_rng(20260824)
-    with mock.patch.object(tableio, "_read_rows", side_effect=AssertionError("strict loop")):
-        assert read_panel_csv(path) == panel
-        for k in range(200):
-            small = make_fuzz_panel(rng)
-            write_panel_csv(small, tmp_path / f"{k}.csv")
-            assert read_panel_csv(tmp_path / f"{k}.csv") == small
+    for k in range(-1, 200):
+        if k >= 0:
+            panel = make_fuzz_panel(rng)
+            path = tmp_path / f"{k}.csv"
+            write_panel_csv(panel, path)
+        trace = traced_read(path)
+        assert trace.outcome == build_outcome(lambda: panel)
+        assert trace.csv == []  # no csv row
 
 
 def test_one_quoted_id_reaches_the_strict_loop(tmp_path):
     path = tmp_path / "p.csv"
     write_panel_csv(validate_panel(FOUR_CELL_ROWS), path)
-    text = path.read_bytes()
-    assert text.count(b"\r\nb,") == 4
-    path.write_bytes(text.replace(b"\r\nb,", b'\r\n"b",', 1))
-    with mock.patch.object(tableio, "_read_rows", side_effect=AssertionError("strict loop")):
-        with pytest.raises(AssertionError, match="strict loop"):
-            read_panel_csv(path)
-    assert read_panel_csv(path) == validate_panel(FOUR_CELL_ROWS)
+    for end in (b"\r\n", b"\n"):
+        text = path.read_bytes().replace(b"\r\n", end)
+        assert text.count(end + b"b,") == 4
+        quoted = text.replace(end + b"b,", end + b'"b",', 1)
+        (tmp_path / "quoted.csv").write_bytes(quoted)
+        trace = traced_read(tmp_path / "quoted.csv")
+        assert trace.outcome == build_outcome(lambda: validate_panel(FOUR_CELL_ROWS))
+        # the one block is declined before loadtxt, and csv reads all of it
+        assert (trace.taken, trace.loadtxt) == ([], 0)
+        assert "".join(trace.csv).encode() == quoted.split(end, 1)[1]
 
 
 def truncating_loadtxt(lines, dtype, **kwargs):
@@ -707,9 +769,10 @@ def test_an_integer_read_through_a_float_reaches_the_strict_loop(tmp_path, monke
     monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
     with warnings.catch_warnings():
         warnings.resetwarnings()  # the default filters: a DeprecationWarning does not raise
-        assert tableio._read_canonical(path) is None
-        with pytest.raises(NonIntegerTime, match=re.escape(f"line 3: time '{time}'")):
-            read_panel_csv(path)
+        trace = traced_read(path)
+    # loadtxt parsed the one block and it was declined
+    assert (trace.loadtxt, trace.blocks) == (1, 0)
+    assert trace.outcome == (NonIntegerTime, f"line 3: time '{time}'")
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes")
@@ -720,8 +783,10 @@ def test_a_pipe_is_read_once(tmp_path):
     os.mkfifo(pipe)
     read = []
     # a reader that opened the pipe a second time would wait for a writer forever
-    reader = threading.Thread(target=lambda: read.append(read_panel_csv(pipe)), daemon=True)
+    reader = threading.Thread(target=lambda: read.append(traced_read(pipe)), daemon=True)
     reader.start()
     pipe.write_bytes((tmp_path / "p.csv").read_bytes())
     reader.join(timeout=30)
-    assert read == [panel]
+    assert [trace.outcome for trace in read] == [build_outcome(lambda: panel)]
+    assert read[0].csv == []  # a canonical pipe reaches no csv row
+
