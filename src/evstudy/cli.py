@@ -117,12 +117,13 @@ def _config_values(args, settings: dict) -> dict:
 
 
 def _parse_tags(raw: list[str]) -> list[str]:
+    """The tags the --estimator values name, each once; all of them when none is given."""
     tags: list[str] = []
     for chunk in raw:
-        for tag in chunk.split(","):
-            tag = tag.strip()
-            if not tag:
-                continue
+        named = [tag for tag in map(str.strip, chunk.split(",")) if tag]
+        if not named:
+            raise UsageError(f"--estimator {chunk!r} names no estimator")
+        for tag in named:
             if tag == "all":
                 tags.extend(t for t in TAGS if t not in tags)
             elif tag in TAGS:
@@ -131,6 +132,11 @@ def _parse_tags(raw: list[str]) -> list[str]:
             else:
                 raise UnknownEstimator(f"unknown estimator {tag!r}; choose from {TAGS} or 'all'")
     return tags or list(TAGS)
+
+
+def _add_estimator_flag(p) -> None:
+    p.add_argument("--estimator", action="append", default=[],
+                   help="tag, comma list, or 'all' (default all); repeatable")
 
 
 def build_parser() -> _Parser:
@@ -143,8 +149,7 @@ def build_parser() -> _Parser:
 
     p_est = sub.add_parser("estimate", help="run event-study estimators on a panel CSV")
     p_est.add_argument("input", type=Path, help="panel CSV (unit,time,treated,outcome)")
-    p_est.add_argument("--estimator", action="append", default=[],
-                       help="tag, comma list, or 'all' (default all); repeatable")
+    _add_estimator_flag(p_est)
     p_est.add_argument("--bootstrap", action="store_true",
                        help="add stratified unit-bootstrap se/ci columns")
     _add_setting_flags(p_est, _BOOT_SETTINGS, "with --bootstrap ", _BOOT_RENAMED,
@@ -164,7 +169,7 @@ def build_parser() -> _Parser:
 
     p_mc = sub.add_parser("montecarlo", help="average estimators over repeated draws vs the population oracle")
     _add_config_flags(p_mc, _MC_SETTINGS)
-    p_mc.add_argument("--estimator", action="append", default=[])
+    _add_estimator_flag(p_mc)
     p_mc.add_argument("--out", type=Path, required=True, help="report table output path")
     return parser
 

@@ -11,9 +11,9 @@ Python objects: the writer formats one block of units at a time, and the
 reader appends each row as it reads it to the typed columns of
 ``panel.new_columns``, so a time outside int64 fails at its line.
 
-The reader fills those columns in one pass, through numpy's tokenizer
-while the file stays canonical and the strict csv loop from there on;
-``read_panel_csv`` says how they share the work.
+The reader fills those columns in one pass, block by block: numpy's
+tokenizer reads a block whose content is canonical, the strict csv loop
+any other; ``read_panel_csv`` says how they share the work.
 """
 
 from __future__ import annotations
@@ -80,32 +80,29 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
 def read_panel_csv(path) -> PanelDataset:
     """Columns in any order, blank lines skipped; errors name the physical line.
 
-    The file is opened once and read in order. After a canonical header,
-    each block of at most ``_CANONICAL_LINES`` lines that ``_canonical_block``
-    takes is parsed by numpy's C tokenizer. The first block it declines, and
-    all that follows, go to ``_strict_rows``, the csv loop that defines what a
-    panel file may hold; a header that is not canonical sends it the whole
-    file. Both append to the same typed columns.
+    The file is opened once and read in order. csv reads the header; then
+    each block of ``_CANONICAL_LINES`` lines goes to ``_canonical_block``,
+    which parses it with numpy's C tokenizer when its content allows. A
+    block it declines goes to ``_strict_rows``, the csv loop that defines
+    what a panel file may hold, which reads that block's rows and finishes
+    one that crosses its end; the next block goes to ``_canonical_block``
+    again. Both append to the same typed columns.
     """
-    import numpy as np
-
     from .panel import new_columns, panel_from_columns
 
     codes: dict[str, int] = {}
     columns = new_columns()
     with _utf8_text(path) as fh:
-        first = fh.readline()
-        header = first.rstrip("\r\n").split(",")
-        if sorted(header) == sorted(PANEL_COLUMNS):  # csv would read the same names
-            dtype = np.dtype([(name, _CANONICAL_TYPES[name]) for name in header])
-            offset = 1
-            while ((lines := list(islice(fh, _CANONICAL_LINES)))
-                   and _canonical_block(lines, dtype, codes, columns)):
+        reader = csv.reader(fh)
+        header = next(_csv_rows(reader), None)
+        if header is None or sorted(header) != sorted(PANEL_COLUMNS):
+            raise CsvFormatError(f"expected columns {PANEL_COLUMNS}, got {header}")
+        offset = reader.line_num
+        while lines := list(islice(fh, _CANONICAL_LINES)):
+            if _canonical_block(lines, header, codes, columns):
                 offset += len(lines)
-        else:  # csv reads the header too; an empty file has no line
-            header, lines, offset = None, [first] if first else [], 0
-        lines = chain(lines, fh)  # so the block's list is freed once csv has read it
-        _strict_rows(lines, header, offset, codes, columns)
+            else:
+                offset = _strict_rows(chain(lines, fh), len(lines), header, offset, codes, columns)
     return panel_from_columns(list(codes), *columns)
 
 
@@ -148,9 +145,9 @@ def _undecodable(path, exc: UnicodeDecodeError) -> str:
     return f"{path}: {exc}"
 
 
-# Physical lines per block of the canonical path: one block's line strings
-# and its parsed records (about 2.3 MiB in all for simulate's lines) are all
-# that exist at a time beside the typed columns.
+# Physical lines per block of the reader: one block's line strings and,
+# when loadtxt takes it, its parsed records (about 2.3 MiB in all for
+# simulate's lines) are all that exist at a time beside the typed columns.
 _CANONICAL_LINES = 1 << 14
 # Longest canonical line, its line end included. Below csv's default field
 # limit (131072) and the 640-digit floor of int()'s digit limit, so a field
@@ -160,11 +157,9 @@ _CANONICAL_CHARS = 128
 # Every byte but these marks a block as not canonical: printable ASCII
 # without space or '"', and the line ends.
 _CANONICAL_BYTES = bytes(c for c in range(0x21, 0x7F) if c != 0x22) + b"\r\n"
-# numpy types per column; a unit id as long as its field may be truncated.
-_CANONICAL_TYPES = {"unit": "S32", "time": "i8", "treated": "S2", "outcome": "f8"}
 
 
-def _canonical_block(lines, dtype, codes, columns) -> bool:
+def _canonical_block(lines, header, codes, columns) -> bool:
     """Parse a block of canonical lines into ``columns``; False, with
     ``codes`` and ``columns`` untouched, for any other block.
 
@@ -173,10 +168,12 @@ def _canonical_block(lines, dtype, codes, columns) -> bool:
     splits such a line on its commas and nothing else. The block then goes
     through ``np.loadtxt``, which parses floats with ``PyOS_string_to_double``,
     as ``float()`` does, and int64s as ``int()`` does on signs and digits.
-    Anything the strict loop might read differently or reject declines the
-    block: a field loadtxt rejects or warns about (some numpy releases read
-    an integer field such as ``3.7`` through a float, truncating it, and
-    only warn), a flag other than 0 or 1, a unit id as long as its field.
+    Its unit field is as wide as the block's longest line, which is longer
+    than any id in it, so no id is truncated. Anything the strict loop might
+    read differently or reject declines the block: a field loadtxt rejects
+    or warns about (some numpy releases read an integer field such as
+    ``3.7`` through a float, truncating it, and only warn), or a flag other
+    than 0 or 1.
     """
     import warnings
 
@@ -192,10 +189,12 @@ def _canonical_block(lines, dtype, codes, columns) -> bool:
             or not 2 < lengths.min() <= lengths.max() <= min(_CANONICAL_CHARS,
                                                              csv.field_size_limit())):
         return False
+    types = {"unit": f"S{lengths.max()}", "time": "i8", "treated": "S2", "outcome": "f8"}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            block = np.loadtxt(lines, dtype=[(name, types[name]) for name in header],
+                               delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):
         return False
     flags = block["treated"]
@@ -204,11 +203,8 @@ def _canonical_block(lines, dtype, codes, columns) -> bool:
         return False
     ids = block["unit"]
     heads = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    head_ids = ids[heads].tolist()
-    if max(map(len, head_ids)) >= dtype["unit"].itemsize:
-        return False
     units, times, treated, outcomes = columns
-    head_codes = [codes.setdefault(uid.decode(), len(codes)) for uid in head_ids]
+    head_codes = [codes.setdefault(uid.decode(), len(codes)) for uid in ids[heads].tolist()]
     runs = np.diff(heads, append=len(block))
     units.frombytes(np.repeat(np.array(head_codes, dtype=np.int64), runs).tobytes())
     times.frombytes(block["time"].tobytes())
@@ -217,26 +213,22 @@ def _canonical_block(lines, dtype, codes, columns) -> bool:
     return True
 
 
-def _strict_rows(lines, header, offset: int, codes, columns) -> None:
-    """Append the rows of ``lines`` to ``columns``, read through csv.
+def _strict_rows(lines, stop, header, offset: int, codes, columns) -> int:
+    """Append the rows of ``lines`` to ``columns``, read through csv, up to
+    the first row that ends on or past line ``stop`` of ``lines``; return
+    the physical line that row ends on.
 
     This loop defines what a panel file may hold and words every error.
-    ``lines`` begin at physical line ``offset + 1``; with ``header`` None
-    their first row is the header. Each row goes into the typed columns as
-    it is checked, so memory grows by about 25 bytes per row, not by Python
-    objects.
+    ``lines`` begin a row at physical line ``offset + 1``. Each row goes into
+    the typed columns as it is checked, so memory grows by about 25 bytes
+    per row, not by Python objects.
     """
     units, times, treated, outcomes = columns
     code, add_unit, add_time, add_flag, add_outcome = (
         codes.setdefault, units.append, times.append, treated.append, outcomes.append)
     reader = csv.reader(lines)
-    rows = _csv_rows(reader, offset)
-    if header is None:
-        header = next(rows, None)
-        if header is None or sorted(header) != sorted(PANEL_COLUMNS):
-            raise CsvFormatError(f"expected columns {PANEL_COLUMNS}, got {header}")
     pick = operator.itemgetter(*map(header.index, PANEL_COLUMNS))
-    for row in filter(None, rows):  # skips blank lines
+    for row in filter(None, _csv_rows(reader, offset)):  # skips blank lines
         if len(row) != len(PANEL_COLUMNS):
             raise CsvFormatError(f"line {offset + reader.line_num}: wrong number of fields")
         unit, time, d, y = pick(row)
@@ -255,6 +247,9 @@ def _strict_rows(lines, header, offset: int, codes, columns) -> None:
             raise CsvFormatError(f"line {offset + reader.line_num}: bad outcome {y!r}") from None
         add_unit(code(unit, len(codes)))
         add_flag(d == "1")
+        if reader.line_num >= stop:
+            break
+    return offset + reader.line_num
 
 
 def estimate_table_rows(estimates: list[EventStudyEstimate]) -> list[dict[str, str]]:

@@ -327,6 +327,13 @@ def test_unknown_estimator_exit_3(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 3
 
 
+def test_estimator_help_on_both_commands(capsys):
+    for command in ("estimate", "montecarlo"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "tag, comma list, or 'all' (default all); repeatable" in capsys.readouterr().out
+
+
 def test_bjs_pre_without_bjs_exit_3(tmp_path, capsys):
     panel_csv, out = tmp_path / "four.csv", tmp_path / "o.csv"
     write_four_cell(panel_csv)
@@ -693,12 +700,18 @@ def test_plot_overlay_on_a_relative_time_jump_exit_2(tmp_path, capsys):
     (["estimate", "{panel}", "--bjs-pre", "1"], 0, None),
     (["estimate", "{panel}", "--bjs-pre", "3"], 0, None),
     (["estimate", "{panel}", "--estimator", "twfe,,bjs"], 0, None),
+    (["estimate", "{panel}", "--estimator", ""], 3, "usage error: --estimator '' names no estimator"),
+    (["estimate", "{panel}", "--estimator", "twfe", "--estimator", " , "], 3,
+     "usage error: --estimator ' , ' names no estimator"),
+    (["montecarlo", "--draws", "2", "--estimator", ","], 3,
+     "usage error: --estimator ',' names no estimator"),
     (["plot", "{omitted}"], 2, "no non-omitted coefficients for twfe"),
     (["plot", "{header}"], 2, f"expected columns {ESTIMATE_COLUMNS}, got ['estimator', 'r']"),
     (["plot", "{panel}"], 2, f"expected columns {ESTIMATE_COLUMNS}, got {PANEL_COLUMNS}"),
     (["simulate", "--config", "{config}"], 2, "c.cfg:1: expected key=value, got 'gamma 0.5'"),
-], ids=["bjs-pre-beyond-t-min", "bjs-pre-1", "bjs-pre-at-t-min", "empty-estimator-item", "only-omitted-rows", "table-header",
-        "panel-as-table", "config-line-without-equals"])
+], ids=["bjs-pre-beyond-t-min", "bjs-pre-1", "bjs-pre-at-t-min", "empty-estimator-item",
+        "empty-estimator", "blank-estimator-after-a-tag", "montecarlo-comma-estimator",
+        "only-omitted-rows", "table-header", "panel-as-table", "config-line-without-equals"])
 def test_rarely_taken_branches(tmp_path, capsys, argv, code, message):
     files = {"panel": GOLDEN / "panel_small.csv", "omitted": tmp_path / "omitted.csv",
              "header": tmp_path / "header.csv", "config": tmp_path / "c.cfg"}

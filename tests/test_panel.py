@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import io
+import math
 import os
 import re
 import threading
 import tracemalloc
+import uuid
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -362,8 +365,10 @@ def test_strict_loop_reads_10k_units_in_bounded_memory(tmp_path):
     panel = simulate(DgpConfig(n_treated=5000, n_control=5000, seed=4))
     path = tmp_path / "p.csv"
     write_panel_csv(panel, path)
-    uid = panel.unit_ids[0]  # a quoted id on line 2 sends the whole body to the strict loop
-    path.write_bytes(path.read_bytes().replace(f"\r\n{uid},".encode(), f'\r\n"{uid}",'.encode(), 1))
+    header, body = path.read_bytes().split(b"\r\n", 1)
+    body = re.sub(rb"(?m)^([^,]*),", rb'"\1",', body)  # every id quoted, so csv reads every block
+    assert body.count(b'"') == 2 * panel.outcomes.size
+    path.write_bytes(header + b"\r\n" + body)
     tracemalloc.start()
     try:
         again = read_panel_csv(path)
@@ -524,45 +529,73 @@ def build_outcome(read):
 
 
 def strict_read(path):
-    """The panel the strict loop alone reads from ``path``, its header too."""
+    """The panel the strict loop alone reads from ``path``, after csv reads its header."""
     codes, columns = {}, new_columns()
     with tableio._utf8_text(path) as fh:
-        tableio._strict_rows(fh, None, 0, codes, columns)
+        reader = csv.reader(fh)
+        header = next(tableio._csv_rows(reader), None)
+        if header is None or sorted(header) != sorted(PANEL_COLUMNS):
+            raise CsvFormatError(f"expected columns {PANEL_COLUMNS}, got {header}")
+        tableio._strict_rows(fh, math.inf, header, reader.line_num, codes, columns)
     return panel_from_columns(list(codes), *columns)
 
 
 def traced_read(path):
     """``read_panel_csv(path)`` with its parsers watched: the outcome as
-    ``build_outcome`` gives it, the lines of the blocks ``_canonical_block``
-    took, the lines csv read (None if the strict loop never ran), whether csv
-    read the header, and how many times ``np.loadtxt`` ran."""
-    trace = SimpleNamespace(taken=[], blocks=0, csv=None, csv_header=False, loadtxt=0)
-    real_block, real_strict, real_loadtxt = tableio._canonical_block, tableio._strict_rows, np.loadtxt
+    ``build_outcome`` gives it, the lines read from the file before its
+    first block (the header), each block given to ``_canonical_block``
+    (its lines, whether it was taken, and for a declined block the lines
+    csv read from its start), and how many times ``np.loadtxt`` ran."""
+    trace = SimpleNamespace(header=None, blocks=[], loadtxt=0)
+    read = []  # every line read from the file, in order
+    real_text, real_block = tableio._utf8_text, tableio._canonical_block
+    real_strict, real_loadtxt = tableio._strict_rows, np.loadtxt
+
+    def tap(lines, into):
+        for line in lines:
+            into.append(line)
+            yield line
+
+    @contextlib.contextmanager
+    def utf8_text(path):
+        with real_text(path) as fh:
+            yield tap(fh, read)
 
     def canonical_block(lines, *args):
+        if trace.header is None:
+            trace.header = read[:len(read) - len(lines)]
         taken = real_block(lines, *args)
-        if taken:
-            trace.taken += lines
-            trace.blocks += 1
+        trace.blocks.append(SimpleNamespace(lines=lines, taken=taken, csv=None))
         return taken
 
-    def strict_rows(lines, header, *args):
-        trace.csv, trace.csv_header = [], header is None
-
-        def tap():
-            for line in lines:
-                trace.csv.append(line)
-                yield line
-        return real_strict(tap(), header, *args)
+    def strict_rows(lines, *args):
+        trace.blocks[-1].csv = []
+        return real_strict(tap(lines, trace.blocks[-1].csv), *args)
 
     def loadtxt(*args, **kwargs):
         trace.loadtxt += 1
         return real_loadtxt(*args, **kwargs)
 
-    with mock.patch.multiple(tableio, _canonical_block=canonical_block, _strict_rows=strict_rows), \
+    with mock.patch.multiple(tableio, _utf8_text=utf8_text, _canonical_block=canonical_block,
+                             _strict_rows=strict_rows), \
             mock.patch.object(np, "loadtxt", loadtxt):
         trace.outcome = build_outcome(lambda: read_panel_csv(path))
+    if trace.header is None:  # no block was cut
+        trace.header = read
     return trace
+
+
+def row_end(lines, stop):
+    """How many of ``lines``, which begin a row, csv reads to finish the first
+    row, blank lines not counted, that ends on or past line ``stop``: the
+    lines of a declined block of ``stop`` lines and the tail of a row that
+    crosses its end. All of them if no such row ends."""
+    reader = csv.reader(lines)
+    with contextlib.suppress(csv.Error):  # a row csv rejects ends the read
+        for row in reader:
+            if row and reader.line_num >= stop:
+                return reader.line_num
+    return len(lines)
 
 
 def set_field(column, value):
@@ -574,15 +607,22 @@ def set_field(column, value):
     return perturb
 
 
-def rename_unit(value, every_unit=False):
-    """Every line of line i's unit (or of every unit) gets the id ``value``,
-    formatted with the old id."""
+def rename_unit(name, every_unit=False):
+    """Every line of line i's unit (or of every unit) gets the id ``name(old id)``."""
     def perturb(lines, i):
         old = lines[i].split(",", 1)[0]
         for j in range(1, len(lines)):
             uid, rest = lines[j].split(",", 1)
             if every_unit or uid == old:
-                lines[j] = f"{value.format(uid)},{rest}"
+                lines[j] = f"{name(uid)},{rest}"
+    return perturb
+
+
+def line_length(length):
+    """Line i's id is padded with x until the line, its CRLF included, is ``length`` long."""
+    def perturb(lines, i):
+        uid, rest = lines[i].split(",", 1)
+        lines[i] = f"{uid.ljust(length - 1 - len(rest), 'x')},{rest}"
     return perturb
 
 
@@ -622,19 +662,20 @@ def invalid_utf8(lines, i):
 
 
 TIME, FLAG, OUTCOME = (PANEL_COLUMNS.index(c) for c in ("time", "treated", "outcome"))
-# What the canonical path does with the block the perturbation reaches: takes
-# it, declines it on its bytes and lines before loadtxt parses it, declines
-# it after loadtxt, or (None) one of these depending on the line drawn. A
-# header that is not the panel's, canonical or not, sends the file to csv
-# before any block is parsed.
+# What the canonical path does with the blocks the perturbation reaches:
+# declines none of them, declines them on their bytes and lines before
+# loadtxt parses them, declines one after loadtxt, or (None) one of these
+# depending on the line drawn. A perturbed header reaches csv alone, and
+# bytes that are not UTF-8 no parser, so neither declines a block.
 READ, UNPARSED, PARSED = "read", "declined unparsed", "declined parsed"
 # (name, perturbation, what the canonical path does)
 PERTURBATIONS = [
     ("none", lambda lines, i: None, READ),
     ("columns in another order", reorder_columns, READ),
-    ("quoted column name", edit_header("time", '"time"'), UNPARSED),
-    ("unknown column name", edit_header("time", "period"), UNPARSED),
-    ("quoted id", rename_unit('"{}"'), UNPARSED),
+    ("quoted column name", edit_header("time", '"time"'), READ),
+    ("unknown column name", edit_header("time", "period"), READ),
+    ("quoted id", rename_unit('"{}"'.format), UNPARSED),
+    ("quoted id holding a line break", rename_unit('"{}\r\nx"'.format), UNPARSED),
     ("quoted id on one line", set_field(0, '"{}"'), UNPARSED),
     ("space before id", set_field(0, " {}"), UNPARSED),
     ("space after time", set_field(TIME, "{} "), UNPARSED),
@@ -659,11 +700,16 @@ PERTURBATIONS = [
     ("outcome past csv's field limit", set_field(OUTCOME, "0." + "0" * 131072 + "1"), UNPARSED),
     ("extra field", set_field(OUTCOME, "{},1"), PARSED),
     ("missing field", set_field(OUTCOME, "{}\r\nx"), PARSED),
-    ("id of 31 chars", rename_unit("{}".ljust(31, "x")), READ),
-    ("id of 32 chars", rename_unit("{}".ljust(32, "x")), PARSED),
-    ("id of 40 chars", rename_unit("{}".ljust(40, "x")), PARSED),
-    ("ids equal in their first 32 chars", rename_unit("x" * 32 + "{}", every_unit=True), PARSED),
-    ("id of 40 chars on one line", set_field(0, "x" * 40), PARSED),
+    ("id of 31 chars", rename_unit("{}".ljust(31, "x").format), READ),
+    ("id of 32 chars", rename_unit("{}".ljust(32, "x").format), READ),
+    ("id of 40 chars", rename_unit("{}".ljust(40, "x").format), READ),
+    ("ids equal in their first 32 chars", rename_unit(("x" * 32 + "{}").format, every_unit=True),
+     READ),
+    ("id of 40 chars on one line", set_field(0, "x" * 40), READ),
+    ("36-char UUID ids",
+     rename_unit(lambda uid: str(uuid.uuid5(uuid.NAMESPACE_OID, uid)), every_unit=True), READ),
+    ("line of 128 chars", line_length(tableio._CANONICAL_CHARS), READ),
+    ("line of 129 chars", line_length(tableio._CANONICAL_CHARS + 1), UNPARSED),
     ("blank line", insert_line("\r\n"), UNPARSED),
     ("whitespace-only line", insert_line(" \r\n"), UNPARSED),
     ("LF line ends", line_ends("\n"), READ),
@@ -674,7 +720,7 @@ PERTURBATIONS = [
     ("no final terminator", drop_final_terminator, UNPARSED),
     ("LF line ends, no final terminator",
      lambda lines, i: (line_ends("\n")(lines, i), drop_final_terminator(lines, i)), UNPARSED),
-    ("invalid UTF-8", invalid_utf8, UNPARSED),
+    ("invalid UTF-8", invalid_utf8, READ),
 ]
 
 
@@ -698,20 +744,40 @@ def test_canonical_path_matches_the_strict_loop(tmp_path_factory, seed, kind, bl
     with mock.patch.object(tableio, "_CANONICAL_LINES", block):  # a fault in a later block
         trace = traced_read(path)
     assert trace.outcome == build_outcome(lambda: strict_read(path))
-    # Each physical line goes into the columns through one parser, in file
-    # order: the header split on commas or read by csv, the blocks loadtxt
-    # took, then csv from the first block declined.
     text = path.read_bytes().decode("utf-8", "surrogateescape")
     lines = io.StringIO(text, newline="").readlines()
-    read = ([] if trace.csv_header else lines[:1]) + trace.taken + (trace.csv or [])
+    assert_each_line_read_once(trace, lines)
+    if taken is not None:
+        # only what the canonical path declines reaches a csv row ...
+        assert all(b.taken for b in trace.blocks) == (taken == READ)
+        # ... and a block declined on its bytes and lines never reaches loadtxt
+        taken_blocks = sum(b.taken for b in trace.blocks)
+        assert trace.loadtxt - taken_blocks == (taken == PARSED)
+
+
+def assert_each_line_read_once(trace, lines):
+    """csv reads the header; each block the canonical path declines, and at
+    most the tail of a row that crosses its end, goes to csv; every other
+    block to loadtxt; and so each physical line of ``lines`` reaches one
+    parser, in order (all of them when a panel comes back)."""
+    assert trace.header == lines[:1] or not (trace.header or trace.blocks)  # or no line decoded
+    read = list(trace.header)
+    for k, block in enumerate(trace.blocks):
+        assert block.lines == lines[len(read):len(read) + len(block.lines)]
+        if block.taken:
+            assert block.csv is None
+            read += block.lines
+            continue
+        rows = row_end(lines[len(read):], len(block.lines))
+        assert block.csv == lines[len(read):len(read) + len(block.csv)]
+        if trace.outcome[0] is PanelDataset or k + 1 < len(trace.blocks):
+            assert len(block.csv) == rows
+        else:  # a fault may stop csv early
+            assert len(block.csv) <= rows
+        read += block.csv
     assert read == lines[:len(read)]
     if trace.outcome[0] is PanelDataset:
         assert read == lines
-    if taken is not None:
-        # only what the canonical path declines reaches a csv row ...
-        assert (trace.csv == []) == (taken == READ)
-        # ... and a block declined on its bytes and lines never reaches loadtxt
-        assert trace.loadtxt - trace.blocks == (taken == PARSED)
 
 
 def test_writer_output_takes_the_canonical_path(tmp_path):
@@ -726,7 +792,7 @@ def test_writer_output_takes_the_canonical_path(tmp_path):
             write_panel_csv(panel, path)
         trace = traced_read(path)
         assert trace.outcome == build_outcome(lambda: panel)
-        assert trace.csv == []  # no csv row
+        assert all(b.taken for b in trace.blocks)  # no csv row
 
 
 def test_one_quoted_id_reaches_the_strict_loop(tmp_path):
@@ -740,14 +806,29 @@ def test_one_quoted_id_reaches_the_strict_loop(tmp_path):
         trace = traced_read(tmp_path / "quoted.csv")
         assert trace.outcome == build_outcome(lambda: validate_panel(FOUR_CELL_ROWS))
         # the one block is declined before loadtxt, and csv reads all of it
-        assert (trace.taken, trace.loadtxt) == ([], 0)
-        assert "".join(trace.csv).encode() == quoted.split(end, 1)[1]
+        assert ([b.taken for b in trace.blocks], trace.loadtxt) == ([False], 0)
+        assert "".join(trace.blocks[0].csv).encode() == quoted.split(end, 1)[1]
+
+
+def test_a_quoted_id_sends_only_its_block_to_csv(tmp_path):
+    panel = simulate(DgpConfig(n_treated=5000, n_control=5000, seed=4))
+    path = tmp_path / "p.csv"
+    write_panel_csv(panel, path)
+    uid = panel.unit_ids[0]
+    path.write_bytes(path.read_bytes().replace(f"\r\n{uid},".encode(), f'\r\n"{uid}",'.encode(), 1))
+    trace = traced_read(path)
+    assert trace.outcome == build_outcome(lambda: panel)
+    # csv reads the first block, the one holding line 2, and loadtxt the other 15
+    assert [b.taken for b in trace.blocks] == [False] + [True] * 15
+    assert trace.blocks[0].csv == trace.blocks[0].lines
+    assert trace.loadtxt == 15
 
 
 def truncating_loadtxt(lines, dtype, **kwargs):
     """np.loadtxt as numpy releases that still carry the deprecation run it:
     an integer field such as ``3.5`` is read through a float, truncated,
     and only warned about."""
+    dtype = np.dtype(dtype)
     try:
         return REAL_LOADTXT(lines, dtype=dtype, **kwargs)
     except ValueError:
@@ -771,7 +852,7 @@ def test_an_integer_read_through_a_float_reaches_the_strict_loop(tmp_path, monke
         warnings.resetwarnings()  # the default filters: a DeprecationWarning does not raise
         trace = traced_read(path)
     # loadtxt parsed the one block and it was declined
-    assert (trace.loadtxt, trace.blocks) == (1, 0)
+    assert (trace.loadtxt, [b.taken for b in trace.blocks]) == (1, [False])
     assert trace.outcome == (NonIntegerTime, f"line 3: time '{time}'")
 
 
@@ -788,5 +869,5 @@ def test_a_pipe_is_read_once(tmp_path):
     pipe.write_bytes((tmp_path / "p.csv").read_bytes())
     reader.join(timeout=30)
     assert [trace.outcome for trace in read] == [build_outcome(lambda: panel)]
-    assert read[0].csv == []  # a canonical pipe reaches no csv row
+    assert all(b.taken for b in read[0].blocks)  # a canonical pipe reaches no csv row
 
