@@ -28,7 +28,7 @@ _EXPORTS = {
         "OmittedCategory", "brute_force_did", "population_bjs", "population_cs_dcdh",
         "population_curve", "population_twfe",
     ), "oracle"),
-    **dict.fromkeys(("PanelDataset", "validate_panel"), "panel"),
+    **dict.fromkeys(("PanelDataset",), "panel"),
 }
 
 __all__ = sorted(_EXPORTS)
@@ -46,4 +46,4 @@ def __dir__():
     return sorted(set(globals()) | set(__all__))
 
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -35,16 +35,17 @@ def _allocate(shape: tuple[int, ...], name: str, prefix: str = "") -> np.ndarray
                          f" {'KMGTPE'[k - 1]}iB, more than can be allocated") from None
 
 
-# The most outcome cells (draws x units x periods) a montecarlo run may draw,
-# a power of two for its message: some 6 hours at about 20 ns a cell. Memory
-# does not grow with the draws, so without it a huge --draws would run on.
+# The most outcome cells (draws or replications x units x periods) a
+# montecarlo run or a bootstrap may draw, a power of two for its message: some
+# 6 hours at about 20 ns a cell. Memory grows by T at most per draw or
+# replicate, so without it a huge count would run on.
 MAX_CELLS = 2**40
 
 
-def _check_cells(draws: int, n: int, T: int) -> None:
-    """A ValueError when ``draws`` x ``n`` units x ``T`` periods is more than MAX_CELLS."""
-    if draws * n * T > MAX_CELLS:
-        raise ValueError(f"draws x units x periods = {draws} x {n} x {T} is more than the"
+def _check_cells(count: int, n: int, T: int, name: str = "draws") -> None:
+    """A ValueError when ``count`` ``name`` x ``n`` units x ``T`` periods is more than MAX_CELLS."""
+    if count * n * T > MAX_CELLS:
+        raise ValueError(f"{name} x units x periods = {count} x {n} x {T} is more than the"
                          f" limit of 2**{MAX_CELLS.bit_length() - 1} drawn outcome cells")
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import kernels
-from .dgp import SEED_BLOCK, _allocate, pcg64_words, stream_seeds
+from .dgp import SEED_BLOCK, _allocate, _check_cells, pcg64_words, stream_seeds
 from .estimators import EventStudyEstimate, estimate_many
 from .panel import PanelDataset
 from .spec import BootstrapConfig
@@ -86,8 +86,11 @@ def bootstrap_many(
     only fills the se and ci fields. ``n_pre`` applies to the bjs estimator
     only and pools earlier pre periods into its baseline. The resamples are
     drawn once and replicate k is the same resample for every estimator, so
-    each result is identical to a call with that estimator alone.
+    each result is identical to a call with that estimator alone. Raises
+    ValueError, before anything is allocated, when replications x units x
+    periods exceeds ``dgp.MAX_CELLS``.
     """
+    _check_cells(config.replications, panel.n_units, panel.n_periods, "replications")
     points = estimate_many(panel, tags, n_pre)
 
     # The gaps are released once their coefficients exist, before any interval.

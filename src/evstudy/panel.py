@@ -6,9 +6,9 @@ t_max >= 1. Relative time is r = t - 1, so r < 0 is pre-treatment and
 r >= 0 is post-treatment.
 
 ``panel_from_columns`` is the one place rows become a ``PanelDataset``.
-``validate_panel`` and ``tableio.read_panel_csv`` append each row, as they
-check it, to the typed columns of ``new_columns``, with units coded to
-first-seen integers; a time outside int64 fails at its row.
+``tableio.read_panel_csv`` appends each row, as it checks it, to the typed
+columns of ``new_columns``, with units coded to first-seen integers; a time
+outside int64 fails at its line.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ TREATMENT_DATE = 1
 _SCATTER_ROWS = 1 << 16
 
 
-@dataclass(frozen=True)
+# eq=False: a generated __eq__ would compare the ndarray fields, which raises.
+@dataclass(frozen=True, eq=False)
 class PanelDataset:
     """Validated balanced panel with a common treatment date.
 
@@ -71,60 +72,6 @@ class PanelDataset:
         if not (self.t_min <= t <= self.t_max):
             raise TimeOutOfRange(f"period {t} outside [{self.t_min}, {self.t_max}]")
         return t - self.t_min
-
-    def to_rows(self) -> list[tuple[str, int, int, float]]:
-        """Emit (unit_id, time, treated, outcome) rows in unit-major order."""
-        times = range(self.t_min, self.t_max + 1)
-        return [
-            (uid, t, d, y)
-            for uid, d, ys in zip(self.unit_ids, self.treated.astype(int).tolist(), self.outcomes.tolist())
-            for t, y in zip(times, ys)
-        ]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PanelDataset):
-            return NotImplemented
-        return (
-            self.unit_ids == other.unit_ids
-            and self.t_min == other.t_min
-            and self.t_max == other.t_max
-            and np.array_equal(self.treated, other.treated)
-            and np.array_equal(self.outcomes, other.outcomes)
-        )
-
-
-def _as_int_time(value) -> int:
-    if isinstance(value, bool):
-        raise NonIntegerTime(f"time {value!r} is not an integer")
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and value.is_integer():
-        return int(value)
-    raise NonIntegerTime(f"time {value!r} is not an integer")
-
-
-def validate_panel(rows) -> PanelDataset:
-    """Validate (unit_id, time, treated, outcome) rows into a PanelDataset.
-
-    The time grid is the full integer range between the observed min and max
-    time; any gap or duplicate is an error. Idempotent: validating the rows
-    of an emitted dataset reproduces it exactly.
-    """
-    codes: dict[str, int] = {}
-    units, times, treated, outcomes = new_columns()
-    for unit_id, time, d, y in rows:
-        unit, t = str(unit_id), _as_int_time(time)
-        try:
-            times.append(t)
-        except OverflowError:
-            raise UnbalancedPanel(f"unit {unit}: time {t} is outside int64") from None
-        # ``in`` compares by value, so True, numpy ints and 1.0 pass; 0.5, nan and '1' do not.
-        if d not in (0, 1):
-            raise InconsistentTreatment(f"unit {unit}: treated={d!r} not 0/1")
-        outcomes.append(float(y))
-        units.append(codes.setdefault(unit, len(codes)))
-        treated.append(int(d))
-    return panel_from_columns(list(codes), units, times, treated, outcomes)
 
 
 def check_outcome_bound(outcomes: np.ndarray, t_min: int) -> None:

@@ -57,9 +57,10 @@ class _Echo:
 
 
 def write_panel_csv(panel: PanelDataset, path) -> None:
-    """The panel as csv.writer would write its ``to_rows()`` with repr outcomes,
-    block of units by block: each unit id is quoted once, each ``,time,treated,``
-    run formatted once, and each block written in one call."""
+    """The bytes ``csv.writer`` gives for the header and the panel's (unit,
+    time, treated, repr(outcome)) rows in unit-major order, written a block of
+    units at a time: each unit id is quoted once, each ``,time,treated,`` run
+    formatted once, and each block written in one call."""
     quote = csv.writer(_Echo()).writerow
     mids = [[f",{t},{d}," for t in range(panel.t_min, panel.t_max + 1)] for d in (0, 1)]
     flags = panel.treated.tolist()

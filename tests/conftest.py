@@ -1,6 +1,8 @@
 import pytest
 
-from evstudy import DgpConfig, simulate, validate_panel
+from evstudy import DgpConfig, simulate
+
+from helpers import panel_from_rows
 
 # 2 units x 4 periods, treatment at t=1: the hand-checked fixture used
 # throughout. Treated outcomes (0,1,2,4), control outcomes (0,0,0,1).
@@ -12,7 +14,7 @@ FOUR_CELL_ROWS = [
 
 @pytest.fixture
 def four_cell():
-    return validate_panel(FOUR_CELL_ROWS)
+    return panel_from_rows(FOUR_CELL_ROWS)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import numpy as np
 
 from evstudy import PanelDataset
+from evstudy.panel import panel_from_columns
 
 
 def make_fuzz_panel(rng: np.random.Generator, max_units: int = 5, max_abs_t: int = 6) -> PanelDataset:
@@ -31,3 +32,27 @@ def max_coef_diff(a, b) -> float:
 def reference_seed(master_seed: int, index: int) -> int:
     """Stream ``index``'s seed of ``master_seed`` by numpy's own SeedSequence."""
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
+
+
+def panel_from_rows(rows) -> PanelDataset:
+    """The panel of (unit_id, time, treated, outcome) rows, through ``panel_from_columns``
+    with the units coded in first-seen order."""
+    codes: dict[str, int] = {}
+    units = [codes.setdefault(unit, len(codes)) for unit, _, _, _ in rows]
+    return panel_from_columns(list(codes), units, *([row[k] for row in rows] for k in (1, 2, 3)))
+
+
+def panel_rows(panel: PanelDataset) -> list[tuple]:
+    """The (unit_id, time, treated, outcome) rows of ``panel`` in unit-major order."""
+    times = range(panel.t_min, panel.t_max + 1)
+    return [(uid, t, d, y)
+            for uid, d, ys in zip(panel.unit_ids, panel.treated.astype(int).tolist(),
+                                  panel.outcomes.tolist())
+            for t, y in zip(times, ys)]
+
+
+def assert_same_panel(a: PanelDataset, b: PanelDataset) -> None:
+    """``a`` and ``b`` have equal ids, period ranges, flags and outcomes, field by field."""
+    assert (a.unit_ids, a.t_min, a.t_max) == (b.unit_ids, b.t_min, b.t_max)
+    assert np.array_equal(a.treated, b.treated)
+    assert np.array_equal(a.outcomes, b.outcomes)

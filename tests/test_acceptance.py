@@ -25,13 +25,12 @@ from evstudy import (
     run_mc,
     simulate,
     twfe_regression,
-    validate_panel,
 )
 from evstudy.cli import main
 from evstudy.oracle import matching_base_spec
 
 from conftest import FOUR_CELL_ROWS
-from helpers import make_fuzz_panel, max_coef_diff
+from helpers import make_fuzz_panel, max_coef_diff, panel_from_rows
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -94,7 +93,7 @@ def test_criterion_3_bjs_jump(mc_report):
 
 
 def test_criterion_4_exact_equivalences(figure_panel, fuzz_panels):
-    panels = [validate_panel(FOUR_CELL_ROWS), figure_panel] + fuzz_panels
+    panels = [panel_from_rows(FOUR_CELL_ROWS), figure_panel] + fuzz_panels
     dev_a = dev_b = dev_c = 0.0
     for p in panels:
         twfe, _, universal, bjs = estimate_many(p, ALL_TAGS)
@@ -107,7 +106,7 @@ def test_criterion_4_exact_equivalences(figure_panel, fuzz_panels):
 
 
 def test_criterion_5_brute_force_oracle(figure_panel, fuzz_panels):
-    panels = [validate_panel(FOUR_CELL_ROWS), figure_panel] + fuzz_panels[:30]
+    panels = [panel_from_rows(FOUR_CELL_ROWS), figure_panel] + fuzz_panels[:30]
     worst = 0.0
     for panel in panels:
         for tag in ALL_TAGS:
@@ -120,7 +119,7 @@ def test_criterion_5_brute_force_oracle(figure_panel, fuzz_panels):
 
 
 def test_criterion_6_hand_fixture():
-    twfe, cs, universal, bjs = estimate_many(validate_panel(FOUR_CELL_ROWS), ALL_TAGS)
+    twfe, cs, universal, bjs = estimate_many(panel_from_rows(FOUR_CELL_ROWS), ALL_TAGS)
     ok = (
         twfe.coefficients == {-3: -2.0, -2: -1.0, 0: 1.0}
         and cs.coefficients == {-2: 1.0, -1: 1.0, 0: 1.0}
@@ -197,7 +196,7 @@ def test_criterion_8_figure_shapes_and_goldens(figure_panel, tmp_path):
 
 def test_criterion_9_telescoping(figure_panel, fuzz_panels):
     worst = 0.0
-    for panel in [validate_panel(FOUR_CELL_ROWS), figure_panel] + fuzz_panels:
+    for panel in [panel_from_rows(FOUR_CELL_ROWS), figure_panel] + fuzz_panels:
         tw, cs = (est.coefficients for est in estimate_many(panel, ["twfe", "cs_dcdh_default"]))
         for r in range(panel.t_min - 1, -1):
             total = sum(cs[s] for s in range(r + 1, 0))

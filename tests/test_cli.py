@@ -356,15 +356,16 @@ def test_bootstrap_flag_without_bootstrap_exit_3(tmp_path, capsys, flag, value):
 
 
 def test_estimate_unallocatable_replications_exit_2(tmp_path, capsys):
-    # 10**14 replicates of a 26-period gap are 18.5 PiB, beyond any address
-    # space, so the request fails at once and allocates nothing.
+    # 10**14 replicates of a 26-period gap would be 18.5 PiB; their cells are
+    # past dgp.MAX_CELLS, so the request fails at once and allocates nothing.
     panel_csv, out = tmp_path / "panel.csv", tmp_path / "est.csv"
     assert main(["simulate", "--out", str(panel_csv)]) == 0
     capsys.readouterr()
     assert main(["estimate", str(panel_csv), "--bootstrap", "--replications", str(10**14),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"replications={10**14}: the ({10**14}, 26) bootstrap gap array needs 18.5 PiB" in err
+    assert err.splitlines() == [f"error: replications x units x periods = {10**14} x 100 x 26"
+                                " is more than the limit of 2**40 drawn outcome cells"]
     assert not out.exists()
 
 

@@ -15,12 +15,11 @@ from evstudy import (
     estimate_many,
     simulate,
     twfe_regression,
-    validate_panel,
 )
 from evstudy.estimators import _FixedEffects, _projection, _untreated_mask
 from evstudy.spec import TAGS
 
-from helpers import make_fuzz_panel, max_coef_diff
+from helpers import make_fuzz_panel, max_coef_diff, panel_from_rows
 
 
 def shift_panel(panel, c):
@@ -74,7 +73,7 @@ def test_bjs_fixture(four_cell):
 
 def test_symmetric_groups_all_zero():
     rows = [(u, t, d, float(t * t)) for (u, d) in (("a", 1), ("b", 0)) for t in range(-3, 3)]
-    panel = validate_panel(rows)
+    panel = panel_from_rows(rows)
     for est in estimate_many(panel, TAGS):
         assert all(v == 0.0 for v in est.coefficients.values())
 
@@ -93,7 +92,7 @@ def test_twfe_regression_matches_closed_form_simulated(default_panel):
 
 def test_twfe_constant_outcome_zero():
     rows = [(u, t, d, 3.5) for (u, d) in (("a", 1), ("b", 0)) for t in range(-2, 2)]
-    panel = validate_panel(rows)
+    panel = panel_from_rows(rows)
     est = twfe_regression(panel)
     assert all(abs(v) < 1e-10 for v in est.coefficients.values())
 
@@ -102,7 +101,7 @@ def test_fit_on_untreated_exact_additive():
     # Y_it = a_i + b_t exactly: predictions reproduce Y on every cell.
     a = {"a": 0.0, "b": 1.0}
     rows = [(u, t, d, a[u] + t) for (u, d) in (("a", 1), ("b", 0)) for t in range(-2, 3)]
-    panel = validate_panel(rows)
+    panel = panel_from_rows(rows)
     alpha, lam = untreated_fit(panel)
     np.testing.assert_allclose(alpha[:, None] + lam, panel.outcomes, rtol=0, atol=1e-8)
 
@@ -114,7 +113,7 @@ def test_fit_on_untreated_fixture_prediction(four_cell):
 
 def test_fit_on_untreated_constant_panel():
     rows = [(u, t, d, 7.0) for (u, d) in (("a", 1), ("b", 0)) for t in range(-2, 2)]
-    panel = validate_panel(rows)
+    panel = panel_from_rows(rows)
     alpha, lam = untreated_fit(panel)
     np.testing.assert_allclose(alpha[:, None] + lam, 7.0, rtol=0, atol=1e-10)
 

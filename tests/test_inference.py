@@ -31,6 +31,21 @@ def small_panel(seed=4, sd=1.0):
                               n_control=12, error_sd=sd, seed=seed))
 
 
+def test_replications_past_the_cell_limit_fail_before_any_allocation():
+    # 4300000 replicates of 5000+5000 units over 26 periods are 1.1e12 cells,
+    # just past 2**40: about 0.9 GB of gaps and minutes of resampling.
+    panel = simulate(DgpConfig(n_treated=5000, n_control=5000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^replications x units x periods = 4300000 x 10000"
+                                             r" x 26 is more than the limit of 2\*\*40 "):
+            bootstrap_many(panel, ["twfe", "bjs"], BootstrapConfig(replications=4_300_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # nothing sized by the panel or the replications
+
+
 def test_config_invariants():
     with pytest.raises(ValueError):
         BootstrapConfig(replications=1)

@@ -24,7 +24,7 @@ from evstudy.oracle import matching_base_spec
 from evstudy.panel import TimeOutOfRange
 from evstudy.spec import TAGS
 
-from helpers import make_fuzz_panel
+from helpers import make_fuzz_panel, panel_from_rows, panel_rows
 
 
 def test_population_twfe_values():
@@ -90,11 +90,11 @@ def test_population_curve_domains():
 
 @pytest.mark.parametrize("t_min", [-1, -2, -6])
 def test_pooled_bjs_curve_matches_a_noiseless_panel(t_min):
-    from evstudy import estimate_many, validate_panel
+    from evstudy import estimate_many
 
     gamma, t_max = 0.7, 3
-    panel = validate_panel([(u, t, d, gamma * t * d) for u, d in (("a", 1), ("b", 1), ("c", 0))
-                            for t in range(t_min, t_max + 1)])
+    panel = panel_from_rows([(u, t, d, gamma * t * d) for u, d in (("a", 1), ("b", 1), ("c", 0))
+                             for t in range(t_min, t_max + 1)])
     for n_pre in range(1, -t_min + 1):
         (est,) = estimate_many(panel, ["bjs"], n_pre)
         n_pool = -t_min - n_pre + 1
@@ -116,10 +116,8 @@ def test_brute_force_fixture(four_cell):
 
 
 def test_brute_force_identical_groups():
-    from evstudy import validate_panel
-
     rows = [(u, t, d, float(t)) for (u, d) in (("a", 1), ("b", 0)) for t in range(-2, 2)]
-    panel = validate_panel(rows)
+    panel = panel_from_rows(rows)
     for spec in (("period", 0), ("pre_mean",), ("prior_period",)):
         assert brute_force_did(panel, 0, spec) == 0.0
 
@@ -164,7 +162,7 @@ def test_estimators_agree_with_brute_force(four_cell):
 
 def per_call_scan(panel, r_target, base_spec):
     """Reference DiD: rescan every row for each group mean, as a literal oracle would."""
-    rows = panel.to_rows()
+    rows = panel_rows(panel)
     t_hi = r_target + 1
     times = sorted({t for _, t, _, _ in rows})
     if t_hi not in times:
@@ -297,5 +295,5 @@ def test_oracle_pass_at_10k_units_bounded_memory():
         tracemalloc.stop()
     assert abs(value - estimate(panel, "bjs").coefficients[0]) < 1e-8
     # 0.08 MiB measured: one unit's outcome list and the group totals. A
-    # list of every row's tuple, as ``to_rows()`` gives, takes 31.7 MiB.
+    # list of every row's tuple takes 31.7 MiB.
     assert peak < 2 * 2**20

@@ -37,7 +37,7 @@ EXPORTED_FROM = {
     ],
     "panel": [
         "DegenerateGroups", "InconsistentTreatment", "NonIntegerTime", "PanelDataset",
-        "PanelError", "TimeOutOfRange", "UnbalancedPanel", "validate_panel",
+        "PanelError", "TimeOutOfRange", "UnbalancedPanel",
     ],
 }
 
@@ -71,6 +71,22 @@ def test_console_script_resolves_to_cli_main():
 
 def test_dir_lists_every_export():
     assert set(evstudy.__all__) <= set(dir(evstudy))
+
+
+def test_a_fresh_import_lists_every_export_and_caches_each_one_used():
+    # In a new interpreter no export has been looked up, so none is a global yet.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = ("import json, evstudy\n"
+            "names = dir(evstudy)\n"
+            "evstudy.simulate\n"
+            "print(json.dumps([names, evstudy.__all__, sorted(vars(evstudy))]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    names, exported, module_globals = json.loads(proc.stdout)
+    assert exported == sorted(exported) and len(exported) == 27
+    assert set(exported) <= set(names)
+    assert {"__version__", "__getattr__", "_EXPORTS"} <= set(names)
+    assert "simulate" in module_globals and "run_mc" not in module_globals
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -26,7 +26,6 @@ from evstudy import (
     TimeOutOfRange,
     UnbalancedPanel,
     simulate,
-    validate_panel,
 )
 from evstudy import tableio
 from evstudy.cli import main
@@ -37,7 +36,7 @@ from evstudy.spec import CsvFormatError
 from evstudy.tableio import PANEL_COLUMNS, read_panel_csv, write_panel_csv
 
 from conftest import FOUR_CELL_ROWS
-from helpers import make_fuzz_panel
+from helpers import assert_same_panel, make_fuzz_panel, panel_from_rows, panel_rows
 
 
 def grid_rows(units, times):
@@ -48,7 +47,7 @@ def test_minimal_complete_grid():
     rows = [("a", t, 1, float(t)) for t in (-1, 0, 1)] + [
         ("b", t, 0, 0.0) for t in (-1, 0, 1)
     ]
-    panel = validate_panel(rows)
+    panel = panel_from_rows(rows)
     assert panel.n_units == 2
     assert (panel.t_min, panel.t_max) == (-1, 1)
 
@@ -56,7 +55,7 @@ def test_minimal_complete_grid():
 def test_missing_cell_rejected():
     rows = [("a", t, 1, 0.0) for t in (-1, 0, 1)] + [("b", -1, 0, 0.0), ("b", 1, 0, 0.0)]
     with pytest.raises(UnbalancedPanel):
-        validate_panel(rows)
+        panel_from_rows(rows)
 
 
 def test_duplicate_cell_rejected():
@@ -64,27 +63,20 @@ def test_duplicate_cell_rejected():
         ("b", t, 0, 0.0) for t in (-1, 0, 1)
     ] + [("a", 0, 1, 5.0)]
     with pytest.raises(UnbalancedPanel):
-        validate_panel(rows)
+        panel_from_rows(rows)
 
 
 def test_all_treated_rejected():
     rows = [(u, t, 1, 0.0) for u in "ab" for t in (-1, 0, 1)]
     with pytest.raises(DegenerateGroups):
-        validate_panel(rows)
-
-
-@pytest.mark.parametrize("flag", [0.5, 1.7, float("nan"), "x", "1", 2])
-def test_treatment_flag_not_0_or_1_rejected(flag):
-    rows = [("a", t, flag, 0.0) for t in (-1, 0, 1)] + [("b", t, 0, 0.0) for t in (-1, 0, 1)]
-    with pytest.raises(InconsistentTreatment, match=r"^unit a: treated="):
-        validate_panel(rows)
+        panel_from_rows(rows)
 
 
 @pytest.mark.parametrize("treated, control", [(True, False), (np.int64(1), np.int8(0)),
                                               (1.0, 0.0), (np.float64(1.0), -0.0)])
 def test_treatment_flags_equal_to_0_or_1_accepted(treated, control):
     rows = [("a", t, treated, 0.0) for t in (-1, 0, 1)] + [("b", t, control, 0.0) for t in (-1, 0, 1)]
-    assert validate_panel(rows).treated.tolist() == [True, False]
+    assert panel_from_rows(rows).treated.tolist() == [True, False]
 
 
 def test_switching_treatment_rejected():
@@ -92,36 +84,14 @@ def test_switching_treatment_rejected():
         ("b", t, 0, 0.0) for t in (-1, 0, 1)
     ]
     with pytest.raises(InconsistentTreatment):
-        validate_panel(rows)
+        panel_from_rows(rows)
 
 
-def test_non_integer_time_rejected():
+def test_non_integer_time_rejected(tmp_path):
     rows = [("a", -1, 1, 0.0), ("a", 0.5, 1, 0.0)]
+    write_rows_csv(rows, tmp_path / "p.csv")
     with pytest.raises(NonIntegerTime):
-        validate_panel(rows)
-
-
-def test_time_true_is_not_an_integer_and_3_0_is_3():
-    rows = [(u, t, d, 0.0) for u, d in (("a", 1), ("b", 0)) for t in (-1, 0, 1, 2, 3)]
-    with pytest.raises(NonIntegerTime, match=re.escape("time True is not an integer")):
-        validate_panel([("a", True, 1, 0.0), *rows])
-    panel = validate_panel([(u, 3.0 if t == 3 else t, d, y) for u, t, d, y in rows])
-    assert panel == validate_panel(rows)
-    assert type(panel.t_max) is int
-
-
-@pytest.mark.parametrize("ftype", [np.float16, np.float32, np.float64])
-def test_integer_valued_numpy_float_times_are_integers(ftype):
-    rows = [(u, t, d, 0.0) for u, d in (("a", 1), ("b", 0)) for t in (-1, 0, 1, 2)]
-    panel = validate_panel([(u, ftype(t), d, y) for u, t, d, y in rows])
-    assert panel == validate_panel(rows)
-    assert type(panel.t_min) is int
-    with pytest.raises(NonIntegerTime, match=re.escape("is not an integer")):
-        validate_panel([("a", ftype(0.5), 1, 0.0), *rows])
-    with pytest.raises(NonIntegerTime, match=re.escape("time np.float32(0.5) is not an integer")):
-        validate_panel([("a", np.float32(0.5), 1, 0.0), *rows])
-    with pytest.raises(NonIntegerTime, match=re.escape("time True is not an integer")):
-        validate_panel([("a", True, 1, 0.0), *rows])
+        read_panel_csv(tmp_path / "p.csv")
 
 
 def test_non_finite_outcome_rejected():
@@ -129,20 +99,20 @@ def test_non_finite_outcome_rejected():
         ("b", t, 0, 0.0) for t in (-1, 0, 1)
     ]
     with pytest.raises(NonFiniteOutcome):
-        validate_panel(rows)
+        panel_from_rows(rows)
 
 
 def test_missing_post_period_rejected():
     rows = [(u, t, d, 0.0) for (u, d) in (("a", 1), ("b", 0)) for t in (-2, -1, 0)]
     with pytest.raises(InsufficientPeriods):
-        validate_panel(rows)
+        panel_from_rows(rows)
 
 
 def test_missing_pre_period_rejected():
     # t = 0 alone is before treatment; two pre periods need t_min <= -1.
     rows = [(u, t, d, 0.0) for (u, d) in (("a", 1), ("b", 0)) for t in (0, 1, 2)]
     with pytest.raises(InsufficientPeriods):
-        validate_panel(rows)
+        panel_from_rows(rows)
 
 
 @pytest.mark.parametrize("n_units, n_periods, factor", [(2, 2, 4), (3, 4, 8), (16, 3, 16)])
@@ -158,12 +128,7 @@ def test_outcome_bound_factor_is_units_twice_periods_or_4(n_units, n_periods, fa
 
 def test_empty_rejected():
     with pytest.raises(UnbalancedPanel):
-        validate_panel([])
-
-
-def test_validate_idempotent(four_cell):
-    again = validate_panel(four_cell.to_rows())
-    assert again == four_cell
+        panel_from_rows([])
 
 
 def test_outcomes_frozen(four_cell):
@@ -175,7 +140,7 @@ def test_group_mean_two_points():
     rows = [("a", -1, 1, 0.0), ("a", 0, 1, 1.0), ("a", 1, 1, 0.0),
             ("c", -1, 1, 0.0), ("c", 0, 1, 3.0), ("c", 1, 1, 0.0),
             ("b", -1, 0, 0.0), ("b", 0, 0, 0.0), ("b", 1, 0, 0.0)]
-    panel = validate_panel(rows)
+    panel = panel_from_rows(rows)
     assert panel.outcomes[panel.treated, panel.period_index(0)].mean() == 2.0
 
 
@@ -200,7 +165,7 @@ def test_group_mean_out_of_range(four_cell):
 def test_group_mean_row_order_invariant(pyrandom):
     rows = list(FOUR_CELL_ROWS)
     pyrandom.shuffle(rows)
-    panel = validate_panel(rows)
+    panel = panel_from_rows(rows)
     # Units keep their first-seen order; each cell lands in its unit's row.
     first_seen = tuple(dict.fromkeys(u for u, _, _, _ in rows))
     assert panel.unit_ids == first_seen
@@ -214,14 +179,14 @@ def test_group_mean_row_order_invariant(pyrandom):
 @given(st.floats(-1e6, 1e6))
 @settings(max_examples=25, deadline=None)
 def test_group_mean_shift_equivariant(shift):
-    base = validate_panel(FOUR_CELL_ROWS)
-    shifted = validate_panel([(u, t, d, y + shift) for u, t, d, y in FOUR_CELL_ROWS])
+    base = panel_from_rows(FOUR_CELL_ROWS)
+    shifted = panel_from_rows([(u, t, d, y + shift) for u, t, d, y in FOUR_CELL_ROWS])
     assert shifted.unit_ids == base.unit_ids
     np.testing.assert_array_equal(shifted.treated, base.treated)
     np.testing.assert_allclose(shifted.outcomes, base.outcomes + shift, rtol=0, atol=1e-9)
 
 
-# --- the typed-column pass, through validate_panel and the CSV reader -----
+# --- panel_from_columns and the CSV reader on the same rows ---------------
 
 
 def write_rows_csv(rows, path):
@@ -246,30 +211,20 @@ def test_csv_roundtrip(tmp_path_factory, seed, max_units, max_abs_t):
     panel = make_fuzz_panel(np.random.default_rng(seed), max_units, max_abs_t)
     path = tmp_path_factory.mktemp("roundtrip") / "p.csv"
     write_panel_csv(panel, path)
-    assert read_panel_csv(path) == panel
-
-
-@fuzz_cases
-def test_to_rows_is_one_python_row_per_cell(seed, max_units, max_abs_t):
-    panel = make_fuzz_panel(np.random.default_rng(seed), max_units, max_abs_t)
-    expected = [(uid, t, int(panel.treated[i]), float(panel.outcomes[i, j]))
-                for i, uid in enumerate(panel.unit_ids) for j, t in enumerate(panel.times.tolist())]
-    rows = panel.to_rows()
-    assert rows == expected
-    assert all(type(t) is int and type(d) is int and type(y) is float for _, t, d, y in rows)
+    assert_same_panel(read_panel_csv(path), panel)
 
 
 @fuzz_cases
 def test_shuffled_rows_keep_first_seen_unit_order(seed, max_units, max_abs_t):
     rng = np.random.default_rng(seed)
     panel = make_fuzz_panel(rng, max_units, max_abs_t)
-    rows = panel.to_rows()
+    rows = panel_rows(panel)
     rows = [rows[i] for i in rng.permutation(len(rows))]
     seen = []
     for unit_id, *_ in rows:
         if unit_id not in seen:
             seen.append(unit_id)
-    again = validate_panel(rows)
+    again = panel_from_rows(rows)
     assert again.unit_ids == tuple(seen)
     idx = [panel.unit_ids.index(u) for u in seen]
     assert np.array_equal(again.treated, panel.treated[idx])
@@ -292,11 +247,12 @@ def single_faults(rows, i):
 def test_single_fault_raises_through_both_entry_points(tmp_path_factory, seed, max_units,
                                                       max_abs_t):
     rng = np.random.default_rng(seed)
-    rows = make_fuzz_panel(rng, max_units, max_abs_t).to_rows()
+    rows = panel_rows(make_fuzz_panel(rng, max_units, max_abs_t))
     path = tmp_path_factory.mktemp("faults") / "p.csv"
     for error, faulty in single_faults(rows, int(rng.integers(len(rows)))):
-        with pytest.raises(error):
-            validate_panel(faulty)
+        if error is not NonIntegerTime:  # a time that is not an integer is the reader's to reject
+            with pytest.raises(error):
+                panel_from_rows(faulty)
         write_rows_csv(faulty, path)
         with pytest.raises(error):
             read_panel_csv(path)
@@ -305,7 +261,7 @@ def test_single_fault_raises_through_both_entry_points(tmp_path_factory, seed, m
 @fuzz_cases
 def test_first_missing_and_duplicate_cell_match_a_loop(seed, max_units, max_abs_t):
     rng = np.random.default_rng(seed)
-    rows = make_fuzz_panel(rng, max_units, max_abs_t).to_rows()
+    rows = panel_rows(make_fuzz_panel(rng, max_units, max_abs_t))
     rows = [rows[i] for i in rng.permutation(len(rows))]
     drop = set(rng.choice(len(rows), size=int(rng.integers(1, 4)), replace=False).tolist())
     kept = [row for i, row in enumerate(rows) if i not in drop]
@@ -316,14 +272,14 @@ def test_first_missing_and_duplicate_cell_match_a_loop(seed, max_units, max_abs_
     if missing is not None:
         message = re.escape(f"missing cell ({missing[0]}, {missing[1]})")
         with pytest.raises(UnbalancedPanel, match=message):
-            validate_panel(kept)
+            panel_from_rows(kept)
 
     for i in rng.integers(len(rows), size=3).tolist():
         rows.insert(int(rng.integers(len(rows) + 1)), rows[i])
     seen = set()
     repeat = next((u, t) for u, t, _, _ in rows if (u, t) in seen or seen.add((u, t)))
     with pytest.raises(UnbalancedPanel, match=re.escape(f"duplicate cell {repeat}")):
-        validate_panel(rows)
+        panel_from_rows(rows)
 
 
 @pytest.mark.parametrize("far", [10**9, 10**30, -10**30])
@@ -355,7 +311,7 @@ def test_read_10k_units_bounded_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert again == panel
+    assert_same_panel(again, panel)
     # 10.6 MiB measured: typed columns 6.5 MB, one block of parsed lines, the
     # outcome matrix.
     assert peak < 20 * 2**20
@@ -375,7 +331,7 @@ def test_strict_loop_reads_10k_units_in_bounded_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert again == panel
+    assert_same_panel(again, panel)
     # 10.8 MiB measured: each row goes into the typed columns as it is read,
     # so no Python object outlives its row.
     assert peak < 12 * 2**20
@@ -385,11 +341,11 @@ def test_strict_loop_reads_10k_units_in_bounded_memory(tmp_path):
 
 
 def reference_write_panel_csv(panel, path):
-    """The panel writer as it was before it streamed: csv.writer over to_rows()."""
+    """The panel writer as it was before it streamed: csv.writer over the panel's rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(PANEL_COLUMNS)
-        w.writerows((uid, t, d, repr(y)) for uid, t, d, y in panel.to_rows())
+        w.writerows((uid, t, d, repr(y)) for uid, t, d, y in panel_rows(panel))
 
 
 # Characters csv must quote or keep verbatim: delimiter, quote, line breaks,
@@ -429,13 +385,13 @@ def test_writer_bytes_match_csv_writer(tmp_path_factory, panel, block):
 @given(panel=quoting_panels(), seed=st.integers(0, 2**32))
 @example(panel=ONE_PLUS_ONE, seed=0)
 @settings(max_examples=60, deadline=None)
-def test_reader_matches_validate_panel_on_shuffled_rows(tmp_path_factory, panel, seed):
-    rows = panel.to_rows()
+def test_reader_matches_panel_from_columns_on_shuffled_rows(tmp_path_factory, panel, seed):
+    rows = panel_rows(panel)
     rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
     path = tmp_path_factory.mktemp("reader") / "p.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([PANEL_COLUMNS, *((u, t, d, repr(y)) for u, t, d, y in rows)])
-    assert read_panel_csv(path) == validate_panel(rows)
+    assert_same_panel(read_panel_csv(path), panel_from_rows(rows))
 
 
 @pytest.mark.parametrize("block", [tableio._BLOCK_ROWS, 5])
@@ -445,13 +401,13 @@ def test_reader_returns_the_200_fuzz_panels(tmp_path, block):
         for k in range(200):
             panel = make_fuzz_panel(rng)
             write_panel_csv(panel, tmp_path / f"{k}.csv")
-            assert read_panel_csv(tmp_path / f"{k}.csv") == panel
+            assert_same_panel(read_panel_csv(tmp_path / f"{k}.csv"), panel)
 
 
 def test_reader_returns_the_golden_panel():
     golden = Path(__file__).parent / "golden" / "panel_small.csv"
     config = DgpConfig(n_treated=3, n_control=2, t_min=-3, t_max=2, seed=11)
-    assert read_panel_csv(golden) == simulate(config)
+    assert_same_panel(read_panel_csv(golden), simulate(config))
 
 
 def test_write_10k_units_bounded_memory(tmp_path):
@@ -462,7 +418,7 @@ def test_write_10k_units_bounded_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 8.1 MiB measured, one block of lines; to_rows() and csv.writer took 31.9 MiB.
+    # 8.1 MiB measured, one block of lines; a list of row tuples and csv.writer took 31.9 MiB.
     assert peak < 16 * 2**20
     reference_write_panel_csv(panel, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -504,13 +460,12 @@ def test_time_beyond_int64_in_a_later_block_names_the_missing_cell(tmp_path, far
     rows = rows[:2] + [("a", far, 1, 0.0)] + rows[2:]  # more rows follow the far time
     write_rows_csv(rows, tmp_path / "far.csv")
     if far == 2**63 - 1:  # in int64, so the grid is built and its first hole named
-        by_rows = by_file = "missing cell (a, 2)"
+        message = "missing cell (a, 2)"
+        with pytest.raises(UnbalancedPanel, match=re.escape(message)):
+            panel_from_rows(rows)
     else:  # beyond int64: the row itself is rejected
-        by_rows, by_file = (f"unit a: time {far} is outside int64",
-                            f"line 4: time '{far}' is outside int64")
-    with pytest.raises(UnbalancedPanel, match=re.escape(by_rows)):
-        validate_panel(rows)
-    with pytest.raises(UnbalancedPanel, match=re.escape(by_file)):
+        message = f"line 4: time '{far}' is outside int64"
+    with pytest.raises(UnbalancedPanel, match=re.escape(message)):
         read_panel_csv(tmp_path / "far.csv")
 
 
@@ -797,14 +752,14 @@ def test_writer_output_takes_the_canonical_path(tmp_path):
 
 def test_one_quoted_id_reaches_the_strict_loop(tmp_path):
     path = tmp_path / "p.csv"
-    write_panel_csv(validate_panel(FOUR_CELL_ROWS), path)
+    write_panel_csv(panel_from_rows(FOUR_CELL_ROWS), path)
     for end in (b"\r\n", b"\n"):
         text = path.read_bytes().replace(b"\r\n", end)
         assert text.count(end + b"b,") == 4
         quoted = text.replace(end + b"b,", end + b'"b",', 1)
         (tmp_path / "quoted.csv").write_bytes(quoted)
         trace = traced_read(tmp_path / "quoted.csv")
-        assert trace.outcome == build_outcome(lambda: validate_panel(FOUR_CELL_ROWS))
+        assert trace.outcome == build_outcome(lambda: panel_from_rows(FOUR_CELL_ROWS))
         # the one block is declined before loadtxt, and csv reads all of it
         assert ([b.taken for b in trace.blocks], trace.loadtxt) == ([False], 0)
         assert "".join(trace.blocks[0].csv).encode() == quoted.split(end, 1)[1]
@@ -858,7 +813,7 @@ def test_an_integer_read_through_a_float_reaches_the_strict_loop(tmp_path, monke
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes")
 def test_a_pipe_is_read_once(tmp_path):
-    panel = validate_panel(FOUR_CELL_ROWS)
+    panel = panel_from_rows(FOUR_CELL_ROWS)
     write_panel_csv(panel, tmp_path / "p.csv")
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)
