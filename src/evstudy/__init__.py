@@ -24,10 +24,7 @@ _EXPORTS = {
     ), "estimators"),
     **dict.fromkeys(("bootstrap_many",), "inference"),
     **dict.fromkeys(("McReport", "run_mc"), "montecarlo"),
-    **dict.fromkeys((
-        "OmittedCategory", "brute_force_did", "population_bjs", "population_cs_dcdh",
-        "population_curve", "population_twfe",
-    ), "oracle"),
+    **dict.fromkeys(("brute_force_did", "population_curve"), "oracle"),
     **dict.fromkeys(("PanelDataset",), "panel"),
 }
 
@@ -46,4 +43,4 @@ def __dir__():
     return sorted(set(globals()) | set(__all__))
 
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -62,10 +62,16 @@ def _replicate_gaps(panel: PanelDataset, B: int, seed: int) -> np.ndarray:
     """
     y1 = panel.outcomes[panel.treated]
     y0 = panel.outcomes[~panel.treated]
+    words = pcg64_words(stream_seeds(seed, 0, 2 * min(B, SEED_BLOCK)))
+    # OpenBLAS takes its work buffer at the first product and ends the
+    # process when it cannot, so one product runs before the gaps exist:
+    # short of memory, _allocate then raises the error that names them.
+    _resampled_mean(y1, words[0])
     gaps = _allocate((B, panel.n_periods), "bootstrap gap", f"replications={B}: ")
     for lo in range(0, B, SEED_BLOCK):
         hi = min(B, lo + SEED_BLOCK)
-        words = pcg64_words(stream_seeds(seed, 2 * lo, 2 * hi))
+        if lo:
+            words = pcg64_words(stream_seeds(seed, 2 * lo, 2 * hi))
         for gap, treated_words in zip(gaps[lo:hi], words[0::2]):
             gap[:] = _resampled_mean(y1, treated_words)
         for gap, control_words in zip(gaps[lo:hi], words[1::2]):

@@ -1,7 +1,9 @@
 """Analytic population coefficient curves and a brute-force sample oracle.
 
-The population functions give each estimator's probability limit under the
-linear-trend-violation DGP (treated trend gamma per period, no effects).
+``population_curve`` gives each estimator's probability limit under the
+linear-trend-violation DGP (treated trend gamma per period, no effects) as
+one ``{r: value}`` dict, which leaves out the categories the estimator
+omits, as its coefficients do.
 ``brute_force_did`` recomputes any single coefficient from plain sums over
 the panel's outcomes, with no code shared with the estimators module and no
 numpy, so the two can falsify each other in tests. It makes one pass over a
@@ -16,7 +18,6 @@ one, in O(T) memory beside the panel.
 from __future__ import annotations
 
 import weakref
-from contextlib import suppress
 from operator import add
 from typing import TYPE_CHECKING
 
@@ -26,58 +27,22 @@ if TYPE_CHECKING:
     from .panel import PanelDataset
 
 
-class OmittedCategory(ValueError):
-    """Requested relative time is a normalized category with no coefficient."""
-
-
-def population_twfe(gamma: float, r: int) -> float:
-    """TWFE limit gamma * (r + 1): a straight line through (-1, 0)."""
-    if r == -1:
-        raise OmittedCategory("r = -1 is the TWFE omitted category")
-    return gamma * (r + 1)
-
-
-def population_cs_dcdh(gamma: float, r: int, t_min: int | None = None) -> float:
-    """CS/dCDH default limit: flat gamma pre, gamma * (r + 1) post (a kink)."""
-    if t_min is not None and r == t_min - 1:
-        raise OmittedCategory(f"r = {r} is the earliest category, omitted by CS/dCDH")
-    return gamma if r < 0 else gamma * (r + 1)
-
-
-def population_bjs(gamma: float, r: int, t_min: int, n_pool: int = 1) -> float:
-    """BJS limit: gamma*(r+1+T) pre, gamma*(r+1+T/2) post, T = -t_min (a jump).
-
-    With the ``n_pool`` earliest periods pooled into the pre baseline
-    (``estimate --bjs-pre``), the pre limit is gamma*(r+1-t_min-(n_pool-1)/2)
-    and those periods are omitted.
-    """
-    t_low = -t_min
-    if t_min - 1 <= r < t_min - 1 + n_pool:
-        raise OmittedCategory(f"r = {r} is among the {n_pool} earliest categories, omitted by BJS")
-    if r < 0:
-        return gamma * (r + 1 - t_min - (n_pool - 1) / 2)
-    return gamma * (r + 1 + t_low / 2)
-
-
 def population_curve(tag: str, gamma: float, t_min: int, t_max: int, n_pool: int = 1) -> dict[int, float]:
-    """Population value beta_r at each non-omitted relative time r of the estimator.
+    """Population value beta_r of estimator ``tag`` at each relative time r it does not omit.
 
-    ``n_pool`` is passed to ``population_bjs``; the other estimators ignore it.
-    The relative times whose function raises OmittedCategory are left out.
+    r runs over t_min - 1 .. t_max - 1. ``n_pool`` is the number of earliest
+    periods pooled into the BJS pre baseline (``estimate --bjs-pre``), each
+    omitted; the other estimators ignore it.
     """
-    curve = {
-        "twfe": lambda r: population_twfe(gamma, r),
-        "cs_dcdh_universal": lambda r: population_twfe(gamma, r),
-        "cs_dcdh_default": lambda r: population_cs_dcdh(gamma, r, t_min),
-        "bjs": lambda r: population_bjs(gamma, r, t_min, n_pool),
-    }.get(tag)
-    if curve is None:
-        raise ValueError(f"unknown estimator tag {tag!r}")
-    values: dict[int, float] = {}
-    for r in range(t_min - 1, t_max):
-        with suppress(OmittedCategory):
-            values[r] = curve(r)
-    return values
+    rs = range(t_min - 1, t_max)
+    if tag in ("twfe", "cs_dcdh_universal"):  # gamma*(r+1): a straight line through (-1, 0)
+        return {r: gamma * (r + 1) for r in rs if r != -1}
+    if tag == "cs_dcdh_default":  # gamma pre, gamma*(r+1) post: a kink at 0
+        return {r: gamma if r < 0 else gamma * (r + 1) for r in rs if r != t_min - 1}
+    if tag == "bjs":  # gamma*(r+1-t_min-(n_pool-1)/2) pre, gamma*(r+1-t_min/2) post: a jump at 0
+        return {r: gamma * (r + 1 - t_min - (n_pool - 1) / 2) if r < 0 else gamma * (r + 1 - t_min / 2)
+                for r in rs if r >= t_min - 1 + n_pool}
+    raise ValueError(f"unknown estimator tag {tag!r}")
 
 
 # (weak reference to the last panel scanned, its ``_scan`` result)
@@ -146,13 +111,8 @@ def brute_force_did(panel: PanelDataset, r_target: int, base_spec) -> float:
         return totals[d][t - times.start] / units[d]
 
     kind = base_spec[0]
-    if kind == "period":
-        t0 = base_spec[1]
-        if t0 not in times:
-            raise TimeOutOfRange(f"base period {t0} not in panel")
-        base = mean_at(t0, 1) - mean_at(t0, 0)
-    elif kind == "prior_period":
-        t0 = r_target
+    if kind in ("period", "prior_period"):
+        t0 = base_spec[1] if kind == "period" else r_target
         if t0 not in times:
             raise TimeOutOfRange(f"base period {t0} not in panel")
         base = mean_at(t0, 1) - mean_at(t0, 0)

@@ -19,9 +19,7 @@ from evstudy import (
     brute_force_did,
     estimate,
     estimate_many,
-    population_bjs,
-    population_cs_dcdh,
-    population_twfe,
+    population_curve,
     run_mc,
     simulate,
     twfe_regression,
@@ -66,7 +64,7 @@ def fuzz_panels():
 
 def test_criterion_1_twfe_straight_line(mc_report):
     dev = max(
-        abs(mean - population_twfe(0.5, r))
+        abs(mean - population_curve("twfe", 0.5, -15, 10)[r])
         for r, mean in mc_report.means["twfe"].items()
     )
     check(1, f"TWFE Monte Carlo means on gamma*(r+1) (max dev {dev:.4f} < 0.03)", dev < 0.03)
@@ -74,7 +72,7 @@ def test_criterion_1_twfe_straight_line(mc_report):
 
 def test_criterion_2_cs_dcdh_kink(mc_report):
     dev = max(
-        abs(mean - population_cs_dcdh(0.5, r))
+        abs(mean - population_curve("cs_dcdh_default", 0.5, -15, 10)[r])
         for r, mean in mc_report.means["cs_dcdh_default"].items()
     )
     check(2, f"CS/dCDH means flat-gamma pre, gamma*(r+1) post (max dev {dev:.4f} < 0.03)", dev < 0.03)
@@ -82,7 +80,7 @@ def test_criterion_2_cs_dcdh_kink(mc_report):
 
 def test_criterion_3_bjs_jump(mc_report):
     means = mc_report.means["bjs"]
-    dev = max(abs(mean - population_bjs(0.5, r, -15)) for r, mean in means.items())
+    dev = max(abs(mean - population_curve("bjs", 0.5, -15, 10)[r]) for r, mean in means.items())
     jump_ok = (
         abs(means[-1] - 7.5) < 0.05
         and abs(means[0] - 4.25) < 0.05

@@ -160,6 +160,10 @@ def _run_limited(tmp_path, limited_env, argv, margin_mib):
     # Short of the gaps, under the cell limit: _allocate names them.
     (["estimate", "@panel", *BOOTSTRAP],
      150, "replications=20000: the (20000, 2000) bootstrap gap array needs 305.2 MiB"),
+    # Room for the gaps but not also OpenBLAS's work buffer: the first product
+    # takes that buffer before the gaps are allocated, so _allocate names them.
+    (["estimate", "@panel", *BOOTSTRAP],
+     320, "replications=20000: the (20000, 2000) bootstrap gap array needs 305.2 MiB"),
     # Past the gaps, short of the coefficients: _allocate names them.
     (["estimate", "@panel", *BOOTSTRAP],
      450, "the (1, 20000, 2000) coefficient array needs 305.2 MiB, more than can be allocated"),
@@ -170,7 +174,7 @@ def _run_limited(tmp_path, limited_env, argv, margin_mib):
     (["montecarlo", "--t-min", str(-(10**11)), "--t-max", str(10**11), "--n-treated", "1",
       "--n-control", "1", "--draws", "2"], 768,
      "the (4, 200000000001) Monte Carlo population array needs 5.8 TiB, more than can be allocated"),
-], ids=["gaps", "coefficients", "temporaries", "montecarlo-population"])
+], ids=["gaps", "gaps-blas-buffer", "coefficients", "temporaries", "montecarlo-population"])
 def test_memory_limited_run_exits_2(tmp_path, limited_env, argv, margin_mib, fragment):
     proc = _run_limited(tmp_path, limited_env, argv, margin_mib)
     assert proc.returncode == 2, proc.stderr

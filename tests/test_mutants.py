@@ -1,4 +1,4 @@
-"""tools/mutants.py on a five-line module: it reports exactly the mutants its test misses."""
+"""tools/mutants.py on small modules: it reports exactly the mutants their tests miss."""
 
 import subprocess
 import sys
@@ -30,3 +30,30 @@ def test_mutants_prints_each_survivor(tmp_path):
     ], proc.stderr
     assert proc.returncode == 1
     assert "return x < 10" in (tmp_path / "small.py").read_text()  # the tree is not written
+
+
+def test_mutants_swaps_equality_and_boolean_operators(tmp_path):
+    (tmp_path / "small.py").write_text(
+        "def both(a, b):\n"
+        "    return a == 1 and b != 2\n")
+    (tmp_path / "test_small.py").write_text(
+        "from small import both\n"
+        "\n"
+        "def test_small():\n"
+        "    assert both(1, 3) and not both(0, 2)\n")
+    proc = subprocess.run([sys.executable, str(TOOL), "small.py", "test_small.py"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    # Every mutant but `or` fails both(1, 3); both(0, 2) is False either way.
+    assert proc.stdout.splitlines() == [
+        "small.py:2: col 18 'and' -> 'or': return a == 1 and b != 2",
+        "5 mutants, 4 killed, 1 survived",
+    ], proc.stderr
+    assert proc.returncode == 1
+
+
+def test_mutants_exits_3_on_a_module_without_mutants(tmp_path):
+    (tmp_path / "small.py").write_text("def name():\n    return 'x'\n")
+    (tmp_path / "test_small.py").write_text("def test_small():\n    pass\n")
+    proc = subprocess.run([sys.executable, str(TOOL), "small.py", "test_small.py"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "small.py: no mutants\n")

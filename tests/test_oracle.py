@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -9,14 +10,11 @@ from hypothesis import strategies as st
 
 from evstudy import (
     DgpConfig,
-    OmittedCategory,
     PanelDataset,
     brute_force_did,
     estimate,
-    population_bjs,
-    population_cs_dcdh,
+    estimate_many,
     population_curve,
-    population_twfe,
     simulate,
 )
 from evstudy import oracle
@@ -28,31 +26,31 @@ from helpers import make_fuzz_panel, panel_from_rows, panel_rows
 
 
 def test_population_twfe_values():
-    assert population_twfe(0.5, 5) == 3.0
-    assert population_twfe(0.5, -3) == -1.0
-    assert population_twfe(0.0, 9) == 0.0
-    with pytest.raises(OmittedCategory):
-        population_twfe(0.5, -1)
+    curve = population_curve("twfe", 0.5, -15, 10)
+    assert curve[5] == 3.0
+    assert curve[-3] == -1.0
+    assert population_curve("twfe", 0.0, -15, 10)[9] == 0.0
+    assert -1 not in curve
 
 
 def test_population_cs_dcdh_values():
-    assert population_cs_dcdh(0.5, -7) == 0.5
-    assert population_cs_dcdh(0.5, 5) == 3.0
-    assert population_cs_dcdh(0.0, -2) == 0.0
-    with pytest.raises(OmittedCategory):
-        population_cs_dcdh(0.5, -16, t_min=-15)
+    curve = population_curve("cs_dcdh_default", 0.5, -15, 10)
+    assert curve[-7] == 0.5
+    assert curve[5] == 3.0
+    assert population_curve("cs_dcdh_default", 0.0, -15, 10)[-2] == 0.0
+    assert -16 not in curve
 
 
 def test_population_bjs_values():
-    assert population_bjs(0.5, -1, -15) == pytest.approx(7.5)
-    assert population_bjs(0.5, 0, -15) == pytest.approx(4.25)
-    assert population_bjs(0.5, -15, -15) == pytest.approx(0.5)
-    with pytest.raises(OmittedCategory):
-        population_bjs(0.5, -16, -15)
+    curve = population_curve("bjs", 0.5, -15, 10)  # n_pool left at its default of 1
+    assert curve[-1] == pytest.approx(7.5)
+    assert curve[0] == pytest.approx(4.25)
+    assert curve[-15] == pytest.approx(0.5)
+    assert -16 not in curve
 
 
 def test_twfe_line_is_straight():
-    vals = [population_twfe(0.5, r) for r in range(-10, 8) if r != -1]
+    vals = list(population_curve("twfe", 0.5, -9, 8).values())  # r = -10 .. 7 but -1
     vals.insert(9, 0.0)  # restore the r = -1 point, which lies on the line
     second = np.diff(vals, n=2)
     assert np.abs(second).max() == 0.0
@@ -60,8 +58,9 @@ def test_twfe_line_is_straight():
 
 def test_cs_kink_iff_gamma_nonzero():
     for gamma, kinked in ((0.5, True), (0.0, False)):
-        pre = [population_cs_dcdh(gamma, r) for r in (-3, -2, -1)]
-        post = [population_cs_dcdh(gamma, r) for r in (0, 1, 2)]
+        curve = population_curve("cs_dcdh_default", gamma, -3, 3)
+        pre = [curve[r] for r in (-3, -2, -1)]
+        post = [curve[r] for r in (0, 1, 2)]
         assert np.ptp(pre) == 0.0  # flat pre segment
         slope = np.diff(post)
         assert np.allclose(slope, gamma)
@@ -73,11 +72,13 @@ def test_cs_kink_iff_gamma_nonzero():
 def test_bjs_jump_size():
     gamma, t_min = 0.5, -15
     t_low = -t_min
-    jump = population_bjs(gamma, 0, t_min) - population_bjs(gamma, -1, t_min)
+    curve = population_curve("bjs", gamma, t_min, 10)
+    jump = curve[0] - curve[-1]
     # pre limit at r=-1 is gamma*T, post value at r=0 is gamma*(1 + T/2)
     assert jump == pytest.approx(gamma * (1 - t_low / 2))
     assert jump < 0
-    assert population_bjs(0.0, 0, t_min) - population_bjs(0.0, -1, t_min) == 0.0
+    flat = population_curve("bjs", 0.0, t_min, 10)
+    assert flat[0] - flat[-1] == 0.0
 
 
 def test_population_curve_domains():
@@ -90,20 +91,75 @@ def test_population_curve_domains():
 
 @pytest.mark.parametrize("t_min", [-1, -2, -6])
 def test_pooled_bjs_curve_matches_a_noiseless_panel(t_min):
-    from evstudy import estimate_many
-
     gamma, t_max = 0.7, 3
     panel = panel_from_rows([(u, t, d, gamma * t * d) for u, d in (("a", 1), ("b", 1), ("c", 0))
                              for t in range(t_min, t_max + 1)])
     for n_pre in range(1, -t_min + 1):
-        (est,) = estimate_many(panel, ["bjs"], n_pre)
         n_pool = -t_min - n_pre + 1
-        curve = population_curve("bjs", gamma, t_min, t_max, n_pool)
-        assert set(curve) == set(est.coefficients)
-        assert all(abs(curve[r] - est.coefficients[r]) <= 1e-12 for r in curve)
-        for r in est.omitted:
-            with pytest.raises(OmittedCategory):
-                population_bjs(gamma, r, t_min, n_pool)
+        for est in estimate_many(panel, list(TAGS), n_pre):
+            curve = population_curve(est.estimator, gamma, t_min, t_max, n_pool)
+            assert list(curve) == list(est.coefficients), est.estimator
+            assert all(abs(curve[r] - est.coefficients[r]) <= 1e-12 for r in curve), est.estimator
+
+
+# --- the per-tag population functions of 0.3.0, as a reference ------------
+
+
+class _Omitted(ValueError):
+    """Requested relative time is a normalized category with no coefficient."""
+
+
+def _population_twfe(gamma, r):
+    if r == -1:
+        raise _Omitted
+    return gamma * (r + 1)
+
+
+def _population_cs_dcdh(gamma, r, t_min=None):
+    if t_min is not None and r == t_min - 1:
+        raise _Omitted
+    return gamma if r < 0 else gamma * (r + 1)
+
+
+def _population_bjs(gamma, r, t_min, n_pool=1):
+    t_low = -t_min
+    if t_min - 1 <= r < t_min - 1 + n_pool:
+        raise _Omitted
+    if r < 0:
+        return gamma * (r + 1 - t_min - (n_pool - 1) / 2)
+    return gamma * (r + 1 + t_low / 2)
+
+
+def reference_curve(tag, gamma, t_min, t_max, n_pool):
+    """(r, value) pairs of the curve from the per-tag function that raises on an omitted r."""
+    value = {
+        "twfe": lambda r: _population_twfe(gamma, r),
+        "cs_dcdh_universal": lambda r: _population_twfe(gamma, r),
+        "cs_dcdh_default": lambda r: _population_cs_dcdh(gamma, r, t_min),
+        "bjs": lambda r: _population_bjs(gamma, r, t_min, n_pool),
+    }[tag]
+    pairs = []
+    for r in range(t_min - 1, t_max):
+        with suppress(_Omitted):
+            pairs.append((r, value(r)))
+    return pairs
+
+
+def _bits(pairs):
+    """The pairs with each value as its exact hex form, which tells -0.0 from 0.0."""
+    return [(r, v.hex()) for r, v in pairs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(tag=st.sampled_from(TAGS),
+       gamma=st.sampled_from([0.0, -0.0, 1e300, -1e8, 0.5]) | st.floats(allow_nan=False),
+       t_min=st.integers(-40, 3), t_max=st.integers(-3, 40), n_pool=st.integers(-3, 45))
+@example(tag="bjs", gamma=-0.0, t_min=-15, t_max=10, n_pool=-3)
+@example(tag="bjs", gamma=1e300, t_min=-40, t_max=40, n_pool=45)
+@example(tag="cs_dcdh_default", gamma=-1e8, t_min=3, t_max=-3, n_pool=1)
+def test_population_curve_matches_the_per_tag_reference(tag, gamma, t_min, t_max, n_pool):
+    got = list(population_curve(tag, gamma, t_min, t_max, n_pool).items())
+    assert _bits(got) == _bits(reference_curve(tag, gamma, t_min, t_max, n_pool))
 
 
 # --- brute-force finite-sample oracle ------------------------------------

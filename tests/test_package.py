@@ -31,10 +31,7 @@ EXPORTED_FROM = {
     ],
     "inference": ["BootstrapConfig", "bootstrap_many"],
     "montecarlo": ["McReport", "run_mc"],
-    "oracle": [
-        "OmittedCategory", "brute_force_did", "population_bjs", "population_cs_dcdh",
-        "population_curve", "population_twfe",
-    ],
+    "oracle": ["brute_force_did", "population_curve"],
     "panel": [
         "DegenerateGroups", "InconsistentTreatment", "NonIntegerTime", "PanelDataset",
         "PanelError", "TimeOutOfRange", "UnbalancedPanel",
@@ -83,7 +80,7 @@ def test_a_fresh_import_lists_every_export_and_caches_each_one_used():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     names, exported, module_globals = json.loads(proc.stdout)
-    assert exported == sorted(exported) and len(exported) == 27
+    assert exported == sorted(exported) and len(exported) == 23
     assert set(exported) <= set(names)
     assert {"__version__", "__getattr__", "_EXPORTS"} <= set(names)
     assert "simulate" in module_globals and "run_mc" not in module_globals

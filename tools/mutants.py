@@ -6,14 +6,16 @@
 Run from the project root. The tree under the current directory is copied to
 a temporary directory once; each mutant changes one token of MODULE there:
 
-- ``+``/``-``, ``*``/``/``, ``<``/``<=`` and ``>``/``>=`` swap;
+- ``+``/``-``, ``*``/``/``, ``<``/``<=``, ``>``/``>=``, ``==``/``!=`` and
+  ``and``/``or`` swap;
 - an integer literal from 0 to 64 goes up by one.
 
 A mutant that does not compile is skipped. For each of the others, pytest
 runs TESTS with ``-x`` in the copy, with a timeout of 10 s plus three times
 the unmutated run's wall time; a failing or timed-out run kills the mutant.
 Every survivor is printed as ``MODULE:LINE: mutation: source line``, and
-the exit status is 1 when any survived, 2 when the unmutated tests fail.
+the exit status is 1 when any survived, 2 when the unmutated tests fail
+and 3 when MODULE yields no mutant.
 Only the standard library is used, and the working tree is never written.
 """
 
@@ -30,20 +32,21 @@ import time
 import tokenize
 from pathlib import Path
 
-SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">"}
+SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">",
+         "==": "!=", "!=": "==", "and": "or", "or": "and"}
 
 
 def mutants(source: str):
     """(line, col, old, new, mutated source) of each one-token change that still compiles."""
     lines = source.splitlines(keepends=True)
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type == tokenize.OP and tok.string in SWAPS:
+        if tok.type in (tokenize.OP, tokenize.NAME) and tok.string in SWAPS:  # and, or are NAMEs
             new = SWAPS[tok.string]
         elif tok.type == tokenize.NUMBER and tok.string.isdigit() and int(tok.string) <= 64:
             new = str(int(tok.string) + 1)
         else:
             continue
-        (row, col), end_col = tok.start, tok.end[1]  # an operator or number spans one line
+        (row, col), end_col = tok.start, tok.end[1]  # an operator, keyword or number spans one line
         line = lines[row - 1]
         mutated = lines[: row - 1] + [line[:col] + new + line[end_col:]] + lines[row:]
         try:
@@ -74,6 +77,10 @@ def main(argv: list[str]) -> int:
     module, tests = args.module, args.tests
     root = Path.cwd()
     source = (root / module).read_text(encoding="utf-8")
+    found = list(mutants(source))
+    if not found:
+        print(f"{module}: no mutants", file=sys.stderr)
+        return 3
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(root, tree, ignore=shutil.ignore_patterns(".*", "__pycache__"))
@@ -84,15 +91,14 @@ def main(argv: list[str]) -> int:
             return 2
         timeout = 10 + 3 * (time.perf_counter() - start)
         lines = source.splitlines()
-        total = survived = 0
-        for row, col, old, new, mutated in mutants(source):
-            total += 1
+        survived = 0
+        for row, col, old, new, mutated in found:
             target.write_text(mutated, encoding="utf-8")
             if run_tests(tree, tests, timeout):
                 survived += 1
                 print(f"{module}:{row}: col {col} {old!r} -> {new!r}: {lines[row - 1].strip()}",
                       flush=True)
-    print(f"{total} mutants, {total - survived} killed, {survived} survived")
+    print(f"{len(found)} mutants, {len(found) - survived} killed, {survived} survived")
     return 1 if survived else 0
 
 
