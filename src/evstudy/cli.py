@@ -45,10 +45,6 @@ class UsageError(Exception):
     pass
 
 
-class EmptyTable(ValueError):
-    """Estimate table contains no plottable rows."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -239,7 +235,7 @@ def _cmd_plot(args) -> int:
     for row in rows:
         by_tag.setdefault(row.estimator, []).append(row)
     if not by_tag:
-        raise EmptyTable(f"no rows in {args.input}")
+        raise ValueError(f"no rows in {args.input}")
     if args.split_bjs and "bjs" not in by_tag:
         raise UsageError(f"--split-bjs needs bjs rows in {args.input}")
     # An overlay has a point per relative time in its tag's span, so a jump,
@@ -261,7 +257,7 @@ def _cmd_plot(args) -> int:
             if not row.omitted
         ]
         if not points:
-            raise EmptyTable(f"no non-omitted coefficients for {tag}")
+            raise ValueError(f"no non-omitted coefficients for {tag}")
         overlay = _overlay_for(tag, gamma, tag_rows)
         if tag == "bjs" and args.split_bjs:
             for part, keep in (("pre", lambda r: r < 0), ("post", lambda r: r >= 0)):
@@ -316,7 +312,7 @@ def main(argv=None) -> int:
         code, message = EXIT_USAGE, f"usage error: {exc}"
     except UnknownEstimator as exc:
         code, message = EXIT_USAGE, f"error: {exc}"
-    except (PanelError, ValueError) as exc:  # InvalidConfig, CsvFormatError, EmptyTable too
+    except (PanelError, ValueError) as exc:  # InvalidConfig, CsvFormatError, TableRow's rules too
         code, message = EXIT_VALIDATION, f"error: {exc}"
     except MemoryError as exc:  # numpy's text names the array's size and shape
         code, message = EXIT_VALIDATION, f"error: {str(exc) or 'out of memory'}"

@@ -2,7 +2,8 @@
 
 Panel files carry exactly the columns ``unit,time,treated,outcome``;
 estimate tables carry ``estimator,relative_time,coefficient,std_error,
-ci_low,ci_high,omitted``. Decimals are written with repr, the shortest
+ci_low,ci_high,omitted``, one ``TableRow`` a line, whose rules the writer
+and the reader share. Decimals are written with repr, the shortest
 representation that round-trips, so emitted files are stable golden-file
 targets.
 
@@ -23,7 +24,7 @@ import math
 import operator
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import chain, islice
 from typing import TYPE_CHECKING
 
@@ -37,10 +38,6 @@ PANEL_COLUMNS = ["unit", "time", "treated", "outcome"]
 ESTIMATE_COLUMNS = [
     "estimator", "relative_time", "coefficient", "std_error", "ci_low", "ci_high", "omitted",
 ]
-
-
-def _num(x: float) -> str:
-    return repr(float(x))
 
 
 # Rows per block of the panel writer: one block's lines are all that exist
@@ -253,42 +250,11 @@ def _strict_rows(lines, stop, header, offset: int, codes, columns) -> int:
     return offset + reader.line_num
 
 
-def estimate_table_rows(estimates: list[EventStudyEstimate]) -> list[dict[str, str]]:
-    """Flatten estimates into table rows sorted by (estimator, relative_time)."""
-    rows = []
-    for est in estimates:
-        rel = sorted(set(est.coefficients) | set(est.omitted))
-        for r in rel:
-            if r in est.omitted:
-                rows.append({
-                    "estimator": est.estimator, "relative_time": str(r),
-                    "coefficient": "", "std_error": "", "ci_low": "", "ci_high": "",
-                    "omitted": "1",
-                })
-            else:
-                se = est.se.get(r) if est.se else None
-                ci = est.ci.get(r) if est.ci else None
-                rows.append({
-                    "estimator": est.estimator, "relative_time": str(r),
-                    "coefficient": _num(est.coefficients[r]),
-                    "std_error": _num(se) if se is not None else "",
-                    "ci_low": _num(ci[0]) if ci is not None else "",
-                    "ci_high": _num(ci[1]) if ci is not None else "",
-                    "omitted": "0",
-                })
-    rows.sort(key=lambda row: (row["estimator"], int(row["relative_time"])))
-    return rows
-
-
-def write_estimate_table(estimates: list[EventStudyEstimate], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.DictWriter(fh, fieldnames=ESTIMATE_COLUMNS)
-        w.writeheader()
-        w.writerows(estimate_table_rows(estimates))
-
-
-@dataclass
+@dataclass(frozen=True)
 class TableRow:
+    """An estimate table row, as ``estimate`` writes it and ``plot`` reads it;
+    one that breaks a rule of ``__post_init__`` raises ValueError."""
+
     estimator: str
     relative_time: int
     coefficient: float | None
@@ -297,13 +263,55 @@ class TableRow:
     ci_high: float | None
     omitted: bool
 
+    def __post_init__(self):
+        values = (self.coefficient, self.std_error, self.ci_low, self.ci_high)
+        for name, v in zip(ESTIMATE_COLUMNS[2:], values):
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+        if self.omitted and any(v is not None for v in values):
+            raise ValueError("a row with omitted=1 must leave its numbers empty")
+        if not self.omitted and self.coefficient is None:
+            raise ValueError("a row with omitted=0 needs a coefficient")
+        if len({v is None for v in values[1:]}) > 1:
+            raise ValueError("std_error, ci_low and ci_high must be all given or all empty")
+
+
+def estimate_table_rows(estimates: list[EventStudyEstimate]) -> list[TableRow]:
+    """Flatten estimates into table rows sorted by (estimator, relative_time);
+    a row rule's ValueError names the estimator and relative time."""
+    rows = []
+    for est in estimates:
+        for r in sorted(set(est.coefficients) | est.omitted):
+            numbers = [None] * 4
+            if r not in est.omitted:
+                low, high = (est.ci or {}).get(r, (None, None))
+                numbers = [est.coefficients[r], (est.se or {}).get(r), low, high]
+            try:
+                rows.append(TableRow(est.estimator, r, *numbers, r in est.omitted))
+            except ValueError as exc:
+                raise ValueError(f"{est.estimator} at relative time {r}: {exc}") from None
+    rows.sort(key=lambda row: (row.estimator, row.relative_time))
+    return rows
+
+
+def write_estimate_table(estimates: list[EventStudyEstimate], path) -> None:
+    """Every row is built, and so checked, before ``path`` is opened."""
+    rows = estimate_table_rows(estimates)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(ESTIMATE_COLUMNS)
+        for row in rows:
+            estimator, rel, *numbers, omitted = astuple(row)
+            w.writerow([estimator, rel, *("" if v is None else repr(float(v)) for v in numbers),
+                        int(omitted)])
+
 
 def read_estimate_table(path) -> list[TableRow]:
     """Rows of an estimate table; errors name the physical line.
 
-    Every number must be finite, each (estimator, relative_time) may appear
-    once, a row with ``omitted=0`` needs a coefficient and has all or none of
-    std_error, ci_low and ci_high, and a row with ``omitted=1`` carries no numbers.
+    Beside ``TableRow``'s rules, the header must be ``ESTIMATE_COLUMNS``,
+    each row has its seven fields, ``omitted`` is 0 or 1, relative_time an
+    integer, and each (estimator, relative_time) appears once.
     """
     with _utf8_text(path) as fh:
         reader = csv.reader(fh)
@@ -320,21 +328,12 @@ def read_estimate_table(path) -> list[TableRow]:
                 if omitted not in ("0", "1"):
                     raise ValueError(f"omitted must be 0 or 1, got {omitted!r}")
                 key = (estimator, int(rel))
-                values = [float(v) if v != "" else None for v in numbers]
-                for name, v in zip(ESTIMATE_COLUMNS[2:], values):
-                    if v is not None and not math.isfinite(v):
-                        raise ValueError(f"{name} must be finite, got {v}")
-                if omitted == "1" and any(v is not None for v in values):
-                    raise ValueError("a row with omitted=1 must leave its numbers empty")
-                if omitted == "0" and values[0] is None:
-                    raise ValueError("a row with omitted=0 needs a coefficient")
-                if len({v is None for v in values[1:]}) > 1:
-                    raise ValueError("std_error, ci_low and ci_high must be all given or all empty")
+                out.append(TableRow(*key, *(float(v) if v != "" else None for v in numbers),
+                                    omitted == "1"))
                 if key in first_line:
                     raise ValueError(f"repeated row for {estimator} at relative time {key[1]} "
                                      f"(first on line {first_line[key]})")
                 first_line[key] = reader.line_num
-                out.append(TableRow(*key, *values, omitted == "1"))
             except ValueError as exc:
                 raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
     return out

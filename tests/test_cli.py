@@ -5,12 +5,16 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evstudy import BootstrapConfig, DgpConfig, bootstrap_many, estimate_many, simulate
 from evstudy import cli, kernels
 from evstudy.cli import main
 from evstudy.oracle import population_curve
+from evstudy.spec import METHODS, TAGS
 from evstudy.tableio import (
     ESTIMATE_COLUMNS,
     PANEL_COLUMNS,
@@ -18,10 +22,12 @@ from evstudy.tableio import (
     estimate_table_rows,
     read_estimate_table,
     read_panel_csv,
+    write_estimate_table,
     write_panel_csv,
 )
 
 from conftest import FOUR_CELL_ROWS
+from helpers import make_fuzz_panel
 
 GOLDEN = Path(__file__).parent / "golden"
 SMALL_DESIGN = ["--n-treated", "3", "--n-control", "2", "--t-min", "-3", "--t-max", "2"]
@@ -170,16 +176,26 @@ def test_roundtrip_estimates_bit_identical(tmp_path):
     assert main(["estimate", str(panel_csv), "--estimator", "all", "--out", str(est_csv)]) == 0
     panel = simulate(DgpConfig(gamma=0.5, t_min=-4, t_max=3, n_treated=6, n_control=6, seed=21))
     direct = estimate_many(panel, ["twfe", "cs_dcdh_default", "cs_dcdh_universal", "bjs"])
-    expected = estimate_table_rows(direct)
-    got = read_estimate_table(est_csv)
-    assert len(got) == len(expected)
-    for row, exp in zip(got, expected):
-        assert row.estimator == exp["estimator"]
-        assert str(row.relative_time) == exp["relative_time"]
-        if exp["coefficient"]:
-            assert repr(row.coefficient) == exp["coefficient"]
-        else:
-            assert row.omitted
+    assert read_estimate_table(est_csv) == estimate_table_rows(direct)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), tags=st.lists(st.sampled_from(TAGS), min_size=1, unique=True),
+       data=st.data())
+def test_estimate_table_roundtrip(tmp_path_factory, seed, tags, data):
+    # Every field, se and ci included, reads back as estimate_table_rows built it.
+    panel = make_fuzz_panel(np.random.default_rng(seed))
+    n_pre = data.draw(st.none() | st.integers(1, -panel.t_min)) if "bjs" in tags else None
+    config = data.draw(st.none() | st.builds(BootstrapConfig, replications=st.integers(2, 5),
+                                             seed=st.integers(0, 2**32),
+                                             method=st.sampled_from(METHODS)))
+    if config is None:
+        estimates = estimate_many(panel, tags, n_pre)
+    else:
+        estimates = bootstrap_many(panel, tags, config, n_pre=n_pre)
+    path = tmp_path_factory.mktemp("table") / "e.csv"
+    write_estimate_table(estimates, path)
+    assert read_estimate_table(path) == estimate_table_rows(estimates)
 
 
 def test_estimate_fixture_bjs(tmp_path):
@@ -303,6 +319,33 @@ def test_estimate_cross_period_overflow_exit_2(tmp_path, capsys):
     assert "period 0" in capsys.readouterr().err
     assert not caught
     assert not out.exists()
+
+
+def test_estimate_non_finite_interval_exit_2(tmp_path, capsys):
+    # Each outcome is inside the overflow bound, but the normal interval of
+    # a 0.999 level, coefficient -+ 3.29 * se with se near 5.8e307, is not.
+    bad = tmp_path / "big.csv"
+    bad.write_text("unit,time,treated,outcome\n" + "".join(
+        f"{u},{t},{d},{sign}2.9e307\n"
+        for u, d, signs in (("a", 1, "+-+"), ("b", 1, "-+-"), ("c", 0, "+-+"), ("d", 0, "-+-"))
+        for t, sign in zip((-1, 0, 1), signs)))
+    out = tmp_path / "est.csv"
+    for before in (None, b"kept"):
+        if before is not None:
+            out.write_bytes(before)
+        assert main(["estimate", str(bad), "--estimator", "twfe", "--bootstrap",
+                     "--level", "0.999", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: twfe at relative time -2: ci_low must be finite, got -inf\n")
+        assert (out.read_bytes() if out.exists() else None) == before
+    # Percentile bounds are replicate values, so they are finite.
+    out.unlink()
+    assert main(["estimate", str(bad), "--estimator", "twfe", "--bootstrap", "--level", "0.999",
+                 "--method", "percentile", "--out", str(out)]) == 0
+    assert [row.ci_low for row in read_estimate_table(out)] == [-1.16e308, None, -1.16e308]
+    # plot reads the table; only its y-axis, 2.32e308 tall, is out of range.
+    assert main(["plot", str(out), "--out", str(tmp_path / "fig.svg")]) == 2
+    assert "error: twfe: the padded y-axis span overflows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body", [

@@ -51,6 +51,30 @@ def test_mutants_swaps_equality_and_boolean_operators(tmp_path):
     assert proc.returncode == 1
 
 
+def test_mutants_swaps_membership_and_bitwise_operators(tmp_path):
+    (tmp_path / "small.py").write_text(
+        "def keep(xs, ys):\n"
+        "    return [x for x in xs if x not in ys]\n"
+        "\n"
+        "def union(a, b):\n"
+        "    return a | b\n")
+    (tmp_path / "test_small.py").write_text(
+        "from small import keep, union\n"
+        "\n"
+        "def test_small():\n"
+        "    assert keep([1, 2], [2]) == [1]\n"
+        "    assert union(1, 1) == 1\n")
+    proc = subprocess.run([sys.executable, str(TOOL), "small.py", "test_small.py"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    # `for x not in xs` does not compile; `not in` -> `in` is one mutant, which
+    # keep([1, 2], [2]) kills; 1 & 1 == 1 | 1.
+    assert proc.stdout.splitlines() == [
+        "small.py:5: col 13 '|' -> '&': return a | b",
+        "2 mutants, 1 killed, 1 survived",
+    ], proc.stderr
+    assert proc.returncode == 1
+
+
 def test_mutants_exits_3_on_a_module_without_mutants(tmp_path):
     (tmp_path / "small.py").write_text("def name():\n    return 'x'\n")
     (tmp_path / "test_small.py").write_text("def test_small():\n    pass\n")

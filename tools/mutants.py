@@ -6,13 +6,14 @@
 Run from the project root. The tree under the current directory is copied to
 a temporary directory once; each mutant changes one token of MODULE there:
 
-- ``+``/``-``, ``*``/``/``, ``<``/``<=``, ``>``/``>=``, ``==``/``!=`` and
-  ``and``/``or`` swap;
+- ``+``/``-``, ``*``/``/``, ``|``/``&``, ``<``/``<=``, ``>``/``>=``,
+  ``==``/``!=``, ``and``/``or`` and ``in``/``not in`` swap;
 - an integer literal from 0 to 64 goes up by one.
 
-A mutant that does not compile is skipped. For each of the others, pytest
-runs TESTS with ``-x`` in the copy, with a timeout of 10 s plus three times
-the unmutated run's wall time; a failing or timed-out run kills the mutant.
+A mutant that does not compile, such as ``for x not in xs``, is skipped.
+For each of the others, pytest runs TESTS with ``-x`` in the copy, with a
+timeout of 10 s plus three times the unmutated run's wall time; a failing or
+timed-out run kills the mutant.
 Every survivor is printed as ``MODULE:LINE: mutation: source line``, and
 the exit status is 1 when any survived, 2 when the unmutated tests fail
 and 3 when MODULE yields no mutant.
@@ -32,28 +33,33 @@ import time
 import tokenize
 from pathlib import Path
 
-SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">",
-         "==": "!=", "!=": "==", "and": "or", "or": "and"}
+SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "|": "&", "&": "|", "<": "<=", "<=": "<",
+         ">": ">=", ">=": ">", "==": "!=", "!=": "==", "and": "or", "or": "and",
+         "in": "not in", "not in": "in"}
 
 
 def mutants(source: str):
     """(line, col, old, new, mutated source) of each one-token change that still compiles."""
     lines = source.splitlines(keepends=True)
+    prev = None
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type in (tokenize.OP, tokenize.NAME) and tok.string in SWAPS:  # and, or are NAMEs
-            new = SWAPS[tok.string]
-        elif tok.type == tokenize.NUMBER and tok.string.isdigit() and int(tok.string) <= 64:
-            new = str(int(tok.string) + 1)
+        old, (row, col), end_col = tok.string, tok.start, tok.end[1]
+        if old == "in" and prev and prev.string == "not" and prev.start[0] == row:
+            old, col = "not in", prev.start[1]  # one unit, as a `not` alone is never swapped
+        prev = tok
+        if tok.type in (tokenize.OP, tokenize.NAME) and old in SWAPS:  # and, or, in are NAMEs
+            new = SWAPS[old]
+        elif tok.type == tokenize.NUMBER and old.isdigit() and int(old) <= 64:
+            new = str(int(old) + 1)
         else:
             continue
-        (row, col), end_col = tok.start, tok.end[1]  # an operator, keyword or number spans one line
-        line = lines[row - 1]
+        line = lines[row - 1]  # an operator, keyword or number spans one line
         mutated = lines[: row - 1] + [line[:col] + new + line[end_col:]] + lines[row:]
         try:
             compile("".join(mutated), "<mutant>", "exec")
         except SyntaxError:
             continue
-        yield row, col, tok.string, new, "".join(mutated)
+        yield row, col, old, new, "".join(mutated)
 
 
 def run_tests(tree: Path, tests: list[str], timeout: float | None) -> bool:
