@@ -13,17 +13,16 @@ import importlib
 # access (PEP 562), so ``import evstudy`` itself loads no numpy.
 _EXPORTS = {
     **dict.fromkeys((
-        "BootstrapConfig", "DegenerateGroups", "DgpConfig", "InconsistentTreatment",
-        "InvalidConfig", "NonIntegerTime", "PanelError", "TimeOutOfRange",
-        "UnbalancedPanel", "UnknownEstimator",
+        "BootstrapConfig", "DegenerateGroups", "DgpConfig", "EventStudyEstimate",
+        "InconsistentTreatment", "InvalidConfig", "NonIntegerTime", "PanelError",
+        "TimeOutOfRange", "UnbalancedPanel", "UnknownEstimator",
     ), "spec"),
     **dict.fromkeys(("simulate",), "dgp"),
     **dict.fromkeys((
-        "EventStudyEstimate", "SingularDesign", "bjs_imputation", "estimate",
-        "estimate_many", "twfe_regression",
+        "SingularDesign", "bjs_imputation", "estimate", "estimate_many", "twfe_regression",
     ), "estimators"),
     **dict.fromkeys(("bootstrap_many",), "inference"),
-    **dict.fromkeys(("McReport", "run_mc"), "montecarlo"),
+    **dict.fromkeys(("run_mc",), "montecarlo"),
     **dict.fromkeys(("brute_force_did", "population_curve"), "oracle"),
     **dict.fromkeys(("PanelDataset",), "panel"),
 }
@@ -43,4 +42,4 @@ def __dir__():
     return sorted(set(globals()) | set(__all__))
 
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

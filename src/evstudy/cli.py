@@ -280,18 +280,19 @@ def _cmd_montecarlo(args) -> int:
     tags = _parse_tags(args.estimator)
     values = _config_values(args, _MC_SETTINGS)
     draws, master_seed = values.pop("draws"), values.pop("master_seed")
-    report = run_mc(DgpConfig(**values), tags, draws, master_seed)
+    dgp = DgpConfig(**values)
+    results = run_mc(dgp, tags, draws, master_seed)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["estimator", "relative_time", "mean_coefficient",
                     "population_value", "abs_deviation", "mc_se"])
-        for tag in tags:
-            for r in sorted(report.means[tag]):
-                mean = report.means[tag][r]
-                pop = report.population[tag][r]
-                w.writerow([tag, r, repr(mean), repr(pop), repr(abs(mean - pop)),
-                            repr(report.mc_se[tag][r])])
-    print(f"wrote Monte Carlo report ({report.draws} draws) to {args.out}")
+        for est in results:
+            population = population_curve(est.estimator, dgp.gamma, dgp.t_min, dgp.t_max)
+            for r, mean in sorted(est.coefficients.items()):
+                pop = population[r]
+                w.writerow([est.estimator, r, repr(mean), repr(pop), repr(abs(mean - pop)),
+                            repr(est.se[r])])
+    print(f"wrote Monte Carlo report ({draws} draws) to {args.out}")
     return EXIT_OK
 
 

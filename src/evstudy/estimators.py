@@ -20,41 +20,25 @@ that agreement as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
 from .panel import TREATMENT_DATE, PanelDataset
-from .spec import TAGS, UnknownEstimator
+from .spec import TAGS, EventStudyEstimate, UnknownEstimator
 
 
 class SingularDesign(RuntimeError):
     """Least-squares design matrix is rank deficient."""
 
 
-@dataclass(frozen=True)
-class EventStudyEstimate:
-    """Coefficients by relative time, with omitted-category metadata.
-
-    ``se``/``ci`` stay None until filled by the bootstrap; ``ci`` maps r to
-    (low, high).
-    """
-
-    estimator: str
-    coefficients: dict[int, float]
-    omitted: frozenset[int]
-    se: dict[int, float] | None = None
-    ci: dict[int, tuple[float, float]] | None = None
-
-
 def estimate_many(panel: PanelDataset, tags: list[str], n_pre: int | None = None) -> list[EventStudyEstimate]:
     """Closed-form estimates for each named estimator, all from one ``coef_matrix``.
 
-    Each estimate is its tag's row; the row's NaN positions are the
-    omitted categories. ``n_pre`` (default: all available) is the number of
-    BJS pre coefficients, the earlier periods pooling into the BJS pre
-    baseline; it needs ``bjs`` among ``tags`` and leaves the others as they are.
+    Each estimate is its tag's row, read by ``kernels.row_estimate``; the
+    row's NaN positions are the omitted categories. ``n_pre`` (default: all
+    available) is the number of BJS pre coefficients, the earlier periods
+    pooling into the BJS pre baseline; it needs ``bjs`` among ``tags`` and
+    leaves the others as they are.
     """
     kernels.check_tags(tags)
     if n_pre is not None:
@@ -63,13 +47,7 @@ def estimate_many(panel: PanelDataset, tags: list[str], n_pre: int | None = None
         if not (1 <= n_pre <= -panel.t_min):
             raise ValueError(f"n_pre must be in [1, {-panel.t_min}], got {n_pre}")
     mat = kernels.coef_matrix(panel.outcomes, panel.treated, panel.t_min, tags, n_pre)
-    rel_times = range(panel.t_min - 1, panel.t_max)
-    out = []
-    for tag, row in zip(tags, mat):
-        coefs = {r: float(v) for r, v in zip(rel_times, row) if not np.isnan(v)}
-        omitted = frozenset(r for r, v in zip(rel_times, row) if np.isnan(v))
-        out.append(EventStudyEstimate(tag, coefs, omitted))
-    return out
+    return [kernels.row_estimate(tag, row, panel.t_min) for tag, row in zip(tags, mat)]
 
 
 def estimate(panel: PanelDataset, tag: str) -> EventStudyEstimate:

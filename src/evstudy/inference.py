@@ -25,9 +25,9 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import kernels
 from .dgp import SEED_BLOCK, _allocate, _check_cells, pcg64_words, stream_seeds
-from .estimators import EventStudyEstimate, estimate_many
+from .estimators import estimate_many
 from .panel import PanelDataset
-from .spec import BootstrapConfig
+from .spec import BootstrapConfig, EventStudyEstimate
 
 
 class _Pcg64Words(ISeedSequence):

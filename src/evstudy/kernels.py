@@ -9,7 +9,8 @@ block's (k, n, T); the bootstrap applies it to its (B, T) replicate gaps.
 Coefficient layout: for a panel over periods [t_min, t_max] with
 T = t_max - t_min + 1 periods, kernels return length-T vectors indexed by
 j = r - (t_min - 1), i.e. column j holds the coefficient at relative time
-r = t_min - 1 + j (period t = r + 1 = t_min + j). Omitted categories are NaN.
+r = t_min - 1 + j (period t = r + 1 = t_min + j). Omitted categories are NaN;
+``row_estimate`` is the one place such a row becomes an ``EventStudyEstimate``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dgp import _allocate
-from .spec import TAGS, UnknownEstimator
+from .spec import TAGS, EventStudyEstimate, UnknownEstimator
 
 
 def check_tags(tags) -> None:
@@ -63,3 +64,17 @@ def coef_matrix(y: np.ndarray, treated: np.ndarray, t_min: int, tags, n_pre: int
     """
     g = y[..., treated, :].mean(axis=-2) - y[..., ~treated, :].mean(axis=-2)
     return baseline_coefs(g, -t_min, tags, n_pre)
+
+
+def row_estimate(tag: str, row: np.ndarray, t_min: int, se: np.ndarray | None = None) -> EventStudyEstimate:
+    """``tag``'s estimate from its (T,) coefficient ``row``, in the layout above.
+
+    The row's non-NaN columns are the coefficients and its NaN columns the
+    omitted set; ``se``, a (T,) row too, gives their standard errors.
+    """
+    r0 = t_min - 1
+    kept = np.flatnonzero(~np.isnan(row))
+    rs = (kept + r0).tolist()
+    return EventStudyEstimate(tag, dict(zip(rs, row[kept].tolist())),
+                              frozenset(range(r0, r0 + len(row))).difference(rs),
+                              None if se is None else dict(zip(rs, se[kept].tolist())))

@@ -1,10 +1,11 @@
-"""Error classes, estimator tags and configuration records, free of numpy.
+"""Error classes, estimator tags, configuration and result records, free of numpy.
 
 Everything here imports only the standard library, so the CLI can parse
 flags, check configs and catch every error class without loading numpy;
 ``plot`` never loads it at all. The numeric modules re-export these names
 (``panel.PanelError``, ``dgp.DgpConfig``, ``estimators.TAGS``,
-``inference.BootstrapConfig``, ``tableio.CsvFormatError``, ...).
+``estimators.EventStudyEstimate``, ``inference.BootstrapConfig``,
+``tableio.CsvFormatError``, ...).
 """
 
 from __future__ import annotations
@@ -106,3 +107,19 @@ class BootstrapConfig:
             raise ValueError(f"confidence level must be in (0, 1), got {self.level}")
         if self.method not in METHODS:
             raise ValueError(f"method must be {' or '.join(map(repr, METHODS))}, got {self.method!r}")
+
+
+@dataclass(frozen=True)
+class EventStudyEstimate:
+    """Coefficients by relative time, with omitted-category metadata.
+
+    ``se`` is the bootstrap's or the Monte Carlo's standard error of each
+    coefficient, None for a closed-form estimate; ``ci`` maps r to
+    (low, high) and only the bootstrap fills it.
+    """
+
+    estimator: str
+    coefficients: dict[int, float]
+    omitted: frozenset[int]
+    se: dict[int, float] | None = None
+    ci: dict[int, tuple[float, float]] | None = None

@@ -28,10 +28,9 @@ from dataclasses import astuple, dataclass
 from itertools import chain, islice
 from typing import TYPE_CHECKING
 
-from .spec import CsvFormatError, NonIntegerTime, UnbalancedPanel
+from .spec import CsvFormatError, EventStudyEstimate, NonIntegerTime, UnbalancedPanel
 
 if TYPE_CHECKING:
-    from .estimators import EventStudyEstimate
     from .panel import PanelDataset
 
 PANEL_COLUMNS = ["unit", "time", "treated", "outcome"]

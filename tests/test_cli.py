@@ -87,6 +87,8 @@ def test_montecarlo_matches_golden(tmp_path):
     ("montecarlo", ["--gamma", "nan", "--draws", "5"], "gamma must be finite"),
     ("montecarlo", ["--error-sd", "1e300", "--draws", "5"], "Monte Carlo sums are not finite"),
     ("simulate", ["--gamma", "-inf"], "gamma must be finite"),
+    # Sums finite, squared deviations not: both must be checked.
+    ("montecarlo", ["--error-sd", "1e160", "--draws", "5"], "Monte Carlo sums are not finite"),
 ])
 def test_dgp_without_a_finite_panel_exit_2(tmp_path, capsys, command, flags, message):
     out = tmp_path / "out.csv"

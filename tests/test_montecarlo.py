@@ -6,7 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evstudy import DgpConfig, PanelDataset, UnknownEstimator, run_mc, simulate
+from evstudy import (
+    DgpConfig,
+    PanelDataset,
+    UnknownEstimator,
+    estimate_many,
+    population_curve,
+    run_mc,
+    simulate,
+)
 from evstudy import dgp as dgp_module
 from evstudy import montecarlo
 from evstudy.kernels import coef_matrix
@@ -14,6 +22,10 @@ from helpers import reference_seed
 
 SMALL = DgpConfig(gamma=0.5, t_min=-4, t_max=3, n_treated=10, n_control=10)
 ALL_TAGS = ["twfe", "cs_dcdh_default", "cs_dcdh_universal", "bjs"]
+
+
+def _population(dgp, tag):
+    return population_curve(tag, dgp.gamma, dgp.t_min, dgp.t_max)
 
 
 def test_deterministic():
@@ -37,7 +49,7 @@ def test_too_many_drawn_cells(monkeypatch):
         run_mc(SMALL, ["twfe"], draws=2**64, master_seed=0)
     # SMALL has 20 units and 8 periods: 3 draws are 480 cells, 4 are 640.
     monkeypatch.setattr(dgp_module, "MAX_CELLS", 2**9)
-    assert run_mc(SMALL, ["twfe"], draws=3, master_seed=0).draws == 3
+    assert run_mc(SMALL, ["twfe"], draws=3, master_seed=0)[0].estimator == "twfe"
     with pytest.raises(ValueError, match=r"= 4 x 20 x 8 is more than the limit of 2\*\*9 "):
         run_mc(SMALL, ["twfe"], draws=4, master_seed=0)
 
@@ -51,37 +63,50 @@ def test_cell_limit_is_2_to_the_40():
 
 def test_zero_gamma_means_near_zero():
     cfg = DgpConfig(gamma=0.0, t_min=-4, t_max=3, n_treated=10, n_control=10)
-    report = run_mc(cfg, ALL_TAGS, draws=500, master_seed=5)
     # CLT bound: per-draw coefficient SD is at most sqrt(4/n1 + 4/n0).
     bound = 4 * np.sqrt(8 / 20) / np.sqrt(500)
-    for tag in ALL_TAGS:
-        assert all(abs(mean) < bound for mean in report.means[tag].values())
-        assert all(v == 0.0 for v in report.population[tag].values())
+    for est in run_mc(cfg, ALL_TAGS, draws=500, master_seed=5):
+        assert all(abs(mean) < bound for mean in est.coefficients.values())
+        assert all(v == 0.0 for v in _population(cfg, est.estimator).values())
 
 
 def test_means_track_population():
-    report = run_mc(SMALL, ALL_TAGS, draws=500, master_seed=8)
-    for tag in ALL_TAGS:
-        for r, mean in report.means[tag].items():
-            pop = report.population[tag][r]
-            assert abs(mean - pop) < 6 * max(report.mc_se[tag][r], 1e-12)
+    for est in run_mc(SMALL, ALL_TAGS, draws=500, master_seed=8):
+        population = _population(SMALL, est.estimator)
+        for r, mean in est.coefficients.items():
+            assert abs(mean - population[r]) < 6 * max(est.se[r], 1e-12)
 
 
 def test_report_domains():
-    report = run_mc(SMALL, ALL_TAGS, draws=10, master_seed=1)
-    assert -1 not in report.means["twfe"]
-    assert SMALL.t_min - 1 not in report.means["bjs"]
-    assert set(report.means["twfe"]) == set(report.mc_se["twfe"])
+    results = run_mc(SMALL, ALL_TAGS, draws=10, master_seed=1)
+    twfe, bjs = results[0], results[3]
+    assert -1 not in twfe.coefficients and -1 in twfe.omitted
+    assert SMALL.t_min - 1 not in bjs.coefficients
+    # Each record has a point estimate's relative times, the population's
+    # keys, and an se at each coefficient; the bootstrap's ci stays None.
+    points = estimate_many(simulate(SMALL), ALL_TAGS)
+    for est, point in zip(results, points):
+        assert (est.estimator, est.omitted) == (point.estimator, point.omitted)
+        assert set(est.coefficients) == set(point.coefficients) == set(_population(SMALL, est.estimator))
+        assert set(est.se) == set(est.coefficients) and est.ci is None
+
+
+def test_one_tag_alone_is_its_entry_of_an_all_tag_run():
+    every = run_mc(SMALL, ALL_TAGS, draws=30, master_seed=9)
+    assert [est.estimator for est in every] == ALL_TAGS
+    assert run_mc(SMALL, ["bjs"], draws=30, master_seed=9) == [every[3]]
+    # The records come back in the order the tags are asked for.
+    assert run_mc(SMALL, ["bjs", "twfe"], draws=30, master_seed=9) == [every[3], every[0]]
 
 
 def test_monotone_concentration():
     small = run_mc(SMALL, ALL_TAGS, draws=20, master_seed=12)
     big = run_mc(SMALL, ALL_TAGS, draws=800, master_seed=12)
     closer = total = 0
-    for tag in ALL_TAGS:
-        for r, pop in big.population[tag].items():
+    for few, many in zip(small, big):
+        for r, pop in _population(SMALL, many.estimator).items():
             total += 1
-            if abs(big.means[tag][r] - pop) < abs(small.means[tag][r] - pop):
+            if abs(many.coefficients[r] - pop) < abs(few.coefficients[r] - pop):
                 closer += 1
     assert closer / total >= 0.9
 
@@ -98,18 +123,18 @@ def test_draws_are_the_simulated_panels(n_treated, n_control, t_min, t_max, gamm
                                         draws, master_seed):
     dgp = DgpConfig(gamma=gamma, t_min=t_min, t_max=t_max, n_treated=n_treated,
                     n_control=n_control, error_sd=error_sd)
-    _assert_is_the_draw_by_draw_report(run_mc(dgp, ALL_TAGS, draws, master_seed), dgp, master_seed)
+    _assert_is_the_draw_by_draw_report(run_mc(dgp, ALL_TAGS, draws, master_seed), dgp, draws,
+                                       master_seed)
 
 
-def _assert_is_the_draw_by_draw_report(report, dgp, master_seed):
-    """``report`` equals, bit for bit, the sums of a loop over simulated panels."""
+def _assert_is_the_draw_by_draw_report(results, dgp, draws, master_seed):
+    """``results`` equal, bit for bit, the sums of a loop over simulated panels."""
     # The spread is summed about the population values, 0 in omitted columns.
     pop = np.zeros((len(ALL_TAGS), dgp.t_max - dgp.t_min + 1))
     for e, tag in enumerate(ALL_TAGS):
-        for r, value in report.population[tag].items():
+        for r, value in _population(dgp, tag).items():
             pop[e, r - dgp.t_min + 1] = value
     total = dev_sq = 0.0
-    draws = report.draws
     for k in range(draws):
         panel = simulate(replace(dgp, seed=reference_seed(master_seed, k)))
         sel = coef_matrix(panel.outcomes, panel.treated, panel.t_min, ALL_TAGS)
@@ -118,9 +143,10 @@ def _assert_is_the_draw_by_draw_report(report, dgp, master_seed):
     mean = total / draws
     var = (dev_sq - draws * (mean - pop) * (mean - pop)) / (draws - 1)
     se = np.sqrt(np.maximum(var, 0.0) / draws)
-    for e, tag in enumerate(ALL_TAGS):
-        assert report.means[tag] == {r: float(mean[e, r - dgp.t_min + 1]) for r in report.means[tag]}
-        assert report.mc_se[tag] == {r: float(se[e, r - dgp.t_min + 1]) for r in report.mc_se[tag]}
+    assert [est.estimator for est in results] == ALL_TAGS
+    for e, est in enumerate(results):
+        assert est.coefficients == {r: float(mean[e, r - dgp.t_min + 1]) for r in est.coefficients}
+        assert est.se == {r: float(se[e, r - dgp.t_min + 1]) for r in est.se}
 
 
 @pytest.mark.parametrize("draws_per_block, seed_block", [(1, 1024), (2, 5), (3, 4), (40, 7)])
@@ -130,7 +156,7 @@ def test_blocks_do_not_change_the_report(monkeypatch, draws_per_block, seed_bloc
     dgp = DgpConfig(gamma=0.4, t_min=-3, t_max=2, n_treated=3, n_control=2, error_sd=0.9)
     monkeypatch.setattr(montecarlo, "BLOCK_CELLS", draws_per_block * 5 * 6 + 4)
     monkeypatch.setattr(montecarlo, "SEED_BLOCK", seed_block)
-    _assert_is_the_draw_by_draw_report(run_mc(dgp, ALL_TAGS, 13, 2**64 + 1), dgp, 2**64 + 1)
+    _assert_is_the_draw_by_draw_report(run_mc(dgp, ALL_TAGS, 13, 2**64 + 1), dgp, 13, 2**64 + 1)
 
 
 def test_memory_does_not_grow_with_draws():
@@ -151,11 +177,11 @@ def test_mc_se_does_not_depend_on_gamma():
     # at any gamma; only the digits lost to cancellation could tell them apart.
     flat = run_mc(DgpConfig(gamma=0.0), ALL_TAGS, draws=200, master_seed=6)
     steep = run_mc(DgpConfig(gamma=1e8), ALL_TAGS, draws=200, master_seed=6)
-    for tag in ALL_TAGS:
-        assert set(steep.mc_se[tag]) == set(flat.mc_se[tag])
-        for r, se in flat.mc_se[tag].items():
+    for a, b in zip(flat, steep):
+        assert set(b.se) == set(a.se)
+        for r, se in a.se.items():
             assert se > 0
-            assert steep.mc_se[tag][r] == pytest.approx(se, rel=1e-6, abs=0)
+            assert b.se[r] == pytest.approx(se, rel=1e-6, abs=0)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1e8])
@@ -167,10 +193,10 @@ def test_mc_se_is_the_spread_of_the_mean(gamma):
     config = DgpConfig(gamma=gamma, t_min=-4, t_max=3, n_treated=20, n_control=20)
     inside = []
     for master_seed in range(300):
-        report = run_mc(config, ["twfe", "cs_dcdh_default", "bjs"], draws=40, master_seed=master_seed)
-        for tag, means in report.means.items():
-            inside += [abs(mean - report.population[tag][r]) < 1.96 * report.mc_se[tag][r]
-                       for r, mean in means.items()]
+        for est in run_mc(config, ["twfe", "cs_dcdh_default", "bjs"], draws=40, master_seed=master_seed):
+            population = _population(config, est.estimator)
+            inside += [abs(mean - population[r]) < 1.96 * est.se[r]
+                       for r, mean in est.coefficients.items()]
     assert len(inside) == 6300
     assert 0.92 <= np.mean(inside) <= 0.96
 
@@ -181,5 +207,4 @@ def test_run_mc_builds_no_panel(monkeypatch):
 
     monkeypatch.setattr(dgp_module, "simulate", refuse)
     monkeypatch.setattr(PanelDataset, "__post_init__", refuse)
-    report = run_mc(SMALL, ALL_TAGS, draws=3, master_seed=2)
-    assert report.draws == 3
+    assert len(run_mc(SMALL, ALL_TAGS, draws=3, master_seed=2)) == len(ALL_TAGS)

@@ -30,7 +30,7 @@ EXPORTED_FROM = {
         "estimate", "estimate_many", "twfe_regression",
     ],
     "inference": ["BootstrapConfig", "bootstrap_many"],
-    "montecarlo": ["McReport", "run_mc"],
+    "montecarlo": ["run_mc"],
     "oracle": ["brute_force_did", "population_curve"],
     "panel": [
         "DegenerateGroups", "InconsistentTreatment", "NonIntegerTime", "PanelDataset",
@@ -80,7 +80,7 @@ def test_a_fresh_import_lists_every_export_and_caches_each_one_used():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     names, exported, module_globals = json.loads(proc.stdout)
-    assert exported == sorted(exported) and len(exported) == 23
+    assert exported == sorted(exported) and len(exported) == 22
     assert set(exported) <= set(names)
     assert {"__version__", "__getattr__", "_EXPORTS"} <= set(names)
     assert "simulate" in module_globals and "run_mc" not in module_globals
@@ -200,6 +200,15 @@ def test_simulate_loads_neither_inference_nor_montecarlo(tmp_path):
     assert not {"evstudy.inference", "evstudy.montecarlo"} & modules
 
 
+def test_montecarlo_loads_neither_estimators_nor_inference(tmp_path):
+    # run_mc's records come from spec and kernels, as a point estimate's do.
+    argv = ["montecarlo", "--n-treated", "2", "--n-control", "2", "--draws", "3",
+            "--out", str(tmp_path / "mc.csv")]
+    modules = _fresh_modules(f"from evstudy.cli import main\nassert main({argv!r}) == 0")
+    assert {"evstudy.montecarlo", "evstudy.kernels"} <= modules
+    assert not {"evstudy.estimators", "evstudy.inference"} & modules
+
+
 def _imports(path: Path) -> list[tuple[str, bool]]:
     """(module, under ``if TYPE_CHECKING``) for every import in the file at ``path``."""
     tree = ast.parse(path.read_text())
@@ -230,6 +239,12 @@ def test_oracle_shares_no_code_with_the_estimators():
             assert name == ".spec" or (name, type_checking) == (".panel", True), name
         else:
             assert name.partition(".")[0] in sys.stdlib_module_names, name
+
+
+def test_spec_imports_only_the_standard_library():
+    # The CLI parses flags and catches errors through spec before loading numpy.
+    for name, _ in _imports(SRC / "evstudy" / "spec.py"):
+        assert name.partition(".")[0] in sys.stdlib_module_names, name
 
 
 def test_only_dgp_calls_np_empty():
