@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 validation failure, 3 usage error, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import fields
@@ -32,6 +31,7 @@ from .tableio import (
     read_estimate_table,
     read_panel_csv,
     write_estimate_table,
+    write_mc_table,
     write_panel_csv,
 )
 
@@ -281,17 +281,7 @@ def _cmd_montecarlo(args) -> int:
     values = _config_values(args, _MC_SETTINGS)
     draws, master_seed = values.pop("draws"), values.pop("master_seed")
     dgp = DgpConfig(**values)
-    results = run_mc(dgp, tags, draws, master_seed)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["estimator", "relative_time", "mean_coefficient",
-                    "population_value", "abs_deviation", "mc_se"])
-        for est in results:
-            population = population_curve(est.estimator, dgp.gamma, dgp.t_min, dgp.t_max)
-            for r, mean in sorted(est.coefficients.items()):
-                pop = population[r]
-                w.writerow([est.estimator, r, repr(mean), repr(pop), repr(abs(mean - pop)),
-                            repr(est.se[r])])
+    write_mc_table(run_mc(dgp, tags, draws, master_seed), dgp, args.out)
     print(f"wrote Monte Carlo report ({draws} draws) to {args.out}")
     return EXIT_OK
 

@@ -3,9 +3,9 @@
 Panel files carry exactly the columns ``unit,time,treated,outcome``;
 estimate tables carry ``estimator,relative_time,coefficient,std_error,
 ci_low,ci_high,omitted``, one ``TableRow`` a line, whose rules the writer
-and the reader share. Decimals are written with repr, the shortest
-representation that round-trips, so emitted files are stable golden-file
-targets.
+and the reader share; Monte Carlo tables carry ``MC_COLUMNS``. Decimals
+are written with repr, the shortest representation that round-trips, so
+emitted files are stable golden-file targets.
 
 Panel files take memory in proportion to their cells, not their rows'
 Python objects: the writer formats one block of units at a time, and the
@@ -28,7 +28,8 @@ from dataclasses import astuple, dataclass
 from itertools import chain, islice
 from typing import TYPE_CHECKING
 
-from .spec import CsvFormatError, EventStudyEstimate, NonIntegerTime, UnbalancedPanel
+from .oracle import population_curve
+from .spec import CsvFormatError, DgpConfig, EventStudyEstimate, NonIntegerTime, UnbalancedPanel
 
 if TYPE_CHECKING:
     from .panel import PanelDataset
@@ -36,6 +37,9 @@ if TYPE_CHECKING:
 PANEL_COLUMNS = ["unit", "time", "treated", "outcome"]
 ESTIMATE_COLUMNS = [
     "estimator", "relative_time", "coefficient", "std_error", "ci_low", "ci_high", "omitted",
+]
+MC_COLUMNS = [
+    "estimator", "relative_time", "mean_coefficient", "population_value", "abs_deviation", "mc_se",
 ]
 
 
@@ -303,6 +307,21 @@ def write_estimate_table(estimates: list[EventStudyEstimate], path) -> None:
             estimator, rel, *numbers, omitted = astuple(row)
             w.writerow([estimator, rel, *("" if v is None else repr(float(v)) for v in numbers),
                         int(omitted)])
+
+
+def write_mc_table(estimates: list[EventStudyEstimate], dgp: DgpConfig, path) -> None:
+    """A Monte Carlo table: per estimator and relative time, the mean over the
+    draws, the population value under ``dgp``, their absolute deviation and
+    the Monte Carlo standard error."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(MC_COLUMNS)
+        for est in estimates:
+            population = population_curve(est.estimator, dgp.gamma, dgp.t_min, dgp.t_max)
+            for r, mean in sorted(est.coefficients.items()):
+                pop = population[r]
+                w.writerow([est.estimator, r, repr(mean), repr(pop), repr(abs(mean - pop)),
+                            repr(est.se[r])])
 
 
 def read_estimate_table(path) -> list[TableRow]:

@@ -72,13 +72,6 @@ def test_simulate_matches_golden(tmp_path):
     assert out.read_bytes() == (GOLDEN / "panel_small.csv").read_bytes()
 
 
-def test_montecarlo_matches_golden(tmp_path):
-    out = tmp_path / "mc.csv"
-    assert main(["montecarlo", *SMALL_DESIGN, "--draws", "50", "--master-seed", "4",
-                 "--estimator", "all", "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "mc_small.csv").read_bytes()
-
-
 @pytest.mark.parametrize("command, flags, message", [
     ("simulate", ["--gamma", "nan"], "gamma must be finite"),
     ("simulate", ["--gamma", "inf"], "gamma must be finite"),

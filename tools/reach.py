@@ -3,13 +3,14 @@
 
     python3 tools/reach.py
 
-Run from the project root. RUNS, the argv list below, goes through
-``evstudy.cli.main`` in one process, in a temporary directory that first
-holds FILES, under ``sys.setprofile``. The list covers every command, both
-``--method`` values, ``--bjs-pre``, ``--config``, a panel with a quoted id,
-and an unbalanced panel, a file that is not UTF-8, a bad flag and a missing
-file. A run whose exit code is not the one listed for it stops the check
-with status 2.
+Run from the project root. The runs of ``tools/runs.py``, the one list of
+CLI runs that tier-1 and CI also check, go through ``evstudy.cli.main`` in
+one process under ``sys.setprofile``. They cover every command, both
+``--method`` values, ``--bjs-pre``, ``--config``, a panel read from a pipe
+with LF line ends, panels with quoted and with long ids, one-tag and
+all-tag Monte Carlo runs, an overflowing normal interval, an unbalanced
+panel, a file that is not UTF-8, a bad flag and a missing file. A failed
+check of that list is printed and stops the check with status 2.
 
 Every ``def`` in src/evstudy that no run called is then printed as
 ``FILE:LINE: NAME``, NAME being its module and the names of the classes and
@@ -25,41 +26,11 @@ written.
 from __future__ import annotations
 
 import ast
-import contextlib
-import io
-import os
 import re
 import sys
-import tempfile
 from pathlib import Path
 
 SECTION = "Code no command reaches"
-
-PANEL = b"unit,time,treated,outcome\r\n"
-FILES = {
-    "sim.cfg": b"n_treated = 3\nn_control = 2\n",
-    "mc.cfg": b"draws = 50\nmaster_seed = 7\n",
-    "quoted.csv": PANEL + "".join(f'"{u}",{t},{d},{t * d}.5\r\n' for u, d in (("a", 1), ("b", 0))
-                                  for t in (-1, 0, 1)).encode(),
-    "unbalanced.csv": PANEL + b"a,-1,1,0.5\r\na,1,1,1.5\r\nb,-1,0,0.5\r\nb,0,0,0.5\r\nb,1,0,0.5\r\n",
-    "latin1.csv": PANEL + b"\xe9,-1,1,0.5\r\n",
-}
-# (expected exit code, argv); a run may read what an earlier one wrote.
-RUNS = [
-    (0, ["simulate", "--out", "panel.csv"]),
-    (0, ["simulate", "--config", "sim.cfg", "--seed", "2", "--out", "small.csv"]),
-    (0, ["estimate", "panel.csv", "--bootstrap", "--replications", "99", "--out", "est.csv"]),
-    (0, ["estimate", "small.csv", "--estimator", "bjs", "--bjs-pre", "2", "--bootstrap",
-         "--method", "percentile", "--replications", "99", "--out", "bjs.csv"]),
-    (0, ["estimate", "quoted.csv", "--estimator", "twfe,bjs", "--out", "quoted_est.csv"]),
-    (0, ["plot", "est.csv", "--overlay-population", "0.5", "--split-bjs", "--out", "fig.svg"]),
-    (0, ["plot", "bjs.csv", "--overlay-population", "0.5", "--out", "bjs.svg"]),
-    (0, ["montecarlo", "--config", "mc.cfg", "--out", "mc.csv"]),
-    (2, ["estimate", "unbalanced.csv", "--out", "x.csv"]),
-    (2, ["estimate", "latin1.csv", "--out", "x.csv"]),
-    (3, ["estimate", "panel.csv", "--no-such-flag", "--out", "x.csv"]),
-    (4, ["estimate", "missing.csv", "--out", "x.csv"]),
-]
 
 
 def defs(package: Path):
@@ -82,9 +53,11 @@ def defs(package: Path):
 
 
 def called_functions(src: Path) -> set[tuple[str, str]]:
-    """(resolved file, function name) of every call RUNS makes; exits 2 on a wrong exit code."""
+    """(resolved file, function name) of every call the runs make; exits 2 on a failed check."""
     sys.path.insert(0, str(src))
     from evstudy.cli import main
+    # runs.py sits beside this file, whose directory Python puts on sys.path.
+    from runs import check
 
     seen: set[tuple[str, str]] = set()
 
@@ -92,26 +65,14 @@ def called_functions(src: Path) -> set[tuple[str, str]]:
         if event == "call":
             seen.add((frame.f_code.co_filename, frame.f_code.co_name))
 
-    home = Path.cwd()
-    with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
-        os.chdir(tmp)
-        try:
-            for name, data in FILES.items():
-                Path(name).write_bytes(data)
-            for expected, argv in RUNS:
-                out = io.StringIO()
-                sys.setprofile(profile)
-                try:
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-                        code = main(argv)
-                finally:
-                    sys.setprofile(None)
-                if code != expected:
-                    print(f"evstudy {' '.join(argv)} exited {code}, not {expected}:",
-                          out.getvalue(), file=sys.stderr)
-                    raise SystemExit(2)
-        finally:
-            os.chdir(home)
+    sys.setprofile(profile)
+    try:
+        failures = check(main)
+    finally:
+        sys.setprofile(None)
+    if failures:
+        print(*failures, sep="\n", file=sys.stderr)
+        raise SystemExit(2)
     return {(str(Path(file).resolve()), name) for file, name in seen}
 
 
