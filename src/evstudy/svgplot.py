@@ -8,6 +8,7 @@ files, which makes golden-file testing possible.
 from __future__ import annotations
 
 import math
+import sys
 from html import escape
 
 WIDTH = 640
@@ -26,12 +27,12 @@ def _fmt(x: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
-def _nice_step(span: float, target_ticks: int) -> float:
-    if span <= 0:
-        return 1.0
+def _nice_step(span: float, target_ticks: float) -> float:
+    """The step of 1, 2, 5 or 10 times a power of ten at or above span /
+    target_ticks; span is positive."""
     raw = span / target_ticks
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for m in (1.0, 2.0, 5.0, 10.0):
+    mag = 10.0 ** max(math.floor(math.log10(raw)), sys.float_info.min_10_exp)  # never 0
+    for m in (1.0, 2.0, 5.0):
         if raw <= m * mag:
             return m * mag
     return 10.0 * mag
@@ -47,7 +48,9 @@ def event_study_svg(
     Draws CI whiskers where bounds are given, a horizontal zero line, a
     vertical reference at r = -0.5 (the treatment date), and an optional
     population-curve overlay as connected line segments. Raises ValueError
-    when a value is not finite or the padded y-axis span overflows.
+    when a value is not finite. The y axis is laid out on quarters of the
+    values, so no span, pad or step overflows; a power-of-two scale is exact
+    for normal floats, so each position and label keeps its unscaled bits.
     """
     if not points:
         raise ValueError("no coefficients to plot")
@@ -66,11 +69,9 @@ def event_study_svg(
         raise ValueError(f"{title}: plotted values must be finite")
 
     x_lo, x_hi = min(xs) - 0.5, max(xs) + 0.5
-    y_lo, y_hi = min(y_all), max(y_all)
-    pad = 0.05 * (y_hi - y_lo) or 1.0
+    y_lo, y_hi = min(y_all) / 4, max(y_all) / 4
+    pad = 0.05 * (y_hi - y_lo) or 0.25
     y_lo, y_hi = y_lo - pad, y_hi + pad
-    if not math.isfinite(y_hi - y_lo):
-        raise ValueError(f"{title}: the padded y-axis span overflows")
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -79,7 +80,7 @@ def event_study_svg(
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y: float) -> float:
-        return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return MARGIN_T + (y_hi - y / 4) / (y_hi - y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -93,41 +94,37 @@ def event_study_svg(
 
     # Axis ticks.
     x_step = max(1, int(round(_nice_step(x_hi - x_lo, 12))))
-    x_tick = int(-((-x_lo) // x_step) * x_step)  # first multiple of step >= x_lo
-    while x_tick <= x_hi:
-        if x_lo <= x_tick:
-            px = sx(x_tick)
-            parts.append(
-                f'<line x1="{_fmt(px)}" y1="{HEIGHT - MARGIN_B}" '
-                f'x2="{_fmt(px)}" y2="{HEIGHT - MARGIN_B + 5}" stroke="#444"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(px)}" y="{HEIGHT - MARGIN_B + 20}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{x_tick}</text>'
-            )
-        x_tick += x_step
-    y_step = _nice_step(y_hi - y_lo, 6)
+    for x_tick in range(-(-min(xs) // x_step) * x_step, max(xs) + 1, x_step):  # step multiples
+        px = sx(x_tick)
+        parts.append(
+            f'<line x1="{_fmt(px)}" y1="{HEIGHT - MARGIN_B}" '
+            f'x2="{_fmt(px)}" y2="{HEIGHT - MARGIN_B + 5}" stroke="#444"/>'
+        )
+        parts.append(
+            f'<text x="{_fmt(px)}" y="{HEIGHT - MARGIN_B + 20}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{x_tick}</text>'
+        )
+    y_step = _nice_step(y_hi - y_lo, 1.5) / 4  # the raw step: span / 6, quarter span / 1.5
     y_tick = (y_lo // y_step) * y_step
     while y_tick <= y_hi:
         if y_lo <= y_tick:
-            py = sy(y_tick)
+            py = sy(4 * y_tick)
             parts.append(
                 f'<line x1="{MARGIN_L - 5}" y1="{_fmt(py)}" x2="{MARGIN_L}" y2="{_fmt(py)}" stroke="#444"/>'
             )
-            label = f"{y_tick:g}"
             parts.append(
                 f'<text x="{MARGIN_L - 9}" y="{_fmt(py + 4)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{label}</text>'
+                f'font-family="sans-serif" font-size="11">{4 * y_tick:g}</text>'
             )
         y_tick += y_step
 
-    # Reference lines: zero effect, treatment date at r = -0.5.
-    if y_lo <= 0.0 <= y_hi:
-        py = sy(0.0)
-        parts.append(
-            f'<line x1="{MARGIN_L}" y1="{_fmt(py)}" x2="{WIDTH - MARGIN_R}" y2="{_fmt(py)}" '
-            f'stroke="#888" stroke-width="1"/>'
-        )
+    # Reference lines: zero effect (0 is in y_all, so inside the axis),
+    # treatment date at r = -0.5.
+    py = sy(0.0)
+    parts.append(
+        f'<line x1="{MARGIN_L}" y1="{_fmt(py)}" x2="{WIDTH - MARGIN_R}" y2="{_fmt(py)}" '
+        f'stroke="#888" stroke-width="1"/>'
+    )
     if x_lo <= -0.5 <= x_hi:
         px = sx(-0.5)
         parts.append(

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 
 from evstudy import PanelDataset
 from evstudy.panel import panel_from_columns
+from evstudy.svgplot import HEIGHT, WIDTH
 
 
 def make_fuzz_panel(rng: np.random.Generator, max_units: int = 5, max_abs_t: int = 6) -> PanelDataset:
@@ -56,3 +59,18 @@ def assert_same_panel(a: PanelDataset, b: PanelDataset) -> None:
     assert (a.unit_ids, a.t_min, a.t_max) == (b.unit_ids, b.t_min, b.t_max)
     assert np.array_equal(a.treated, b.treated)
     assert np.array_equal(a.outcomes, b.outcomes)
+
+
+def drawn_tick_labels(svg: str) -> tuple[list[str], list[str]]:
+    """The x and the y axis tick labels of a figure, in drawing order, once
+    every coordinate it holds is checked to be a number on its canvas."""
+    xs = re.findall(r' c?x[12]?="([^"]*)"', svg)
+    ys = re.findall(r' c?y[12]?="([^"]*)"', svg)
+    for points in re.findall(r' points="([^"]*)"', svg):
+        for x, y in (pair.split(",") for pair in points.split()):
+            xs.append(x)
+            ys.append(y)
+    assert xs and all(0 <= float(x) <= WIDTH for x in xs), xs
+    assert ys and all(0 <= float(y) <= HEIGHT for y in ys), ys
+    return tuple(re.findall(rf'text-anchor="{anchor}" font-family="sans-serif" font-size="11">([^<]*)<', svg)
+                 for anchor in ("middle", "end"))

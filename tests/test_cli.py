@@ -1,13 +1,15 @@
 import filecmp
 import os
 import re
+import sys
 import threading
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evstudy import BootstrapConfig, DgpConfig, bootstrap_many, estimate_many, simulate
@@ -27,7 +29,7 @@ from evstudy.tableio import (
 )
 
 from conftest import FOUR_CELL_ROWS
-from helpers import make_fuzz_panel
+from helpers import drawn_tick_labels, make_fuzz_panel
 
 GOLDEN = Path(__file__).parent / "golden"
 SMALL_DESIGN = ["--n-treated", "3", "--n-control", "2", "--t-min", "-3", "--t-max", "2"]
@@ -338,9 +340,10 @@ def test_estimate_non_finite_interval_exit_2(tmp_path, capsys):
     assert main(["estimate", str(bad), "--estimator", "twfe", "--bootstrap", "--level", "0.999",
                  "--method", "percentile", "--out", str(out)]) == 0
     assert [row.ci_low for row in read_estimate_table(out)] == [-1.16e308, None, -1.16e308]
-    # plot reads the table; only its y-axis, 2.32e308 tall, is out of range.
-    assert main(["plot", str(out), "--out", str(tmp_path / "fig.svg")]) == 2
-    assert "error: twfe: the padded y-axis span overflows" in capsys.readouterr().err
+    # plot draws the table on a y axis 2.32e308 tall, past the largest float.
+    fig = tmp_path / "fig.svg"
+    assert main(["plot", str(out), "--out", str(fig)]) == 0
+    assert drawn_tick_labels(fig.read_text())[1] == ["-1e+308", "-5e+307", "0", "5e+307", "1e+308"]
 
 
 @pytest.mark.parametrize("body", [
@@ -706,14 +709,57 @@ def test_plot_overflowing_overlay_exit_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.svg"))
 
 
-def test_plot_overflowing_span_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("top, y_labels", [
+    ("1e308", ["-1e+308", "-5e+307", "0", "5e+307", "1e+308"]),
+    ("1.7e308", ["-1e+308", "0", "1e+308"]),
+    ("1.7976931348623157e+308", ["-1e+308", "0", "1e+308"]),
+], ids=["1e308", "1.7e308", "largest-float"])
+def test_plot_draws_spans_past_the_largest_float(tmp_path, top, y_labels):
+    # A padded y axis taller than the largest float: svgplot lays it out in
+    # quarters of the values.
     table = tmp_path / "e.csv"
     table.write_text("estimator,relative_time,coefficient,std_error,ci_low,ci_high,omitted\n"
-                     "twfe,-2,1e308,,,,0\ntwfe,-1,,,,,1\ntwfe,0,-1e308,,,,0\n")
+                     f"twfe,-2,{top},,,,0\ntwfe,-1,,,,,1\ntwfe,0,-{top},,,,0\n")
     out = tmp_path / "fig.svg"
-    assert main(["plot", str(table), "--out", str(out)]) == 2
-    assert "twfe: the padded y-axis span overflows" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["plot", str(table), "--out", str(out)]) == 0
+    assert drawn_tick_labels(out.read_text())[1] == y_labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), max_abs_t=st.integers(2, 6), signs=st.booleans(),
+       closeness=st.floats(0.5, 1.0),
+       tags=st.lists(st.sampled_from(TAGS), min_size=1, unique=True),
+       bjs_pre=st.none() | st.integers(1, 5),
+       boot=st.none() | st.tuples(st.integers(2, 9), st.sampled_from(METHODS), st.floats(0.5, 0.999)))
+# The 2+2-unit panel whose outcomes alternate +-2.9e307 (seed 881 gives its
+# signs over periods -1..1); its 0.999 percentile table spans 2.32e308.
+@example(seed=881, max_abs_t=2, signs=True, closeness=2.9e307 * 6 / sys.float_info.max,
+         tags=["twfe"], bjs_pre=None, boot=(19, "percentile", 0.999))
+def test_plot_draws_every_table_estimate_writes(tmp_path_factory, seed, max_abs_t, signs,
+                                                closeness, tags, bjs_pre, boot):
+    # Outcomes scaled to near panel.check_outcome_bound give the widest
+    # tables; whenever estimate writes one, plot draws it, with and without
+    # the overlay and the bjs split. Outcomes of +-max|y| give the widest gaps.
+    panel = make_fuzz_panel(np.random.default_rng(seed), max_abs_t=max_abs_t)
+    y = np.sign(panel.outcomes) if signs else panel.outcomes / np.abs(panel.outcomes).max()
+    factor = max(*y.shape, 2 * y.shape[1], 4)
+    panel = replace(panel, outcomes=y * (sys.float_info.max / factor * closeness))
+    folder = tmp_path_factory.mktemp("chain")
+    write_panel_csv(panel, folder / "p.csv")
+    argv = ["estimate", str(folder / "p.csv"), "--estimator", ",".join(tags)]
+    if "bjs" in tags and bjs_pre is not None:
+        argv += ["--bjs-pre", str(min(bjs_pre, -panel.t_min))]
+    if boot is not None:
+        argv += ["--bootstrap", "--replications", str(boot[0]), "--method", boot[1],
+                 "--level", repr(boot[2])]
+    if main([*argv, "--out", str(folder / "e.csv")]) != 0:
+        return
+    for overlay in ([], ["--overlay-population", "0.5"]):
+        for split in ([], ["--split-bjs"]) if "bjs" in tags else ([],):
+            out = folder / f"fig{len(overlay)}{len(split)}.svg"
+            assert main(["plot", str(folder / "e.csv"), *overlay, *split, "--out", str(out)]) == 0
+    for fig in folder.glob("*.svg"):
+        drawn_tick_labels(fig.read_text())
 
 
 TABLE_HEADER = "estimator,relative_time,coefficient,std_error,ci_low,ci_high,omitted\n"

@@ -1,8 +1,10 @@
-import re
-
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evstudy.svgplot import event_study_svg
+
+from helpers import drawn_tick_labels
 
 POINTS = [(-2, -1.0, -1.5, -0.5), (0, 1.0, 0.4, 1.6), (1, 2.0, None, None)]
 
@@ -51,12 +53,6 @@ def test_title_escaped():
     assert "a &amp; &lt;b&gt;" in svg
 
 
-def _tick_labels(svg):
-    """The x and the y axis tick labels of a figure, in drawing order."""
-    return tuple(re.findall(rf'text-anchor="{anchor}" font-family="sans-serif" font-size="11">([^<]*)<', svg)
-                 for anchor in ("middle", "end"))
-
-
 @pytest.mark.parametrize("points, overlay, x_labels, y_labels", [
     # Steps below 1.
     ([(-1, -0.08, None, None), (0, 0.05, None, None), (1, 0.1, None, None)], None,
@@ -73,10 +69,12 @@ def _tick_labels(svg):
     (POINTS, [(-2, 10.0), (0, 20.0), (1, 30.0)], ["-2", "-1", "0", "1"], ["0", "10", "20", "30"]),
     # A table may give one bound of an interval; it still sets the y axis.
     ([(0, 1.0, None, 5.0), (1, 2.0, -3.0, None)], None, ["0", "1"], ["-2", "0", "2", "4"]),
+    # All zero: the axis is [-1, 1], and its ends are ticks.
+    ([(0, 0.0, None, None)], None, ["0"], ["-1", "-0.5", "0", "0.5", "1"]),
 ], ids=["values-within-0.1", "150-relative-times", "12-relative-times", "no-overlay",
-        "overlay-beyond-the-x-span", "one-sided-intervals"])
+        "overlay-beyond-the-x-span", "one-sided-intervals", "all-zero"])
 def test_tick_labels(points, overlay, x_labels, y_labels):
-    assert _tick_labels(event_study_svg("t", points, overlay)) == (x_labels, y_labels)
+    assert drawn_tick_labels(event_study_svg("t", points, overlay)) == (x_labels, y_labels)
 
 
 def test_empty_rejected():
@@ -88,9 +86,33 @@ def test_empty_rejected():
     ([(0, float("nan"), None, None)], None),
     ([(0, 1.0, float("-inf"), 2.0)], None),
     (POINTS, [(-2, 1.0), (0, float("inf"))]),
-    ([(-2, 1e308, None, None), (0, -1e308, None, None)], None),
-    ([(-2, 9e307, None, None), (0, -8e307, None, None)], None),
-], ids=["nan-value", "inf-ci", "inf-overlay", "span-overflows", "padded-span-overflows"])
+], ids=["nan-value", "inf-ci", "inf-overlay"])
 def test_non_finite_values_and_spans_rejected(points, overlay):
-    with pytest.raises(ValueError, match="must be finite|span overflows"):
+    with pytest.raises(ValueError, match="must be finite"):
         event_study_svg("x", points, overlay)
+
+
+@pytest.mark.parametrize("points, y_labels", [
+    ([(-2, 1e308, None, None), (0, -1e308, None, None)],
+     ["-1e+308", "-5e+307", "0", "5e+307", "1e+308"]),
+    ([(-2, 9e307, None, None), (0, -8e307, None, None)], ["-5e+307", "0", "5e+307"]),
+], ids=["span-overflows", "padded-span-overflows"])
+def test_spans_past_the_largest_float_are_drawn(points, y_labels):
+    # The unscaled span, or the padded one, is past the largest float; the
+    # axis is laid out on quarters of the values.
+    assert drawn_tick_labels(event_study_svg("x", points))[1] == y_labels
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.tuples(FINITE, st.none() | st.tuples(FINITE, FINITE)), min_size=1,
+                       max_size=5),
+       overlay=st.none() | st.lists(FINITE, min_size=1, max_size=5))
+# A value of 10 subnormal steps made a tick step of 0.
+@example(values=[(5e-323, None)], overlay=None)
+def test_any_finite_values_are_drawn_on_the_canvas(values, overlay):
+    points = [(r, v, *(ci or (None, None))) for r, (v, ci) in enumerate(values)]
+    overlay = overlay and list(enumerate(overlay[:len(points)]))
+    drawn_tick_labels(event_study_svg("x", points, overlay))

@@ -8,8 +8,9 @@ CLI runs that tier-1 and CI also check, go through ``evstudy.cli.main`` in
 one process under ``sys.setprofile``. They cover every command, both
 ``--method`` values, ``--bjs-pre``, ``--config``, a panel read from a pipe
 with LF line ends, panels with quoted and with long ids, one-tag and
-all-tag Monte Carlo runs, an overflowing normal interval, an unbalanced
-panel, a file that is not UTF-8, a bad flag and a missing file. A failed
+all-tag Monte Carlo runs, an overflowing normal interval and the figure
+of that panel's percentile table, an unbalanced panel, a file that is not
+UTF-8, a bad flag and a missing file. A failed
 check of that list is printed and stops the check with status 2.
 
 Every ``def`` in src/evstudy that no run called is then printed as

@@ -118,6 +118,11 @@ STEPS = [
     Run("estimate big.csv --estimator twfe --bootstrap --level 0.999 --out big_est.csv", code=2,
         stderr="error: twfe at relative time -2: ci_low must be finite, got -inf",
         absent=("big_est.csv",)),
+    # Its percentile bounds are replicate values, so finite, and plot draws
+    # that table, whose y axis is taller than the largest float.
+    Run("estimate big.csv --estimator twfe --bootstrap --level 0.999 --method percentile"
+        " --out big_pct.csv"),
+    Run("plot big_pct.csv --out big.svg"),
     # Every command, both --method values, --bjs-pre, --config, every id
     # quoted, and the unbalanced, non-UTF-8, bad-flag and missing-file errors.
     Input("sim.cfg", b"n_treated = 3\nn_control = 2\n"),
