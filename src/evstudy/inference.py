@@ -13,6 +13,8 @@ constructions per stream. Each replicate is reduced at once to its (T,)
 treated-minus-control gap, so the replicates take O(n + B * T) memory; the
 (B, T) gaps then go through ``kernels.baseline_coefs`` as a point estimate's
 gap does, one (B, T) row per tag of the call, from one set of resamples.
+Each group mean sums count * row in unit order from 0.0 through ``einsum``,
+which calls no BLAS, so no se or ci byte depends on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def _resampled_mean(y: np.ndarray, words: np.ndarray) -> np.ndarray:
     """(T,) mean of the rows of ``y`` drawn with replacement by one index stream."""
     n = y.shape[0]
     idx = np.random.Generator(np.random.PCG64(_Pcg64Words(words))).integers(0, n, size=n)
-    return np.bincount(idx, minlength=n) @ y / n
+    return np.einsum("ij,i->j", y, np.bincount(idx, minlength=n).astype(float)) / n
 
 
 def _replicate_gaps(panel: PanelDataset, B: int, seed: int) -> np.ndarray:
@@ -63,10 +65,6 @@ def _replicate_gaps(panel: PanelDataset, B: int, seed: int) -> np.ndarray:
     y1 = panel.outcomes[panel.treated]
     y0 = panel.outcomes[~panel.treated]
     words = pcg64_words(stream_seeds(seed, 0, 2 * min(B, SEED_BLOCK)))
-    # OpenBLAS takes its work buffer at the first product and ends the
-    # process when it cannot, so one product runs before the gaps exist:
-    # short of memory, _allocate then raises the error that names them.
-    _resampled_mean(y1, words[0])
     gaps = _allocate((B, panel.n_periods), "bootstrap gap", f"replications={B}: ")
     for lo in range(0, B, SEED_BLOCK):
         hi = min(B, lo + SEED_BLOCK)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from evstudy import (
     BootstrapConfig,
     DgpConfig,
+    EventStudyEstimate,
     PanelDataset,
     UnknownEstimator,
     bjs_imputation,
@@ -117,6 +119,26 @@ def test_bjs_pooled_bootstrap():
     assert set(boot.se) == set(boot.coefficients)
     with pytest.raises(ValueError):
         bootstrap_many(panel, ["twfe"], BootstrapConfig(seed=1), n_pre=2)
+    with pytest.raises(TypeError):  # n_pre is keyword-only
+        bootstrap_many(panel, ["bjs"], BootstrapConfig(seed=1), 2)
+
+
+def test_se_scales_each_column_by_its_largest_magnitude():
+    # Both replicates below zero, one at -max: scaled by the exponent of
+    # the column's max rather than of its |min|, the squares would overflow.
+    panel = _panel(1, 1, -1, 1, data_seed=0)
+    point = EventStudyEstimate("twfe", {0: 0.0}, frozenset({-1}))
+    top = np.finfo(float).max
+    reps = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, -top]])
+    got = inference._with_intervals(point, reps, panel, BootstrapConfig())
+    assert math.isclose(got.se[0], top / math.sqrt(2), rel_tol=1e-15)
+
+
+def test_stream_words_serve_only_pcg64s_request():
+    words = inference._Pcg64Words(np.arange(4, dtype=np.uint64))
+    for n_words, dtype in ((8, np.uint64), (4, np.uint32)):
+        with pytest.raises(ValueError, match="holds PCG64's 4 uint64 words"):
+            words.generate_state(n_words, dtype)
 
 
 # --- replicate gaps against an explicit gather --------------------------------
@@ -273,7 +295,9 @@ def test_bootstrap_many_equals_bootstrap_per_tag(n_pre):
         assert got == one
 
 
-def test_estimate_all_draws_resamples_once(tmp_path, monkeypatch):
+@pytest.fixture
+def derived_streams(monkeypatch):
+    """The stream indices ``inference`` derives seeds for, in call order."""
     derived = []
 
     def recording(master_seed, start, stop):
@@ -281,13 +305,17 @@ def test_estimate_all_draws_resamples_once(tmp_path, monkeypatch):
         return stream_seeds(master_seed, start, stop)
 
     monkeypatch.setattr(inference, "stream_seeds", recording)
+    return derived
+
+
+def test_estimate_all_draws_resamples_once(tmp_path, derived_streams):
     panel_csv = tmp_path / "panel.csv"
     assert main(["simulate", "--n-treated", "4", "--n-control", "3", "--t-min", "-3",
                  "--t-max", "2", "--out", str(panel_csv)]) == 0
     B = 7
     assert main(["estimate", str(panel_csv), "--estimator", "all", "--bootstrap",
                  "--replications", str(B), "--out", str(tmp_path / "est.csv")]) == 0
-    assert sorted(derived) == list(range(2 * B))
+    assert sorted(derived_streams) == list(range(2 * B))
 
 
 # --- block-derived streams against one default_rng per stream -----------------
@@ -296,7 +324,8 @@ def test_estimate_all_draws_resamples_once(tmp_path, monkeypatch):
 def _reference_gaps(panel, B, seed):
     """(B, T) replicate gaps by the documented rule, one stream at a time:
     default_rng(SeedSequence([seed, i]) state) for stream i, treated rows
-    from stream 2k and control rows from stream 2k + 1."""
+    from stream 2k and control rows from stream 2k + 1, each group's mean
+    summed row by row in unit order from 0.0, each row times its draw count."""
     y1 = panel.outcomes[panel.treated]
     y0 = panel.outcomes[~panel.treated]
     gaps = np.empty((B, panel.n_periods))
@@ -305,7 +334,10 @@ def _reference_gaps(panel, B, seed):
         for stream, y in ((2 * k, y1), (2 * k + 1, y0)):
             n = y.shape[0]
             idx = np.random.default_rng(reference_seed(seed, stream)).integers(0, n, size=n)
-            means.append(np.bincount(idx, minlength=n) @ y / n)
+            acc = np.zeros(panel.n_periods)
+            for row, count in zip(y, np.bincount(idx, minlength=n)):
+                acc += row * count
+            means.append(acc / n)
         gaps[k] = means[0] - means[1]
     return gaps
 
@@ -324,11 +356,12 @@ def test_replicate_gaps_equal_one_default_rng_per_stream(n1, n0, t_min, t_max, B
 
 
 @pytest.mark.parametrize("block", [1, 3, 4])
-def test_replicate_gaps_do_not_depend_on_the_seed_block(monkeypatch, block):
+def test_replicate_gaps_do_not_depend_on_the_seed_block(monkeypatch, derived_streams, block):
     # 5 replicates in blocks of 1, 3 or 4: each size but 1 leaves a short last block.
     panel = _panel(3, 4, -2, 2, data_seed=6)
     monkeypatch.setattr(inference, "SEED_BLOCK", block)
     assert np.array_equal(inference._replicate_gaps(panel, 5, 2**70), _reference_gaps(panel, 5, 2**70))
+    assert derived_streams == list(range(10))  # each stream's seed once, block by block
 
 
 def test_replicate_gaps_across_real_seed_blocks():
