@@ -37,15 +37,9 @@ def estimate_many(panel: PanelDataset, tags: list[str], n_pre: int | None = None
     Each estimate is its tag's row, read by ``kernels.row_estimate``; the
     row's NaN positions are the omitted categories. ``n_pre`` (default: all
     available) is the number of BJS pre coefficients, the earlier periods
-    pooling into the BJS pre baseline; it needs ``bjs`` among ``tags`` and
-    leaves the others as they are.
+    pooling into the BJS pre baseline; it leaves the others as they are.
+    Raises as ``kernels.baseline_coefs`` does.
     """
-    kernels.check_tags(tags)
-    if n_pre is not None:
-        if "bjs" not in tags:
-            raise ValueError("n_pre applies to the bjs estimator only")
-        if not (1 <= n_pre <= -panel.t_min):
-            raise ValueError(f"n_pre must be in [1, {-panel.t_min}], got {n_pre}")
     mat = kernels.coef_matrix(panel.outcomes, panel.treated, panel.t_min, tags, n_pre)
     return [kernels.row_estimate(tag, row, panel.t_min) for tag, row in zip(tags, mat)]
 

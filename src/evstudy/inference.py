@@ -13,13 +13,16 @@ constructions per stream. Each replicate is reduced at once to its (T,)
 treated-minus-control gap, so the replicates take O(n + B * T) memory; the
 (B, T) gaps then go through ``kernels.baseline_coefs`` as a point estimate's
 gap does, one (B, T) row per tag of the call, from one set of resamples.
+``_intervals`` makes each tag's se and (low, high) rows, which
+``kernels.row_estimate`` reads beside its point row, as for every record.
 Each group mean sums count * row in unit order from 0.0 through ``einsum``,
-which calls no BLAS, so no se or ci byte depends on the BLAS kernel.
+which calls no BLAS, and each se sums its column pairwise from a
+column-major copy, so no se or ci byte depends on the BLAS kernel or on
+the replicates' memory order.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -27,7 +30,6 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import kernels
 from .dgp import SEED_BLOCK, _allocate, _check_cells, pcg64_words, stream_seeds
-from .estimators import estimate_many
 from .panel import PanelDataset
 from .spec import BootstrapConfig, EventStudyEstimate
 
@@ -64,12 +66,10 @@ def _replicate_gaps(panel: PanelDataset, B: int, seed: int) -> np.ndarray:
     """
     y1 = panel.outcomes[panel.treated]
     y0 = panel.outcomes[~panel.treated]
-    words = pcg64_words(stream_seeds(seed, 0, 2 * min(B, SEED_BLOCK)))
     gaps = _allocate((B, panel.n_periods), "bootstrap gap", f"replications={B}: ")
     for lo in range(0, B, SEED_BLOCK):
         hi = min(B, lo + SEED_BLOCK)
-        if lo:
-            words = pcg64_words(stream_seeds(seed, 2 * lo, 2 * hi))
+        words = pcg64_words(stream_seeds(seed, 2 * lo, 2 * hi))
         for gap, treated_words in zip(gaps[lo:hi], words[0::2]):
             gap[:] = _resampled_mean(y1, treated_words)
         for gap, control_words in zip(gaps[lo:hi], words[1::2]):
@@ -95,29 +95,27 @@ def bootstrap_many(
     periods exceeds ``dgp.MAX_CELLS``.
     """
     _check_cells(config.replications, panel.n_units, panel.n_periods, "replications")
-    points = estimate_many(panel, tags, n_pre)
-
+    points = kernels.coef_matrix(panel.outcomes, panel.treated, panel.t_min, tags, n_pre)
     # The gaps are released once their coefficients exist, before any interval.
     reps = kernels.baseline_coefs(_replicate_gaps(panel, config.replications, config.seed),
                                   -panel.t_min, tags, n_pre)
-    return [_with_intervals(point, rep, panel, config) for point, rep in zip(points, reps)]
+    return [kernels.row_estimate(tag, point, panel.t_min, *_intervals(point, rep, config))
+            for tag, point, rep in zip(tags, points, reps)]
 
 
-def _with_intervals(point, reps, panel, config) -> EventStudyEstimate:
-    """``point`` with se/ci filled from its (B, T) replicate coefficients."""
-    rs = sorted(point.coefficients)
-    draws = reps[:, [r - panel.t_min + 1 for r in rs]]  # a copy, scaled in place
+def _intervals(point: np.ndarray, reps: np.ndarray, config: BootstrapConfig):
+    """(T,) rows (se, (low, high)) for the (T,) ``point`` row from its (B, T) replicates."""
+    # A column-major copy, scaled in place: each column's std sums it pairwise
+    # over contiguous memory, so its se is that column's own std(ddof=1).
+    draws = np.array(reps, order="F")
     # Scaling each column by a power of two is exact, so se and the quantiles
     # keep every digit, and the squares cannot overflow near the float range.
     e = np.frexp(np.maximum(draws.max(axis=0), -draws.min(axis=0)))[1]
     np.ldexp(draws, -e, out=draws)
-    se = dict(zip(rs, np.ldexp(draws.std(axis=0, ddof=1), e).tolist()))
-    if config.method == "normal":
-        z = NormalDist().inv_cdf(0.5 + config.level / 2)
-        ci = {r: (point.coefficients[r] - z * s, point.coefficients[r] + z * s)
-              for r, s in se.items()}
-    else:
+    se = np.ldexp(draws.std(axis=0, ddof=1), e)
+    if config.method == "percentile":
         q = [(1 - config.level) / 2, (1 + config.level) / 2]
-        lo, hi = np.ldexp(np.quantile(draws, q, axis=0), e).tolist()
-        ci = dict(zip(rs, zip(lo, hi)))
-    return replace(point, se=se, ci=ci)
+        return se, tuple(np.ldexp(np.quantile(draws, q, axis=0), e))
+    z = NormalDist().inv_cdf(0.5 + config.level / 2)
+    with np.errstate(over="ignore"):  # an infinite bound is TableRow's to report
+        return se, (point - z * se, point + z * se)

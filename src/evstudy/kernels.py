@@ -34,9 +34,14 @@ def baseline_coefs(g: np.ndarray, j0: int, tags, n_pre: int | None = None) -> np
     Returns shape (len(tags), ..., T), row i for ``tags[i]``, repeats
     included; raises as ``check_tags`` does. ``n_pre`` (default ``j0``) is
     the number of BJS pre coefficients; the earlier periods pool into the
-    BJS pre baseline. Each row is written in place, with no (..., T) temporary.
+    BJS pre baseline. It needs ``bjs`` among ``tags`` and 1 <= n_pre <= j0,
+    else ValueError. Each row is written in place, with no (..., T) temporary.
     """
     check_tags(tags)
+    if n_pre is not None and "bjs" not in tags:
+        raise ValueError("n_pre applies to the bjs estimator only")
+    if n_pre is not None and not 1 <= n_pre <= j0:
+        raise ValueError(f"n_pre must be in [1, {j0}], got {n_pre}")
     n_pool = 1 if n_pre is None else j0 - n_pre + 1
     out = _allocate((len(tags),) + g.shape, "coefficient")
     for row, tag in zip(out, tags):
@@ -66,15 +71,18 @@ def coef_matrix(y: np.ndarray, treated: np.ndarray, t_min: int, tags, n_pre: int
     return baseline_coefs(g, -t_min, tags, n_pre)
 
 
-def row_estimate(tag: str, row: np.ndarray, t_min: int, se: np.ndarray | None = None) -> EventStudyEstimate:
+def row_estimate(tag: str, row: np.ndarray, t_min: int, se: np.ndarray | None = None,
+                 ci: tuple[np.ndarray, np.ndarray] | None = None) -> EventStudyEstimate:
     """``tag``'s estimate from its (T,) coefficient ``row``, in the layout above.
 
     The row's non-NaN columns are the coefficients and its NaN columns the
-    omitted set; ``se``, a (T,) row too, gives their standard errors.
+    omitted set; ``se``, a (T,) row too, gives their standard errors and
+    ``ci``, a (low, high) pair of (T,) rows, their intervals.
     """
     r0 = t_min - 1
     kept = np.flatnonzero(~np.isnan(row))
     rs = (kept + r0).tolist()
     return EventStudyEstimate(tag, dict(zip(rs, row[kept].tolist())),
                               frozenset(range(r0, r0 + len(row))).difference(rs),
-                              None if se is None else dict(zip(rs, se[kept].tolist())))
+                              None if se is None else dict(zip(rs, se[kept].tolist())),
+                              None if ci is None else dict(zip(rs, zip(*(b[kept].tolist() for b in ci)))))

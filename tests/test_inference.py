@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from evstudy import (
     BootstrapConfig,
     DgpConfig,
-    EventStudyEstimate,
     PanelDataset,
     UnknownEstimator,
     bjs_imputation,
@@ -126,12 +125,26 @@ def test_bjs_pooled_bootstrap():
 def test_se_scales_each_column_by_its_largest_magnitude():
     # Both replicates below zero, one at -max: scaled by the exponent of
     # the column's max rather than of its |min|, the squares would overflow.
-    panel = _panel(1, 1, -1, 1, data_seed=0)
-    point = EventStudyEstimate("twfe", {0: 0.0}, frozenset({-1}))
+    point = np.array([np.nan, np.nan, 0.0])
     top = np.finfo(float).max
     reps = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, -top]])
-    got = inference._with_intervals(point, reps, panel, BootstrapConfig())
-    assert math.isclose(got.se[0], top / math.sqrt(2), rel_tol=1e-15)
+    se, _ = inference._intervals(point, reps, BootstrapConfig())
+    assert math.isclose(se[2], top / math.sqrt(2), rel_tol=1e-15)
+
+
+def test_se_sums_each_column_pairwise_over_contiguous_memory():
+    rng = np.random.default_rng(34)
+    [reps] = kernels.baseline_coefs(rng.standard_normal((999, 26)), 15, ["cs_dcdh_default"])
+    point = reps[0]
+    se, _ = inference._intervals(point, reps, BootstrapConfig())
+    kept = np.flatnonzero(~np.isnan(point))
+    e = np.frexp(np.maximum(reps.max(axis=0), -reps.min(axis=0)))[1]
+    for j in kept:
+        col = np.ascontiguousarray(reps[:, j])
+        assert se[j] == np.ldexp(np.ldexp(col, -e[j]).std(ddof=1), e[j])
+    # Summed row by row instead, some column's se would differ in its last bits.
+    row_major = np.ldexp(np.ldexp(reps, -e).std(axis=0, ddof=1), e)
+    assert not np.array_equal(se[kept], row_major[kept])
 
 
 def test_stream_words_serve_only_pcg64s_request():

@@ -22,15 +22,16 @@ def test_coef_matrix_matches_estimators(default_panel):
 def test_rows_follow_the_tags_asked_for(default_panel):
     args = default_panel.outcomes, default_panel.treated, default_panel.t_min
     for n_pre in (None, 1, 3):
-        alone = {tag: kernels.coef_matrix(*args, [tag], n_pre) for tag in TAGS}
+        # n_pre needs bjs beside it, so each tag's row is taken from [tag, "bjs"].
+        alone = {tag: kernels.coef_matrix(*args, [tag, "bjs"], n_pre) for tag in TAGS}
         for tag in TAGS:
-            assert alone[tag].shape == (1, default_panel.n_periods)
+            assert alone[tag].shape == (2, default_panel.n_periods)
         for tags in (["bjs", "twfe", "bjs"], TAGS[::-1]):
             got = kernels.coef_matrix(*args, tags, n_pre)
             assert got.shape == (len(tags), default_panel.n_periods)
             for row, tag in zip(got, tags):
                 assert np.array_equal(row, alone[tag][0], equal_nan=True)
-        assert np.array_equal(alone["twfe"], alone["cs_dcdh_universal"], equal_nan=True)
+        assert np.array_equal(alone["twfe"][0], alone["cs_dcdh_universal"][0], equal_nan=True)
     assert kernels.coef_matrix(*args, []).shape == (0, default_panel.n_periods)
 
 
@@ -46,6 +47,22 @@ def test_unknown_tag_raises_one_message_everywhere(four_cell):
         with pytest.raises(UnknownEstimator) as info:
             call()
         assert str(info.value) == f"unknown estimator 'sdid'; choose from {TAGS}"
+
+
+def test_n_pre_out_of_range_raises_one_message_everywhere(four_cell):
+    cases = [(["bjs"], 0, "n_pre must be in [1, 2], got 0"),
+             (["twfe", "bjs"], -four_cell.t_min + 1, "n_pre must be in [1, 2], got 3"),
+             (["twfe", "cs_dcdh_default"], 1, "n_pre applies to the bjs estimator only")]
+    for tags, n_pre, message in cases:
+        calls = [
+            lambda: kernels.coef_matrix(four_cell.outcomes, four_cell.treated, four_cell.t_min, tags, n_pre),
+            lambda: estimate_many(four_cell, tags, n_pre),
+            lambda: bootstrap_many(four_cell, tags, BootstrapConfig(replications=2), n_pre=n_pre),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
 
 @settings(max_examples=80, deadline=None)

@@ -14,9 +14,9 @@ the exit code it must give, its one stderr line where that matters, the
 outputs it must leave absent and, for the run that reads a pipe, the file
 whose bytes are piped to it. SAME holds the byte equalities between
 outputs, checked after the last step: the LF, quoted-id and long-id forms
-of one panel give its estimate table, a one-tag Monte Carlo run gives its
-rows of the all-tag run, and a small Monte Carlo run gives
-``tests/golden/mc_small.csv``.
+of one panel give its estimate table, a one-tag bootstrap run (normal and
+percentile) and a one-tag Monte Carlo run give their rows of the all-tag
+run, and a small Monte Carlo run gives ``tests/golden/mc_small.csv``.
 
 ``check`` runs the list in a new temporary directory, made the cwd until it
 returns, and gives one line for each failed check, naming the run or the
@@ -102,6 +102,9 @@ STEPS = [
     Input("long_ids.csv", source="panel.csv",
           edit=lambda b: re.sub(rb"\n([^,\n]+)", rb"\n\1-padded-past-thirty-two-characters", b)),
     Run(f"estimate long_ids.csv {BOOT} --out long_est.csv"),
+    Run(f"estimate panel.csv {BOOT} --method percentile --out pct.csv"),
+    Run(f"estimate panel.csv --estimator bjs {BOOT} --out boot_bjs.csv"),
+    Run(f"estimate panel.csv --estimator bjs {BOOT} --method percentile --out pct_bjs.csv"),
     Run("plot estimates.csv --overlay-population 0.5 --out fig.svg"),
     Run("plot estimates.csv --overlay-population 0.5 --split-bjs --out split.svg"),
     Run("montecarlo --draws 50 --out mc.csv"),
@@ -152,6 +155,8 @@ SAME = [
     (Lines("quoted_est.csv"), Lines("estimates.csv")),
     (Lines("long_est.csv"), Lines("estimates.csv")),
     # One tag run alone gives its rows of the all-tag run, byte for byte.
+    (Lines("boot_bjs.csv", skip=1), Lines("estimates.csv", prefix="bjs,")),
+    (Lines("pct_bjs.csv", skip=1), Lines("pct.csv", prefix="bjs,")),
     (Lines("mc.csv", prefix="bjs,"), Lines("mc_bjs.csv", skip=1)),
     (Lines("mc_small.csv"), Lines(str(GOLDEN / "mc_small.csv"))),
 ]
